@@ -35,7 +35,6 @@ from .evolution import (
     run_bo_mamp_se,
     run_bo_oamp_se,
     run_mf_oamp_se,
-    sample_correlated_noise,
 )
 from .operators import (
     DenseOperator,

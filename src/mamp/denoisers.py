@@ -178,12 +178,3 @@ def scalar_mmse(v: float, prior: PriorParams) -> float:
     second = gain**2 * ((1.0 - mu) * v * i0 + mu * s * i1)
     return float(1.0 - second)
 
-
-def extrinsic_variance_of_noise_level(v_gamma: float, prior: PriorParams) -> float:
-    """Extrinsic output variance (1/mmse - 1/v)^{-1} at noise level v_gamma."""
-    m = scalar_mmse(v_gamma, prior)
-    if m >= v_gamma:
-        raise NonImprovingNLEError(
-            f"scalar mmse {m:.3e} >= input level {v_gamma:.3e}"
-        )
-    return 1.0 / (1.0 / m - 1.0 / v_gamma)

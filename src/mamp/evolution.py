@@ -46,13 +46,28 @@ class CorrelatedNoiseSampler:
     joint factorization would be numerically indefinite.  Small negative
     conditional variances (within tolerance) are clamped to zero; larger ones
     raise NearSingularCovarianceError.
+
+    Layout: coordinate t is stored as row t - 1 of a row-major (rows, n_mc)
+    complex buffer that doubles its row capacity when full, so a draw writes
+    one contiguous row and the conditional mean reads the earlier rows in
+    place.  `history` is the read-only (n_mc, t) transposed view of the rows
+    drawn so far.
     """
+
+    _INITIAL_ROWS = 8
 
     def __init__(self, n_mc: int, rng, tol: float = 1e-10):
         self.n = n_mc
         self.rng = rng
         self.tol = tol
-        self.history = np.zeros((n_mc, 0), dtype=complex)
+        self._rows = np.empty((self._INITIAL_ROWS, n_mc), dtype=complex)
+        self._t = 0
+
+    @property
+    def history(self) -> np.ndarray:
+        view = self._rows[: self._t].T
+        view.flags.writeable = False
+        return view
 
     def sample(self, V_gamma: np.ndarray, t: int) -> np.ndarray:
         """Batch for coordinate t (1-based) given rows 1..t of V_gamma."""
@@ -78,20 +93,19 @@ class CorrelatedNoiseSampler:
             v_g = max(v_g, 0.0)
             # conditional mean uses the conjugate weights; identical to the
             # plain transpose form whenever the covariance is real
-            eta = self.history @ np.conj(alpha) + self._gaussian(v_g)
-        self.history = np.column_stack([self.history, eta])
+            eta = np.conj(alpha) @ self._rows[: self._t] + self._gaussian(v_g)
+        if self._t == len(self._rows):
+            grown = np.empty((2 * len(self._rows), self.n), dtype=complex)
+            grown[: self._t] = self._rows
+            self._rows = grown
+        self._rows[self._t] = eta
+        self._t += 1
         return eta
 
     def _gaussian(self, var: float) -> np.ndarray:
         return (
             self.rng.standard_normal(self.n) + 1j * self.rng.standard_normal(self.n)
         ) * np.sqrt(var / 2.0)
-
-
-def sample_correlated_noise(
-    sampler: CorrelatedNoiseSampler, V_gamma: np.ndarray, t: int
-) -> np.ndarray:
-    return sampler.sample(V_gamma, t)
 
 
 @dataclass
@@ -152,7 +166,9 @@ def run_bo_mamp_se(
     if mc:
         x = sample_prior(prior, n_mc, rng)
         sampler = CorrelatedNoiseSampler(n_mc, rng)
-        err_hist = (-x)[:, None].copy()  # damped estimate errors, column per t
+        # damped estimate errors, row per iteration (row 0 is the zero estimate)
+        err_hist = np.empty((T + 1, n_mc), dtype=complex)
+        err_hist[0] = -x
 
     scaled = np.array([1.0])
     weights_history: list[np.ndarray] = []
@@ -216,7 +232,7 @@ def run_bo_mamp_se(
                 status = "early_stop_nle"
                 break
             e_new = out.extrinsic_mean - x
-            row = (err_hist.conj().T @ e_new).conj() / n_mc
+            row = err_hist[:t] @ np.conj(e_new) / n_mc
             diag = float(np.mean(np.abs(e_new) ** 2))
         else:
             m_hat = scalar_mmse(vg_diag, prior)
@@ -248,17 +264,18 @@ def run_bo_mamp_se(
             V_phi[t, t] = V_phi[t - 1, t - 1]
             V_phi[: t + 1, t] = np.conj(V_phi[t, : t + 1])
             if mc:
-                err_hist = np.column_stack([err_hist, err_hist[:, -1]])
+                err_hist[t] = err_hist[t - 1]
         else:
             new_row = np.zeros(t, dtype=complex)
             if mc:
-                e_damped = np.zeros(n_mc, dtype=complex)
+                e_damped = err_hist[t]
+                e_damped[:] = 0.0
             for k, idx in enumerate(cand):
                 zk = sol.zeta[k]
                 if idx <= t:
                     new_row += np.conj(zk) * V_phi[idx - 1, :t]
                     if mc:
-                        e_damped += zk * err_hist[:, idx - 1]
+                        e_damped += zk * err_hist[idx - 1]
                 else:
                     new_row += np.conj(zk) * row
                     if mc:
@@ -267,8 +284,6 @@ def run_bo_mamp_se(
             V_phi[t, t] = sol.variance
             V_phi[:t, t] = np.conj(new_row)
             effective.append(t + 1)
-            if mc:
-                err_hist = np.column_stack([err_hist, e_damped])
         v_phi_diag[t - 1] = V_phi[t, t].real
         zeta_list.append(sol.zeta.copy())
 

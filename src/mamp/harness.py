@@ -350,7 +350,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             fixed_point = {"error": str(exc)}
 
     sim_algos = [a for a in config.algorithms if a in _SIM_ALGOS]
-    sim_algos = [a for a in config.algorithms if a in _SIM_ALGOS]
     per_seed: list[dict[str, AlgorithmResult]] = []
     if sim_algos and config.n_seeds > 0:
         sim_cfg = replace(config, algorithms=tuple(sim_algos))

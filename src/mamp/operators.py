@@ -139,7 +139,8 @@ class DenseOperator(TransformOperator):
         return self.matrix @ x
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.matrix.conj().T @ y
+        # conjugating the vector, not the matrix, avoids copying A per call
+        return (np.conj(y) @ self.matrix).conj()
 
     def dense(self) -> np.ndarray:
         return self.matrix

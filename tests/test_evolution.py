@@ -13,7 +13,6 @@ from mamp import (
     run_bo_mamp_se,
     run_bo_oamp_se,
     run_mf_oamp_se,
-    sample_correlated_noise,
     scalar_mmse,
     tables_from_singular_values,
 )
@@ -25,7 +24,7 @@ class TestCorrelatedNoiseSampler:
         rng = np.random.default_rng(0)
         sampler = CorrelatedNoiseSampler(200_000, rng)
         V = np.array([[0.7 + 0j]])
-        eta = sample_correlated_noise(sampler, V, 1)
+        eta = sampler.sample(V, 1)
         assert np.mean(np.abs(eta) ** 2) == pytest.approx(0.7, abs=3 * 0.7 / np.sqrt(200_000))
 
     def test_hand_conditional_coefficients(self):
@@ -54,6 +53,18 @@ class TestCorrelatedNoiseSampler:
         # three standard errors of each Monte-Carlo covariance entry
         tol = 3.0 / np.sqrt(n) * 2.0
         np.testing.assert_allclose(emp.conj(), V, atol=tol)
+
+    def test_history_columns_are_returned_draws_across_buffer_growth(self):
+        n, t_max = 64, 40
+        idx = np.arange(t_max)
+        V = (0.5 ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
+        sampler = CorrelatedNoiseSampler(n, np.random.default_rng(5))
+        draws = [sampler.sample(V, t) for t in range(1, t_max + 1)]
+        H = sampler.history
+        assert H.shape == (n, t_max)
+        assert not H.flags.writeable
+        for k, eta in enumerate(draws):
+            assert np.array_equal(H[:, k], eta)
 
     def test_near_singular_raises(self):
         rng = np.random.default_rng(3)

@@ -137,3 +137,11 @@ class TestIIDOperator:
         a = build_iid_gaussian_operator(32, 64, rng_seed=11)
         b = build_iid_gaussian_operator(32, 64, rng_seed=11)
         assert np.array_equal(a.matrix, b.matrix)
+
+    def test_adjoint_matches_conjugate_transpose(self):
+        op = build_iid_gaussian_operator(48, 96, rng_seed=5)
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+        np.testing.assert_allclose(
+            op.apply_adjoint(u), op.matrix.conj().T @ u, rtol=1e-13, atol=1e-13
+        )
