@@ -373,6 +373,8 @@ def series_gamma_se(
     lag-only part and a separable product).  Terms are added until the bound
     theta^2 x^s (s+1) (sigma^2 |w'_s| + v_phi |wbar'|) drops below series_tol;
     the tables are extended on demand, which requires eigenvalue-built tables.
+    Raises ValueError when the bound is still at or above series_tol once
+    max_terms terms are reached.
     """
     ld = tables.lambda_dagger
     rho = sigma2 / v_phi
@@ -388,7 +390,12 @@ def series_gamma_se(
         return coeff * (s_idx + 1) * contraction**s_idx
 
     n_terms = 8
-    while _tail_bound(n_terms - 1) >= series_tol and n_terms < max_terms:
+    while _tail_bound(n_terms - 1) >= series_tol:
+        if n_terms >= max_terms:
+            raise ValueError(
+                f"series truncated: tail bound {_tail_bound(n_terms - 1):.3e} >= "
+                f"series_tol {series_tol:.1e} at max_terms = {max_terms}"
+            )
         n_terms *= 2
     w = tables.w_scaled_extended(n_terms)
     s = np.arange(n_terms)

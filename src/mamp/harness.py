@@ -345,7 +345,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         try:
             fixed_point = _fixed_point_entry(config, tables, prior, ref_op)
         except ValueError as exc:
-            # estimate-built tables cannot feed the geometric series; record
+            # estimate-built tables cannot feed the geometric series, and a
+            # series that has not converged by max_terms is truncated; record
             # the failure instead of aborting the whole experiment
             fixed_point = {"error": str(exc)}
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, default_rng
+from scipy.linalg.blas import zherk
 
 from .denoisers import PriorParams, sample_prior
 
@@ -146,8 +147,11 @@ class DenseOperator(TransformOperator):
         return self.matrix
 
     def gram_eigenvalues(self) -> np.ndarray:
-        gram = self.matrix @ self.matrix.conj().T
-        return np.linalg.eigvalsh(gram)
+        # The C-ordered A is A^T in Fortran order, so herk on A.T with
+        # trans = 'C' writes the lower triangle of conj(A A^H) -- same
+        # eigenvalues -- without copying A or forming its conjugate.
+        gram = zherk(1.0, self.matrix.T, trans=2, lower=1)
+        return np.linalg.eigvalsh(gram, UPLO="L")
 
 
 def build_structured_operator(

@@ -32,6 +32,56 @@ from .operators import TransformOperator
 BINOMIAL_CANCELLATION_THRESHOLD = 20
 
 
+# The power-sum kernel works on blocks of up to 64 terms whose buffer holds at
+# most 2**18 doubles (2 MB): 64 terms for up to 4096 eigenvalues, fewer for
+# larger spectra, where a full block would add tens of MB to the set-up peak.
+_POWER_BLOCK = 64
+_BLOCK_ELEMENTS = 1 << 18
+_TINY = np.finfo(float).tiny
+
+
+def _power_sums(
+    weights: np.ndarray, ratio: np.ndarray, n_terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over k of ratio_k**t and of weights_k * ratio_k**t, t < n_terms.
+
+    The powers come from the same chain of products as ``power = power *
+    ratio`` starting at ones, written row by row into a block buffer (a
+    cumulative product down axis 0 walks the buffer by column and is 5-20x
+    slower), and each sum is a contiguous row sum, so the results equal the
+    term-by-term loop bit for bit up to the first block boundary at which the
+    power of some eigenvalue falls below the smallest normal double.  Those
+    eigenvalues are dropped there: their powers would otherwise sit in the
+    subnormal range (where a product such as 0.98 * 2**-1074 rounds back to
+    2**-1074 and never reaches zero) and make every later term both slow and
+    a rounding artefact.  Past that boundary a sum runs over fewer terms,
+    which can move its last bits; once no eigenvalue is left, every remaining
+    sum is exactly 0.0.
+    """
+    plain = np.zeros(n_terms)
+    weighted = np.zeros(n_terms)
+    power = np.ones_like(ratio)
+    block = min(_POWER_BLOCK, n_terms, max(1, _BLOCK_ELEMENTS // len(ratio)))
+    buf = np.empty(block * len(ratio))
+    for start in range(0, n_terms, block):
+        small = np.abs(power) < _TINY
+        if small.any():
+            keep = ~small
+            power, ratio, weights = power[keep], ratio[keep], weights[keep]
+            if not len(power):
+                break
+        rows = min(block, n_terms - start)
+        P = buf[: rows * len(power)].reshape(rows, len(power))
+        P[0] = power
+        for i in range(1, rows):
+            np.multiply(P[i - 1], ratio, out=P[i])
+        power = P[-1] * ratio
+        plain[start : start + rows] = P.sum(axis=1)
+        P *= weights
+        weighted[start : start + rows] = P.sum(axis=1)
+    return plain, weighted
+
+
 @dataclass
 class SpectralProfile:
     """Moments lambda_t (t = 0..2T, lambda_0 = 1) and extremal eigenvalues."""
@@ -84,10 +134,8 @@ def exact_moments_from_singular_values(
     d_sq = d**2
     moments = np.empty(2 * T + 1)
     moments[0] = 1.0
-    power = np.ones_like(d_sq)
-    for t in range(1, 2 * T + 1):
-        power = power * d_sq
-        moments[t] = power.sum() / N
+    # lambda_t = sum(d_sq * d_sq**(t-1)) / N, the same products as d_sq**t
+    moments[1:] = _power_sums(d_sq, d_sq, 2 * T)[1] / N
     lam_min = 0.0 if M > J else float(d_sq.min())
     lam_max = float(d_sq.max())
     return SpectralProfile(moments, lam_min, lam_max, "exact")
@@ -214,11 +262,8 @@ class MomentTables:
             )
         d_sq, N, _ = self.eig_source
         ratio = (self.lambda_dagger - d_sq) / self.lambda_dagger
-        out = np.empty(n + 1)
-        power = np.ones_like(ratio)
-        for t in range(n + 1):
-            out[t] = (d_sq * power).sum() / N
-            power = power * ratio
+        out = _power_sums(d_sq, ratio, n + 1)[1]
+        out /= N
         self._w_ext = out
         return out
 
@@ -243,14 +288,9 @@ def _tables_from_spectrum(
 ) -> MomentTables:
     ld = lambda_dagger
     ratio = (ld - d_sq) / ld
-    tmax = 2 * T + 1
-    b_scaled = np.empty(tmax + 1)
-    w_scaled = np.empty(tmax + 1)
-    power = np.ones_like(ratio)
-    for t in range(tmax + 1):
-        b_scaled[t] = (power.sum() + zero_mass) / N
-        w_scaled[t] = (d_sq * power).sum() / N
-        power = power * ratio
+    plain, weighted = _power_sums(d_sq, ratio, 2 * T + 2)
+    b_scaled = (plain + zero_mass) / N
+    w_scaled = weighted / N
     wbar_scaled = _wbar_from_w(w_scaled, ld, T)
     return MomentTables(
         ld, lambda_min, lambda_max, b_scaled, w_scaled, wbar_scaled, T,

@@ -187,6 +187,12 @@ class TestFixedPoint:
             _, vp_eig = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
             assert vp == pytest.approx(vp_eig, rel=1e-8)
 
+    def test_series_raises_when_truncated_at_max_terms(self):
+        d = make_geometric_singular_values(256, 20.0, 512.0)
+        tab = tables_from_singular_values(d, 512, 30, M=256)
+        with pytest.raises(ValueError, match=r"tail bound .* max_terms = 64"):
+            series_gamma_se(1.0, tab, 1e-2, max_terms=64)
+
     def test_estimate_built_tables_error_when_series_needs_more(self):
         from mamp import build_moment_tables, build_structured_operator
         from mamp import estimate_moments_power_recursion

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mamp import (
+    DenseOperator,
     PriorParams,
     build_iid_gaussian_operator,
     build_structured_operator,
@@ -145,3 +146,12 @@ class TestIIDOperator:
         np.testing.assert_allclose(
             op.apply_adjoint(u), op.matrix.conj().T @ u, rtol=1e-13, atol=1e-13
         )
+
+    @pytest.mark.parametrize("M, N", [(48, 96), (96, 48)])
+    def test_gram_eigenvalues_match_explicit_product(self, M, N):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+        eigs = DenseOperator(A).gram_eigenvalues()
+        ref = np.linalg.eigvalsh(A @ A.conj().T)
+        assert eigs.shape == (M,)
+        np.testing.assert_allclose(eigs, ref, rtol=1e-12, atol=1e-12 * ref.max())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mamp import (
     bound_extremal_eigenvalues,
@@ -13,6 +15,17 @@ from mamp import (
     tables_from_singular_values,
 )
 from mamp.spectral import BINOMIAL_CANCELLATION_THRESHOLD, SpectralProfile
+
+
+def _naive_w_scaled(d_sq, lambda_dagger, N, n_terms):
+    """Reference: w'_t = sum(d_sq * ratio**t) / N, one term at a time."""
+    ratio = (lambda_dagger - d_sq) / lambda_dagger
+    out = np.empty(n_terms)
+    power = np.ones_like(ratio)
+    for t in range(n_terms):
+        out[t] = (d_sq * power).sum() / N
+        power = power * ratio
+    return out
 
 
 class TestExactMoments:
@@ -174,6 +187,59 @@ class TestMomentTables:
         np.testing.assert_allclose(big.w_scaled[: len(tab.w_scaled)], tab.w_scaled, rtol=1e-14)
         w_ext = tab.w_scaled_extended(40)
         np.testing.assert_allclose(w_ext[: len(tab.w_scaled)], tab.w_scaled, rtol=1e-14)
+
+    def test_extension_prefix_is_stored_table_exactly(self):
+        # an eigenvalue at lambda_dagger has ratio ~0, so its power underflows
+        # and is dropped at t = 64, inside the 2T+2 = 82 stored entries
+        d = make_geometric_singular_values(64, 10.0, 128.0)
+        ld = 0.5 * (d[0] ** 2 + d[-1] ** 2)
+        d = np.append(d, np.sqrt(ld))
+        T = 40
+        tab = tables_from_singular_values(d, 130, T, M=65)
+        w_ext = tab.w_scaled_extended(1000)
+        assert np.array_equal(w_ext[: 2 * T + 2], tab.w_scaled)
+        naive = _naive_w_scaled(d**2, tab.lambda_dagger, 130, 2 * T + 2)
+        assert np.array_equal(tab.w_scaled[:64], naive[:64])
+        np.testing.assert_allclose(tab.w_scaled, naive, rtol=1e-13)
+
+    def test_extension_is_exactly_zero_past_underflow(self):
+        # ratios in [0.02, 0.98]: every power drops below the smallest normal
+        # double by t = 35,100, and from the next 64-term block boundary the
+        # series must be exact zeros, not subnormal powers stuck at 2**-1074
+        d = np.sqrt(np.linspace(0.02, 0.98, 40))
+        tab = tables_from_singular_values(d, 40, 2, M=40, lambda_extremes=(0.0, 2.0))
+        ratio = (tab.lambda_dagger - d**2) / tab.lambda_dagger
+        t_under = int(np.ceil(np.max(np.log(np.finfo(float).tiny) / np.log(ratio))))
+        w = tab.w_scaled_extended(60_000)
+        assert t_under < 36_000
+        assert np.all(w[t_under + 64 :] == 0.0)
+        assert np.all(w[: t_under - 1000] > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d_sq=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=24),
+        zero_floor=st.booleans(),
+        stretch=st.floats(1.0, 1.5),
+        extra=st.integers(0, 8),
+        n=st.integers(4, 300),
+    )
+    def test_extension_matches_naive_loop(self, d_sq, zero_floor, stretch, extra, n):
+        d = np.sqrt(d_sq)
+        d_sq = d**2
+        lo = 0.0 if zero_floor else float(d_sq.min())
+        hi = float(d_sq.max()) * stretch
+        N = len(d) + extra
+        tab = tables_from_singular_values(d, N, 1, M=len(d), lambda_extremes=(lo, hi))
+        w = tab.w_scaled_extended(n)
+        naive = _naive_w_scaled(d_sq, tab.lambda_dagger, N, n + 1)
+        # no eigenvalue can be dropped before the first block boundary
+        assert np.array_equal(w[:64], naive[:64])
+        # later sums may run over fewer terms: a reordered sum of at most 24
+        # terms differs by a few ulps of the sum of absolute terms
+        ratio = np.abs((tab.lambda_dagger - d_sq) / tab.lambda_dagger)
+        scale = (d_sq * ratio ** np.arange(n + 1)[:, None]).sum(axis=1) / N
+        live = np.abs(naive) > 1e-250
+        assert np.all(np.abs(w - naive)[live] <= 1e-13 * scale[live])
 
     def test_estimate_built_tables_cannot_extend(self):
         op = build_structured_operator(8, 16, np.ones(8), rng_seed=0)
