@@ -134,9 +134,10 @@ def estimate_phi_covariance(
     z_new^H z_bar_{t'} / N - delta sigma^2, all divided by w0; diag from
     ||z_new||^2.  Clamping of a non-positive diag is left to the caller.
     """
-    row = (Z_damped.conj() @ z_new) / N - delta * sigma2
+    # conjugating z_new, not Z_damped, avoids copying the t x N history
+    row = (z_new.conj() @ Z_damped.T) / N - delta * sigma2
     diag = float(np.vdot(z_new, z_new).real / N - delta * sigma2)
-    return row.conj() / w0, diag / w0
+    return row / w0, diag / w0
 
 
 def gamma_covariance_row(

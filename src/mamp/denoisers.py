@@ -46,13 +46,34 @@ class DenoiserOutput:
     extrinsic_var: float | None
 
 
+_DRAW_CHUNK = 1 << 16
+
+
+def complex_normal(rng: Generator, shape, var: float) -> np.ndarray:
+    """IID CN(0, var) draw, filled in place through one reused float buffer.
+
+    All real parts are drawn first, then all imaginary parts, so the result is
+    bit-identical to ``(rng.standard_normal(shape) + 1j *
+    rng.standard_normal(shape)) * np.sqrt(var / 2)`` and leaves the generator
+    in the same state, without that expression's full-size temporaries.
+    """
+    out = np.empty(shape, dtype=complex)
+    flat = out.reshape(-1)
+    scale = np.sqrt(var / 2.0)
+    buf = np.empty(min(flat.size, _DRAW_CHUNK))
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, _DRAW_CHUNK):
+            block = buf[: flat.size - start]
+            rng.standard_normal(out=block)
+            np.multiply(block, scale, out=part[start : start + block.size])
+    return out
+
+
 def sample_prior(prior: PriorParams, n: int, rng: Generator) -> np.ndarray:
     """IID draw of length n from the prior (complex field returns CN slabs)."""
     support = rng.random(n) < prior.mu
     if prior.field == "complex":
-        slab = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
-            prior.component_var / 2.0
-        )
+        slab = complex_normal(rng, n, prior.component_var)
     else:
         slab = rng.standard_normal(n) * np.sqrt(prior.component_var)
     return np.where(support, slab, 0.0).astype(complex)
@@ -61,32 +82,38 @@ def sample_prior(prior: PriorParams, n: int, rng: Generator) -> np.ndarray:
 def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams):
     """Per-entry posterior mean and variance of the spike-and-slab posterior."""
     vx = prior.component_var
-    if prior.field == "complex":
-        # support log-odds, computed in log space to survive large |r|^2 / v
-        log_odds = (
-            np.log((1.0 - prior.mu) / prior.mu)
-            + np.log((vx + v) / v)
-            - (np.abs(r) ** 2) * vx / (v * (vx + v))
-            if prior.mu < 1.0
-            else np.full(np.shape(r), -np.inf)
-        )
-        pi = expit(-log_odds)
-        gain = vx / (vx + v)
-        mean = pi * gain * r
-        second = pi * (gain * v + gain**2 * np.abs(r) ** 2)
+    gain = vx / (vx + v)
+    # a complex slab has two real degrees of freedom and a real one has one;
+    # k rescales the Gaussian exponents accordingly
+    k = 1.0 if prior.field == "complex" else 2.0
+    x = r if prior.field == "complex" else np.real(r)
+    # the output and two float buffers carry every per-entry quantity: fewer
+    # live arrays than the equivalent expressions, same operations in order
+    mean = np.empty(np.shape(x), dtype=complex)
+    power = np.abs(x, out=np.empty(np.shape(x)))
+    np.square(power, out=power)
+    pi = np.empty(np.shape(x))
+    if prior.mu < 1.0:
+        # minus the support log-odds, in log space to survive large |r|^2 / v
+        np.multiply(power, vx, out=pi)
+        pi /= k * v * (vx + v)
+        pi -= np.log((1.0 - prior.mu) / prior.mu) + np.log((vx + v) / v) / k
+        expit(pi, out=pi)
     else:
-        log_odds = (
-            np.log((1.0 - prior.mu) / prior.mu)
-            + 0.5 * np.log((vx + v) / v)
-            - (np.real(r) ** 2) * vx / (2.0 * v * (vx + v))
-            if prior.mu < 1.0
-            else np.full(np.shape(r), -np.inf)
-        )
-        pi = expit(-log_odds)
-        gain = vx / (vx + v)
-        mean = (pi * gain * np.real(r)).astype(complex)
-        second = pi * (gain * v + gain**2 * np.real(r) ** 2)
-    var = second - np.abs(mean) ** 2
+        pi.fill(1.0)
+    var = power
+    var *= gain**2
+    var += gain * v
+    var *= pi
+    pi *= gain
+    if prior.field == "complex":
+        np.multiply(pi, x, out=mean)
+    else:
+        pi *= x
+        mean[...] = pi
+    mean_power = np.abs(mean, out=pi)
+    np.square(mean_power, out=mean_power)
+    var -= mean_power
     return mean, var
 
 
@@ -112,7 +139,9 @@ def bg_mmse(r: np.ndarray, v: float, prior: PriorParams) -> DenoiserOutput:
 
 def _extrinsic_combine(r, v_gamma, x_hat, v_hat):
     v_ext = 1.0 / (1.0 / v_hat - 1.0 / v_gamma)
-    mean = v_ext * (x_hat / v_hat - r / v_gamma)
+    mean = x_hat / v_hat
+    mean -= r / v_gamma
+    mean *= v_ext
     return mean, v_ext
 
 
@@ -142,7 +171,7 @@ def mmse_of_noise_level(
         raise ValueError(f"v_gamma must be positive, got {v_gamma}")
     rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
     x = sample_prior(prior, n_mc, rng)
-    eta = (rng.standard_normal(n_mc) + 1j * rng.standard_normal(n_mc)) * np.sqrt(0.5)
+    eta = complex_normal(rng, n_mc, 1.0)
     mean, _ = _posterior_moments(x + np.sqrt(v_gamma) * eta, v_gamma, prior)
     return float(np.mean(np.abs(mean - x) ** 2))
 

@@ -28,6 +28,7 @@ from .denoisers import (
     NonImprovingNLEError,
     PriorParams,
     bg_mmse,
+    complex_normal,
     sample_prior,
     scalar_mmse,
 )
@@ -103,9 +104,7 @@ class CorrelatedNoiseSampler:
         return eta
 
     def _gaussian(self, var: float) -> np.ndarray:
-        return (
-            self.rng.standard_normal(self.n) + 1j * self.rng.standard_normal(self.n)
-        ) * np.sqrt(var / 2.0)
+        return complex_normal(self.rng, self.n, var)
 
 
 @dataclass

@@ -201,8 +201,19 @@ def _spectral_inputs(config: ExperimentConfig, operator):
     return profile, tables
 
 
-def _run_seed(config: ExperimentConfig, seed_index: int, shared_op, tables, profile):
-    op = shared_op if config.matrix_seed is not None else _build_operator(config, seed_index)
+def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile):
+    """Simulate every configured algorithm on one seed's operator and instance.
+
+    Seed 0 runs on ref_op, the operator built for set-up; so does every seed
+    when matrix_seed pins the matrix, and any other seed builds its own.  The
+    sequential sweep in run_experiment drops ref_op after seed 0 unless the
+    matrix is pinned, so at most one IID matrix is alive at a time; the
+    threaded sweep keeps it to the end.
+    """
+    if config.matrix_seed is not None or seed_index == 0:
+        op = ref_op
+    else:
+        op = _build_operator(config, seed_index)
     if config.matrix_model == "iid" and config.matrix_seed is None and seed_index > 0:
         # IID draws have per-realization spectra; structured operators share
         # the deterministic singular values, so only the first seed's tables
@@ -363,10 +374,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                     )
                 )
         else:
-            per_seed = [
-                _run_seed(sim_cfg, k, ref_op, tables, profile)
-                for k in range(config.n_seeds)
-            ]
+            for k in range(config.n_seeds):
+                per_seed.append(_run_seed(sim_cfg, k, ref_op, tables, profile))
+                if config.matrix_seed is None:
+                    # later seeds build their own operator; drop seed 0's
+                    ref_op = None
 
     mse_db_mean: dict[str, np.ndarray] = {}
     mse_db_std: dict[str, np.ndarray] = {}

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, default_rng
+from scipy.linalg import eigh
 from scipy.linalg.blas import zherk
 
-from .denoisers import PriorParams, sample_prior
+from .denoisers import PriorParams, complex_normal, sample_prior
 
 
 def make_geometric_singular_values(J: int, kappa: float, energy: float) -> np.ndarray:
@@ -89,32 +90,31 @@ class StructuredOperator(TransformOperator):
         if np.any(d < 0):
             raise ValueError("singular values must be nonnegative")
         perm = np.asarray(perm)
-        if sorted(perm.tolist()) != list(range(N)):
+        if perm.shape != (N,) or not np.array_equal(np.sort(perm), np.arange(N)):
             raise ValueError("perm must be a permutation of range(N)")
         self.M = M
         self.N = N
         self.J = J
         self.singular_values = d
         self.perm = perm
-        self._inv_perm = np.argsort(perm)
+        # S keeps only the first J permuted coordinates: the DFT bins perm[:J]
+        self._kept = perm[:J]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         u = np.fft.fft(x, norm="ortho")
-        u = u[self.perm]
         out = np.zeros(self.M, dtype=complex)
-        out[: self.J] = self.singular_values * u[: self.J]
+        out[: self.J] = self.singular_values * u[self._kept]
         return out
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         u = np.zeros(self.N, dtype=complex)
-        u[: self.J] = self.singular_values * y[: self.J]
-        u = u[self._inv_perm]
+        u[self._kept] = self.singular_values * y[: self.J]
         return np.fft.ifft(u, norm="ortho")
 
     def dense(self) -> np.ndarray:
         F = np.fft.fft(np.eye(self.N), axis=0, norm="ortho")
         A = np.zeros((self.M, self.N), dtype=complex)
-        A[: self.J, :] = self.singular_values[:, None] * F[self.perm[: self.J], :]
+        A[: self.J, :] = self.singular_values[:, None] * F[self._kept, :]
         return A
 
     def gram_eigenvalues(self) -> np.ndarray:
@@ -149,9 +149,15 @@ class DenseOperator(TransformOperator):
     def gram_eigenvalues(self) -> np.ndarray:
         # The C-ordered A is A^T in Fortran order, so herk on A.T with
         # trans = 'C' writes the lower triangle of conj(A A^H) -- same
-        # eigenvalues -- without copying A or forming its conjugate.
+        # eigenvalues -- without copying A or forming its conjugate.  The
+        # Fortran-ordered result then goes to the same LAPACK divide-and-
+        # conquer routine as np.linalg.eigvalsh, which is let overwrite it
+        # instead of copying it.
         gram = zherk(1.0, self.matrix.T, trans=2, lower=1)
-        return np.linalg.eigvalsh(gram, UPLO="L")
+        return eigh(
+            gram, lower=True, eigvals_only=True, overwrite_a=True,
+            check_finite=False, driver="evd",
+        )
 
 
 def build_structured_operator(
@@ -165,11 +171,7 @@ def build_structured_operator(
 
 def build_iid_gaussian_operator(M: int, N: int, rng_seed: int) -> DenseOperator:
     """Dense matrix with IID CN(0, 1/M) entries, so tr(A A^H)/N ~= 1."""
-    rng = default_rng(rng_seed)
-    A = (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))) * np.sqrt(
-        0.5 / M
-    )
-    return DenseOperator(A)
+    return DenseOperator(complex_normal(default_rng(rng_seed), (M, N), 1.0 / M))
 
 
 @dataclass
@@ -208,8 +210,6 @@ def sample_instance(
     rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
     sigma2 = 10.0 ** (-snr_db / 10.0)
     x = sample_prior(prior, operator.N, rng)
-    n = (
-        rng.standard_normal(operator.M) + 1j * rng.standard_normal(operator.M)
-    ) * np.sqrt(sigma2 / 2.0)
+    n = complex_normal(rng, operator.M, sigma2)
     y = operator.apply(x) + n
     return SystemInstance(operator, x, sigma2, y, prior, noise=n)

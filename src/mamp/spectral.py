@@ -21,6 +21,7 @@ import mpmath as mp
 import numpy as np
 from numpy.random import default_rng
 
+from .denoisers import complex_normal
 from .operators import TransformOperator
 
 # The alternating binomial expansion of the shifted-spectrum traces amplifies
@@ -143,7 +144,7 @@ def exact_moments_from_singular_values(
 
 def _single_probe_moments(operator: TransformOperator, T: int, rng) -> np.ndarray:
     N = operator.N
-    s = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * np.sqrt(0.5 / N)
+    s = complex_normal(rng, N, 1.0 / N)
     log_sq_norm = 0.0
     moments = np.empty(2 * T + 1)
     moments[0] = 1.0

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from mamp import (
     NonImprovingNLEError,
@@ -14,6 +17,41 @@ from mamp import (
 from mamp.denoisers import sample_prior
 
 from oracles import bg_posterior_oracle, bg_scalar_mmse_oracle
+
+
+def reference_bg_mmse(r, v, prior):
+    """bg_mmse written one expression per quantity; the package must match its bits."""
+    vx = prior.component_var
+    if prior.field == "complex":
+        log_odds = (
+            np.log((1.0 - prior.mu) / prior.mu)
+            + np.log((vx + v) / v)
+            - (np.abs(r) ** 2) * vx / (v * (vx + v))
+            if prior.mu < 1.0
+            else np.full(np.shape(r), -np.inf)
+        )
+        pi = expit(-log_odds)
+        gain = vx / (vx + v)
+        mean = pi * gain * r
+        second = pi * (gain * v + gain**2 * np.abs(r) ** 2)
+    else:
+        log_odds = (
+            np.log((1.0 - prior.mu) / prior.mu)
+            + 0.5 * np.log((vx + v) / v)
+            - (np.real(r) ** 2) * vx / (2.0 * v * (vx + v))
+            if prior.mu < 1.0
+            else np.full(np.shape(r), -np.inf)
+        )
+        pi = expit(-log_odds)
+        gain = vx / (vx + v)
+        mean = (pi * gain * np.real(r)).astype(complex)
+        second = pi * (gain * v + gain**2 * np.real(r) ** 2)
+    var = second - np.abs(mean) ** 2
+    v_hat = float(np.mean(var))
+    if v_hat >= v:
+        return mean, v_hat, None, None
+    v_ext = 1.0 / (1.0 / v_hat - 1.0 / v)
+    return mean, v_hat, v_ext * (mean / v_hat - r / v), v_ext
 
 
 class TestPriorParams:
@@ -87,6 +125,31 @@ class TestPosterior:
             expected = r0 + 0.5 * v * grad
             got = bg_mmse(np.array([r0 + 0j]), v, prior).posterior_mean[0].real
             assert got == pytest.approx(expected, abs=1e-5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+            min_size=1,
+            max_size=40,
+        ),
+        v=st.floats(1e-6, 20.0),
+        mu=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        field=st.sampled_from(["complex", "real"]),
+    )
+    def test_equals_reference_formulas_exactly(self, parts, v, mu, field):
+        prior = PriorParams(mu=mu, field=field)
+        re, im = np.array(parts).T
+        r = re + 1j * im if field == "complex" else re
+        out = bg_mmse(r, v, prior)
+        mean, v_hat, ext_mean, ext_var = reference_bg_mmse(r, v, prior)
+        assert np.array_equal(out.posterior_mean, mean)
+        assert out.posterior_var == v_hat
+        if ext_mean is None:
+            assert out.extrinsic_mean is None and out.extrinsic_var is None
+        else:
+            assert np.array_equal(out.extrinsic_mean, ext_mean)
+            assert out.extrinsic_var == ext_var
 
 
 class TestExtrinsic:

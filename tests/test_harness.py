@@ -1,8 +1,11 @@
 """Experiment configs, report emission, determinism and the CLI entry points."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mamp import harness
 from mamp.cli import main
 from mamp.harness import (
     ConfigError,
@@ -25,6 +28,24 @@ SMALL = dict(
     base_seed=7,
     n_mc=5_000,
 )
+
+# A wide IID system whose 128 x 4096 complex matrix (8 MB) dwarfs every other
+# array of the run, so the peak of traced memory counts live matrices.
+IID_WIDE = dict(
+    algorithms=("bo_mamp", "amp"),
+    matrix_model="iid",
+    N=4096,
+    M=128,
+    delta=None,
+    kappa=1.0,
+    mu=0.2,
+    snr_db=25.0,
+    T=3,
+    L=2,
+    n_seeds=2,
+    base_seed=3,
+)
+IID_WIDE_MATRIX_BYTES = 128 * 4096 * 16
 
 
 def write_config(path, **overrides):
@@ -111,6 +132,32 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**{**SMALL, "matrix_seed": 123, "n_seeds": 2})
         report = run_experiment(cfg)
         assert report.n_seeds == 2  # runs complete; matrices shared across seeds
+
+    def test_seed_zero_runs_on_the_setup_operator(self, monkeypatch):
+        built = []
+        build = harness._build_operator
+
+        def counting_build(config, seed_index):
+            built.append(seed_index)
+            return build(config, seed_index)
+
+        monkeypatch.setattr(harness, "_build_operator", counting_build)
+        run_experiment(ExperimentConfig(**IID_WIDE))
+        assert built == [0, 1]
+        built.clear()
+        run_experiment(ExperimentConfig(**{**IID_WIDE, "matrix_seed": 11}))
+        assert built == [0]
+
+    def test_one_iid_matrix_alive_at_a_time(self):
+        # set-up matrix reused by seed 0 and released before seed 1 is drawn,
+        # each drawn without full-size temporaries
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentConfig(**IID_WIDE))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * IID_WIDE_MATRIX_BYTES
 
     def test_json_serializes(self):
         report = run_experiment(ExperimentConfig(**{**SMALL, "n_seeds": 1}))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import zherk
 
 from mamp import (
     DenseOperator,
@@ -11,6 +12,30 @@ from mamp import (
     make_geometric_singular_values,
     sample_instance,
 )
+from mamp.denoisers import complex_normal
+from mamp.operators import StructuredOperator
+
+
+def reference_complex_normal(rng, shape, var):
+    """The CN(0, var) draw as one expression; complex_normal must match its bits."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(
+        var / 2.0
+    )
+
+
+def reference_structured_apply(op, x):
+    """Permute all N DFT bins, then keep the first J."""
+    u = np.fft.fft(x, norm="ortho")[op.perm]
+    out = np.zeros(op.M, dtype=complex)
+    out[: op.J] = op.singular_values * u[: op.J]
+    return out
+
+
+def reference_structured_adjoint(op, y):
+    """Zero-pad to N, then gather through the inverse permutation."""
+    u = np.zeros(op.N, dtype=complex)
+    u[: op.J] = op.singular_values * y[: op.J]
+    return np.fft.ifft(u[np.argsort(op.perm)], norm="ortho")
 
 
 class TestGeometricSingularValues:
@@ -97,6 +122,33 @@ class TestStructuredOperator:
         with pytest.raises(ValueError):
             build_structured_operator(8, 16, np.ones(4), rng_seed=0)
 
+    @pytest.mark.parametrize("M,N", [(8, 16), (16, 16), (24, 16)])
+    def test_transforms_equal_full_permutation_reference(self, M, N):
+        d = make_geometric_singular_values(min(M, N), 5.0, float(N))
+        op = build_structured_operator(M, N, d, rng_seed=9)
+        rng = np.random.default_rng(10)
+        for _ in range(4):
+            v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            u = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+            assert np.array_equal(op.apply(v), reference_structured_apply(op, v))
+            assert np.array_equal(
+                op.apply_adjoint(u), reference_structured_adjoint(op, u)
+            )
+
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            [0, 1, 2, 2, 4, 5, 6, 7],
+            [0, 1, 2, 3, 4, 5, 6],
+            np.arange(9),
+            np.arange(8)[:, None],
+        ],
+        ids=["duplicate", "short", "long", "column"],
+    )
+    def test_invalid_permutation_raises(self, perm):
+        with pytest.raises(ValueError, match="permutation"):
+            StructuredOperator(4, 8, np.ones(4), np.asarray(perm))
+
 
 class TestSampleInstance:
     def test_snr_to_noise_variance(self):
@@ -134,6 +186,14 @@ class TestIIDOperator:
         tr = np.sum(np.abs(op.matrix) ** 2) / op.N
         assert tr == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("M, N", [(32, 64), (300, 700)])
+    def test_matrix_equals_one_expression_draw(self, M, N):
+        # 300 x 700 spans several draw chunks
+        op = build_iid_gaussian_operator(M, N, rng_seed=12)
+        ref = reference_complex_normal(np.random.default_rng(12), (M, N), 1.0 / M)
+        assert op.matrix.shape == (M, N)
+        assert np.array_equal(op.matrix, ref)
+
     def test_determinism(self):
         a = build_iid_gaussian_operator(32, 64, rng_seed=11)
         b = build_iid_gaussian_operator(32, 64, rng_seed=11)
@@ -155,3 +215,26 @@ class TestIIDOperator:
         ref = np.linalg.eigvalsh(A @ A.conj().T)
         assert eigs.shape == (M,)
         np.testing.assert_allclose(eigs, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+    @pytest.mark.parametrize("M, N", [(48, 96), (96, 48)])
+    def test_gram_eigenvalues_equal_eigvalsh_of_herk_output(self, M, N):
+        op = build_iid_gaussian_operator(M, N, rng_seed=8)
+        gram = zherk(1.0, op.matrix.T, trans=2, lower=1)
+        assert np.array_equal(
+            op.gram_eigenvalues(), np.linalg.eigvalsh(gram, UPLO="L")
+        )
+
+
+class TestComplexNormal:
+    @pytest.mark.parametrize(
+        "shape, var",
+        [(0, 1.0), (1, 0.3), (5, 2.0), (70_000, 1e-3), ((3, 40_000), 1.0 / 3)],
+    )
+    def test_equals_one_expression_draw(self, shape, var):
+        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        z = complex_normal(rng, shape, var)
+        ref = reference_complex_normal(ref_rng, shape, var)
+        assert z.shape == ref.shape and z.dtype == ref.dtype
+        assert np.array_equal(z, ref)
+        # the generator is left where the expression leaves it
+        assert rng.standard_normal() == ref_rng.standard_normal()
