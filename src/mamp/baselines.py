@@ -23,13 +23,16 @@ def _residual_error_estimate(z: np.ndarray, N: int, sigma2: float, delta: float,
 
 
 def lmmse_le(
-    x_t: np.ndarray, v_phi: float, instance: SystemInstance
+    x_t: np.ndarray, v_phi: float, instance: SystemInstance,
+    z: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Spectral-domain LMMSE linear step with divergence-free scaling.
 
     Applies the per-mode gain d_i / (rho + d_i^2) with rho = sigma^2 / v_phi,
     then rescales by the trace normalizer so the output is an unbiased
-    pseudo-observation of x with variance v_phi (1/eps - 1).
+    pseudo-observation of x with variance v_phi (1/eps - 1).  z is the
+    residual y - A x_t when the caller already holds it; otherwise it is
+    formed here.
     """
     op = instance.operator
     d = op.singular_values
@@ -39,7 +42,8 @@ def lmmse_le(
     rho = sigma2 / v_phi
     d_sq = d**2
     eps = float(np.sum(d_sq / (rho + d_sq))) / op.N
-    z = instance.y - op.apply(x_t)
+    if z is None:
+        z = instance.y - op.apply(x_t)
     scale = np.full(op.M, 1.0 / rho)
     scale[: len(d)] = 1.0 / (rho + d_sq)  # entries beyond J are killed by A^H
     gamma_hat = op.apply_adjoint(scale * z)
@@ -60,12 +64,13 @@ def run_bo_oamp(
     sigma2 = instance.noise_var
     lambda1 = float(np.sum(op.singular_values**2)) / N
     x = np.zeros(N, dtype=complex)
-    v_phi = _residual_error_estimate(instance.y, N, sigma2, delta, lambda1)
+    z = instance.y  # y - A 0
+    v_phi = _residual_error_estimate(z, N, sigma2, delta, lambda1)
     records: list[IterationRecord] = []
     status = "ok"
     x_hat, v_hat = None, np.inf
     for t in range(1, T + 1):
-        r, v_gamma = lmmse_le(x, v_phi, instance)
+        r, v_gamma = lmmse_le(x, v_phi, instance, z)
         out = bg_mmse(r, v_gamma, prior)
         mse = (
             float(np.mean(np.abs(out.posterior_mean - instance.x_true) ** 2))
@@ -103,12 +108,12 @@ def run_mf_oamp(
     lam1 = float(profile.moments[1])
     lam2 = float(profile.moments[2])
     x = np.zeros(N, dtype=complex)
-    v_phi = _residual_error_estimate(instance.y, N, sigma2, delta, lam1)
+    z = instance.y  # y - A 0
+    v_phi = _residual_error_estimate(z, N, sigma2, delta, lam1)
     records: list[IterationRecord] = []
     status = "ok"
     x_hat, v_hat = None, np.inf
     for t in range(1, T + 1):
-        z = instance.y - op.apply(x)
         r = x + op.apply_adjoint(z) / lam1
         v_gamma = (sigma2 * lam1 + v_phi * (lam2 - lam1**2)) / lam1**2
         out = bg_mmse(r, v_gamma, prior)

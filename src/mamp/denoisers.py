@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, default_rng
-from scipy import integrate
 from scipy.special import expit
 
 
@@ -197,6 +196,8 @@ def scalar_mmse(v: float, prior: PriorParams) -> float:
 
     if mu == 1.0:
         return gain * v
+    from scipy import integrate  # loaded on first use, not at import
+
     # E|x_hat|^2 = gain^2 * [ (1-mu) E_{u~Exp(v)} pi^2 u + mu E_{u~Exp(s)} pi^2 u ]
     i0, _ = integrate.quad(
         lambda z: z * np.exp(-z) * pi_sq(v * z), 0.0, np.inf, epsabs=1e-14, epsrel=1e-12

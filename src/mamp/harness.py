@@ -177,17 +177,20 @@ def _build_operator(config: ExperimentConfig, seed_index: int):
 
 
 def _spectral_inputs(config: ExperimentConfig, operator):
-    """(profile, tables) for the configured moment mode."""
+    """(profile, tables, d_all) for the configured moment mode.
+
+    d_all holds the square roots of all M Gram eigenvalues in the operator's
+    order, or None when the estimated mode never computes them.
+    """
     N, M, T = config.N, config.M, config.T
     if config.moment_mode == "estimated":
         profile = estimate_moments_power_recursion(
             operator, T, rng_seed=config.base_seed + 0x5EED
         )
         tables = build_moment_tables(profile, T)
-        return profile, tables
-    eigs = operator.gram_eigenvalues()
-    d = np.sqrt(np.clip(eigs, 0.0, None))
-    d = np.sort(d)[::-1]
+        return profile, tables, None
+    d_all = np.sqrt(np.clip(operator.gram_eigenvalues(), 0.0, None))
+    d = np.sort(d_all)[::-1]
     d = d[: min(M, N)]
     profile = exact_moments_from_singular_values(d, N, T, M=M)
     if config.moment_mode == "bounded":
@@ -198,7 +201,7 @@ def _spectral_inputs(config: ExperimentConfig, operator):
         profile = SpectralProfile(profile.moments, 0.0, lam_up, "bounded")
     else:
         tables = tables_from_singular_values(d, N, T, M=M)
-    return profile, tables
+    return profile, tables, d_all
 
 
 def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile):
@@ -220,7 +223,7 @@ def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile
         # can be reused there.
         needs_spectrum = {"bo_mamp", "mf_oamp"} & set(config.algorithms)
         if needs_spectrum:
-            profile, tables = _spectral_inputs(config, op)
+            profile, tables, _ = _spectral_inputs(config, op)
     prior = PriorParams(mu=config.mu)
     inst_seed = np.random.SeedSequence([config.base_seed + seed_index, 0x1A57])
     inst = sample_instance(op, prior, config.snr_db, np.random.default_rng(inst_seed))
@@ -318,7 +321,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """
     t_start = time.time()
     ref_op = _build_operator(config, 0)
-    profile, tables = _spectral_inputs(config, ref_op)
+    profile, tables, d_ref = _spectral_inputs(config, ref_op)
     prior = PriorParams(mu=config.mu)
 
     se_curves: dict[str, np.ndarray] = {}
@@ -339,7 +342,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         zeta["se_mamp"] = [z.tolist() for z in se.zeta]
         statuses["se_mamp"] = se.status
     if "se_oamp" in config.algorithms:
-        d_ref = np.sqrt(np.clip(ref_op.gram_eigenvalues(), 0.0, None))
+        if d_ref is None:
+            d_ref = np.sqrt(np.clip(ref_op.gram_eigenvalues(), 0.0, None))
         se_curves["se_oamp"] = run_bo_oamp_se(
             d_ref, config.N, prior, config.sigma2, config.T
         ).v_hat

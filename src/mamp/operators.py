@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, default_rng
-from scipy.linalg import eigh
-from scipy.linalg.blas import zherk
 
 from .denoisers import PriorParams, complex_normal, sample_prior
 
@@ -60,7 +58,11 @@ class TransformOperator:
         raise NotImplementedError
 
     def apply_gram(self, v: np.ndarray) -> np.ndarray:
-        """A @ A^H @ v for v of length M."""
+        """A @ A^H @ v for v of length M.
+
+        One adjoint and one forward application here; the structured operator
+        overrides it with the diagonal S S^T, which needs no transform.
+        """
         return self.apply(self.apply_adjoint(v))
 
     def dense(self) -> np.ndarray:
@@ -96,6 +98,7 @@ class StructuredOperator(TransformOperator):
         self.N = N
         self.J = J
         self.singular_values = d
+        self._d_sq = d**2
         self.perm = perm
         # S keeps only the first J permuted coordinates: the DFT bins perm[:J]
         self._kept = perm[:J]
@@ -110,6 +113,12 @@ class StructuredOperator(TransformOperator):
         u = np.zeros(self.N, dtype=complex)
         u[self._kept] = self.singular_values * y[: self.J]
         return np.fft.ifft(u, norm="ortho")
+
+    def apply_gram(self, v: np.ndarray) -> np.ndarray:
+        # A A^H = S P F F^H P^T S^T = S S^T: d^2 on the first J entries
+        out = np.zeros(self.M, dtype=complex)
+        out[: self.J] = self._d_sq * v[: self.J]
+        return out
 
     def dense(self) -> np.ndarray:
         F = np.fft.fft(np.eye(self.N), axis=0, norm="ortho")
@@ -147,6 +156,10 @@ class DenseOperator(TransformOperator):
         return self.matrix
 
     def gram_eigenvalues(self) -> np.ndarray:
+        # scipy.linalg loads here, not at import: only dense spectra need it
+        from scipy.linalg import eigh
+        from scipy.linalg.blas import zherk
+
         # The C-ordered A is A^T in Fortran order, so herk on A.T with
         # trans = 'C' writes the lower triangle of conj(A A^H) -- same
         # eigenvalues -- without copying A or forming its conjugate.  The

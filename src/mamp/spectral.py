@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from numpy.random import default_rng
 
@@ -341,6 +340,8 @@ def build_moment_tables(profile: SpectralProfile, T: int) -> MomentTables:
         raise ValueError(
             f"profile holds moments up to t={profile.order}, need 2T={2 * T}"
         )
+    import mpmath as mp  # loaded on first use, not at import
+
     ld = profile.lambda_dagger
     tmax = min(2 * T + 1, profile.order)
     digits = 30 + int(0.5 * tmax) + 10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mamp import (
+    DenseOperator,
     MampConfig,
     PriorParams,
     build_iid_gaussian_operator,
@@ -18,6 +19,7 @@ from mamp import (
     sample_instance,
     tables_from_singular_values,
 )
+from mamp.operators import StructuredOperator
 
 
 def structured_instance(N=2048, delta=0.5, kappa=10.0, mu=0.1, snr_db=30.0, seed=0):
@@ -140,3 +142,69 @@ class TestAmp:
         inst = sample_instance(op, prior, snr_db=30.0, rng_seed=6)
         res = run_amp(inst, prior, 15)
         assert np.all(np.diff(res.trajectory("v_hat")[np.isfinite(res.mse)]) < 1e-3)
+
+
+class CountingStructured(StructuredOperator):
+    """Structured operator that counts its forward and adjoint transforms."""
+
+    transforms = 0
+
+    def apply(self, x):
+        self.transforms += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.transforms += 1
+        return super().apply_adjoint(y)
+
+
+class CountingDense(DenseOperator):
+    """Dense operator that counts its forward and adjoint products."""
+
+    transforms = 0
+
+    def apply(self, x):
+        self.transforms += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.transforms += 1
+        return super().apply_adjoint(y)
+
+
+class TestTransformCounts:
+    T = 10
+
+    def counted_run(self, op, algo):
+        prior = PriorParams(mu=0.1)
+        inst = sample_instance(op, prior, snr_db=30.0, rng_seed=1)
+        eigs = np.sqrt(np.clip(op.gram_eigenvalues(), 0.0, None))
+        d = np.sort(eigs)[::-1][: min(op.M, op.N)]
+        op.transforms = 0
+        if algo == "bo_mamp":
+            tables = tables_from_singular_values(d, op.N, self.T, M=op.M)
+            res = run_bo_mamp(inst, prior, MampConfig(tables=tables, T=self.T, L=3))
+        elif algo == "bo_oamp":
+            res = run_bo_oamp(inst, prior, self.T)
+        else:
+            profile = exact_moments_from_singular_values(d, op.N, self.T, M=op.M)
+            res = run_mf_oamp(inst, prior, self.T, profile)
+        assert res.status == "ok" and len(res.records) == self.T
+        return op.transforms
+
+    def structured(self):
+        N, M = 512, 256
+        d = make_geometric_singular_values(M, 10.0, float(N))
+        op = build_structured_operator(M, N, d, rng_seed=3)
+        return CountingStructured(M, N, op.singular_values, op.perm)
+
+    def test_bo_mamp_two_per_iteration_on_structured(self):
+        assert self.counted_run(self.structured(), "bo_mamp") == 2 * self.T
+
+    @pytest.mark.parametrize("algo", ["bo_oamp", "mf_oamp"])
+    def test_baselines_two_per_iteration_on_structured(self, algo):
+        assert self.counted_run(self.structured(), algo) <= 2 * self.T + 1
+
+    def test_bo_mamp_four_per_iteration_on_dense(self):
+        op = CountingDense(build_iid_gaussian_operator(128, 256, rng_seed=2).matrix)
+        assert self.counted_run(op, "bo_mamp") == 4 * self.T

@@ -1,10 +1,15 @@
 """Experiment configs, report emission, determinism and the CLI entry points."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mamp
 from mamp import harness
 from mamp.cli import main
 from mamp.harness import (
@@ -14,6 +19,7 @@ from mamp.harness import (
     emit_plot_script,
     run_experiment,
 )
+from mamp.operators import DenseOperator
 
 SMALL = dict(
     algorithms=("bo_mamp", "bo_oamp", "se_mamp", "fixed_point"),
@@ -148,6 +154,28 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(**{**IID_WIDE, "matrix_seed": 11}))
         assert built == [0]
 
+    def test_gram_eigenvalues_computed_once_with_se_oamp(self, monkeypatch):
+        calls = []
+        eig = DenseOperator.gram_eigenvalues
+
+        def counting_eig(op):
+            calls.append(op)
+            return eig(op)
+
+        monkeypatch.setattr(DenseOperator, "gram_eigenvalues", counting_eig)
+        cfg = {**IID_WIDE, "algorithms": ("bo_mamp", "se_oamp"), "n_seeds": 1}
+        exact = run_experiment(ExperimentConfig(**cfg))
+        assert len(calls) == 1
+        # estimated moments never compute eigenvalues; se_oamp still needs them
+        calls.clear()
+        estimated = run_experiment(
+            ExperimentConfig(**{**cfg, "moment_mode": "estimated"})
+        )
+        assert len(calls) == 1
+        assert np.array_equal(
+            exact.mse_db_mean["se_oamp"], estimated.mse_db_mean["se_oamp"]
+        )
+
     def test_one_iid_matrix_alive_at_a_time(self):
         # set-up matrix reused by seed 0 and released before seed 1 is drawn,
         # each drawn without full-size temporaries
@@ -203,6 +231,23 @@ class TestEmission:
 
 
 class TestCli:
+    def test_import_leaves_heavy_modules_unloaded(self):
+        # quadrature, dense eigensolver and multiprecision load on first use
+        src = str(Path(mamp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        code = (
+            "import sys, mamp.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'mpmath') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_run_subcommand(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", label="clismoke", n_seeds=1)
         rc = main(["run", cfg, "--out-dir", str(tmp_path)])

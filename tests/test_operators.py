@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.blas import zherk
 
 from mamp import (
@@ -133,6 +135,38 @@ class TestStructuredOperator:
             assert np.array_equal(op.apply(v), reference_structured_apply(op, v))
             assert np.array_equal(
                 op.apply_adjoint(u), reference_structured_adjoint(op, u)
+            )
+
+    @given(
+        shape=st.sampled_from(["wide", "square", "tall"]),
+        J=st.integers(1, 48),
+        extra=st.integers(1, 48),
+        kappa=st.floats(1.0, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gram_equals_apply_of_adjoint(self, shape, J, extra, kappa, seed):
+        M, N = {"wide": (J, J + extra), "square": (J, J), "tall": (J + extra, J)}[shape]
+        d = make_geometric_singular_values(J, kappa, float(max(M, N)))
+        op = build_structured_operator(M, N, d, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        gram = op.apply_gram(v)
+        ref = op.apply(op.apply_adjoint(v))
+        assert gram.shape == (M,)
+        assert np.all(gram[J:] == 0)
+        assert np.linalg.norm(gram - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("M,N", [(8, 16), (16, 16), (24, 16), (5, 3)])
+    def test_gram_matches_dense_product(self, M, N):
+        d = make_geometric_singular_values(min(M, N), 7.0, float(N))
+        op = build_structured_operator(M, N, d, rng_seed=4)
+        A = op.dense()
+        rng = np.random.default_rng(6)
+        for _ in range(4):
+            v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+            np.testing.assert_allclose(
+                op.apply_gram(v), A @ (A.conj().T @ v), rtol=1e-12, atol=1e-12
             )
 
     @pytest.mark.parametrize(
