@@ -28,11 +28,12 @@ def make_geometric_singular_values(J: int, kappa: float, energy: float) -> np.nd
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if energy <= 0:
         raise ValueError(f"energy must be positive, got {energy}")
-    if kappa == 1:
-        return np.full(J, np.sqrt(energy / J))
     ratio = kappa ** (1.0 / J)
     # d_i**2 = d_J**2 * ratio**(2*(J-i)), geometric sum fixes d_J.
     q = ratio**2
+    if q == 1.0:
+        # kappa == 1, or so close to 1 that the ratio rounds to 1 (0/0 below)
+        return np.full(J, np.sqrt(energy / J))
     dJ_sq = energy * (q - 1.0) / (q**J - 1.0)
     powers = np.arange(J - 1, -1, -1, dtype=float)
     d_sq = dJ_sq * q**powers

@@ -198,12 +198,9 @@ class TestTransformCounts:
         op = build_structured_operator(M, N, d, rng_seed=3)
         return CountingStructured(M, N, op.singular_values, op.perm)
 
-    def test_bo_mamp_two_per_iteration_on_structured(self):
-        assert self.counted_run(self.structured(), "bo_mamp") == 2 * self.T
-
-    @pytest.mark.parametrize("algo", ["bo_oamp", "mf_oamp"])
-    def test_baselines_two_per_iteration_on_structured(self, algo):
-        assert self.counted_run(self.structured(), algo) <= 2 * self.T + 1
+    @pytest.mark.parametrize("algo", ["bo_mamp", "bo_oamp", "mf_oamp"])
+    def test_two_per_iteration_on_structured(self, algo):
+        assert self.counted_run(self.structured(), algo) == 2 * self.T
 
     def test_bo_mamp_four_per_iteration_on_dense(self):
         op = CountingDense(build_iid_gaussian_operator(128, 256, rng_seed=2).matrix)
