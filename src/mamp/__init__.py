@@ -23,7 +23,6 @@ from .denoisers import (
     PriorParams,
     bg_mmse,
     extrinsic_nle,
-    mmse_of_noise_level,
     scalar_mmse,
 )
 from .evolution import (

@@ -4,6 +4,8 @@ The closed-form posterior below is the standard spike-and-slab computation:
 with nonzero probability mu and slab variance 1/mu the signal has unit power,
 and the pseudo-observation is r = x + CN(0, v).  All formulas are validated
 against an independent quadrature oracle in the test suite before use.
+Only the simulation denoiser needs SciPy (its logistic); the deterministic
+scalar MMSE is pure NumPy.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, default_rng
-from scipy.special import expit
+from numpy.random import Generator
 
 
 class NonImprovingNLEError(RuntimeError):
@@ -80,6 +81,10 @@ def sample_prior(prior: PriorParams, n: int, rng: Generator) -> np.ndarray:
 
 def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams):
     """Per-entry posterior mean and variance of the spike-and-slab posterior."""
+    # SciPy's logistic, loaded on first use: a NumPy one differs in the last
+    # ulp on a few percent of inputs, which the simulated outputs would show
+    from scipy.special import expit
+
     vx = prior.component_var
     gain = vx / (vx + v)
     # a complex slab has two real degrees of freedom and a real one has one;
@@ -160,27 +165,34 @@ def extrinsic_nle(
     return out.extrinsic_mean, out.extrinsic_var
 
 
-def mmse_of_noise_level(
-    v_gamma: float, prior: PriorParams, n_mc: int, rng_seed: int | Generator
-) -> float:
-    """Monte-Carlo scalar MMSE E|x_hat(x + sqrt(v) eta) - x|^2 at noise level v."""
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be positive, got {n_mc}")
-    if v_gamma <= 0:
-        raise ValueError(f"v_gamma must be positive, got {v_gamma}")
-    rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
-    x = sample_prior(prior, n_mc, rng)
-    eta = complex_normal(rng, n_mc, 1.0)
-    mean, _ = _posterior_moments(x + np.sqrt(v_gamma) * eta, v_gamma, prior)
-    return float(np.mean(np.abs(mean - x) ** 2))
+# Fixed rule of scalar_mmse: 24-node Gauss-Legendre panels, one below the
+# logistic transition and _MMSE_PANELS on each side of its centre.  Nothing is
+# left past _MMSE_WIDTHS scale lengths (e^-45 ~ 3e-20) of either side, nor
+# past _MMSE_SLAB_WIDTHS slab variances, where the slab itself has decayed.
+_MMSE_NODES, _MMSE_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_MMSE_PANELS = 8
+_MMSE_WIDTHS = 45.0
+_MMSE_SLAB_WIDTHS = 50.0
 
 
 def scalar_mmse(v: float, prior: PriorParams) -> float:
-    """Deterministic scalar MMSE at noise level v via radial quadrature.
+    """Deterministic scalar MMSE at noise level v by a fixed quadrature rule.
 
-    mmse(v) = 1 - E|x_hat(r)|^2 with the expectation over the marginal of
-    |r|^2, an exponential mixture; each component is integrated on its own
-    scale so the quadrature stays well conditioned for v << 1.
+    Integrates the posterior variance, a sum of positive terms, so nothing
+    cancels at high SNR (as 1 - E|x_hat|^2 would):
+
+        mmse(v) = mu g v + g^2 E_u[u pi(u) (1 - pi(u))]
+
+    with g = vx / s, s = vx + v, u = |r|^2 ~ (1-mu) Exp(v) + mu Exp(s), and the
+    support probability pi(u) = sigma(alpha u - c), alpha = vx / (v s),
+    c = log((1-mu)/mu) + log(s/v); the first term uses E[pi] = mu.  Against
+    the law of u, pi (1 - pi) = mu/s e^{-u/s} sigma(c - alpha u), so the
+    integrand follows the slab below the transition centre u* = max(c, 0) /
+    alpha, falls over the transition width 1/alpha and decays like e^{-u/v}
+    above it.  The panels cover [u* - 45/alpha, u*] and [u*, u* + 45 v], with
+    one more for what lies below, all clipped to [0, 50 s].  Against 40-digit
+    quadrature it holds to ~4e-16 relative for mu in [1e-5, 1 - 1e-6] and v
+    in [1e-16, 1e6].
     """
     if v <= 0:
         raise ValueError(f"v must be positive, got {v}")
@@ -189,22 +201,24 @@ def scalar_mmse(v: float, prior: PriorParams) -> float:
     mu, vx = prior.mu, prior.component_var
     s = vx + v
     gain = vx / s
-
-    def pi_sq(u):
-        log_odds = np.log((1.0 - mu) / mu) + np.log(s / v) - u * vx / (v * s)
-        return expit(-log_odds) ** 2
-
     if mu == 1.0:
         return gain * v
-    from scipy import integrate  # loaded on first use, not at import
-
-    # E|x_hat|^2 = gain^2 * [ (1-mu) E_{u~Exp(v)} pi^2 u + mu E_{u~Exp(s)} pi^2 u ]
-    i0, _ = integrate.quad(
-        lambda z: z * np.exp(-z) * pi_sq(v * z), 0.0, np.inf, epsabs=1e-14, epsrel=1e-12
-    )
-    i1, _ = integrate.quad(
-        lambda z: z * np.exp(-z) * pi_sq(s * z), 0.0, np.inf, epsabs=1e-14, epsrel=1e-12
-    )
-    second = gain**2 * ((1.0 - mu) * v * i0 + mu * s * i1)
-    return float(1.0 - second)
-
+    alpha = vx / (v * s)
+    c = np.log((1.0 - mu) / mu) + np.log(s / v)
+    end = _MMSE_SLAB_WIDTHS * s
+    centre = min(max(c, 0.0) / alpha, end)
+    below = max(centre - _MMSE_WIDTHS / alpha, 0.0)
+    above = min(centre + _MMSE_WIDTHS * v, end)
+    edges = np.concatenate((
+        [0.0],
+        np.linspace(below, centre, _MMSE_PANELS + 1),
+        np.linspace(centre, above, _MMSE_PANELS + 1)[1:],
+    ))
+    half = 0.5 * np.diff(edges)[:, None]
+    u = edges[:-1, None] + half * (1.0 + _MMSE_NODES)
+    # mu/s e^{-u/s} sigma(-z) as one exponent, -u/s - softplus(z): neither
+    # tail cancels and nothing overflows
+    z = alpha * u - c
+    density = np.exp(-u / s - np.maximum(z, 0.0) - np.log1p(np.exp(-np.abs(z))))
+    integral = (mu / s) * float(np.sum(half * (_MMSE_WEIGHTS * u * density)))
+    return float(mu * gain * v + gain**2 * integral)

@@ -121,10 +121,6 @@ class SETrajectory:
     status: str
     mode: str
 
-    @property
-    def mse_prediction(self) -> np.ndarray:
-        return self.v_hat
-
 
 def run_bo_mamp_se(
     tables: MomentTables,
@@ -406,6 +402,18 @@ def series_gamma_se(
     return float(v_gamma), float(eps_star)
 
 
+def _damped_fixed_point(gamma_of, prior, tol, max_sweeps, relax):
+    """Damped iteration of v -> phi_se(gamma_of(v)) from v = 1: (gamma_of(v*), v*)."""
+    v = 1.0
+    for _ in range(max_sweeps):
+        _, v_new = _phi_se(gamma_of(v), prior)
+        converged = abs(v_new - v) / v < tol
+        v = v + relax * (v_new - v)
+        if converged:
+            break
+    return float(gamma_of(v)), float(v)
+
+
 def oamp_fixed_point(
     tables: MomentTables,
     prior: PriorParams,
@@ -415,20 +423,9 @@ def oamp_fixed_point(
     max_sweeps: int = 10_000,
     relax: float = 0.5,
 ) -> tuple[float, float]:
-    """Shared fixed point (v_gamma*, v_phi*) of the LMMSE and long-memory maps.
-
-    Damped scalar iteration of v -> phi_se(gamma_series(v)) from v = 1.
-    """
-    v = 1.0
-    for _ in range(max_sweeps):
-        v_gamma, _ = series_gamma_se(v, tables, sigma2, series_tol)
-        _, v_new = _phi_se(v_gamma, prior)
-        if abs(v_new - v) / v < tol:
-            v = v + relax * (v_new - v)
-            break
-        v = v + relax * (v_new - v)
-    v_gamma, _ = series_gamma_se(v, tables, sigma2, series_tol)
-    return float(v_gamma), float(v)
+    """Shared fixed point (v_gamma*, v_phi*) of the LMMSE and long-memory maps."""
+    gamma_of = lambda v: series_gamma_se(v, tables, sigma2, series_tol)[0]
+    return _damped_fixed_point(gamma_of, prior, tol, max_sweeps, relax)
 
 
 def bo_oamp_fixed_point_exact(
@@ -441,12 +438,5 @@ def bo_oamp_fixed_point_exact(
     relax: float = 0.5,
 ) -> tuple[float, float]:
     """Fixed point of the eigenvalue-exact LMMSE evolution (oracle route)."""
-    v = 1.0
-    for _ in range(max_sweeps):
-        v_gamma = lmmse_gamma_se(v, d, N, sigma2)
-        _, v_new = _phi_se(v_gamma, prior)
-        if abs(v_new - v) / v < tol:
-            v = v + relax * (v_new - v)
-            break
-        v = v + relax * (v_new - v)
-    return float(lmmse_gamma_se(v, d, N, sigma2)), float(v)
+    gamma_of = lambda v: lmmse_gamma_se(v, d, N, sigma2)
+    return _damped_fixed_point(gamma_of, prior, tol, max_sweeps, relax)

@@ -208,10 +208,9 @@ def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile
     """Simulate every configured algorithm on one seed's operator and instance.
 
     Seed 0 runs on ref_op, the operator built for set-up; so does every seed
-    when matrix_seed pins the matrix, and any other seed builds its own.  The
-    sequential sweep in run_experiment drops ref_op after seed 0 unless the
-    matrix is pinned, so at most one IID matrix is alive at a time; the
-    threaded sweep keeps it to the end.
+    when matrix_seed pins the matrix, and any other seed builds its own.
+    Otherwise run_experiment hands ref_op to seed 0's task alone, so the
+    set-up operator is released once seed 0 is done, in both sweeps.
     """
     if config.matrix_seed is not None or seed_index == 0:
         op = ref_op
@@ -369,20 +368,20 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     per_seed: list[dict[str, AlgorithmResult]] = []
     if sim_algos and config.n_seeds > 0:
         sim_cfg = replace(config, algorithms=tuple(sim_algos))
+        # only seed 0's task takes the set-up operator, so it is released
+        # when that task ends, unless matrix_seed pins it for every seed
+        held, ref_op = [ref_op], None
+
+        def seed_task(k):
+            if config.matrix_seed is not None:
+                return _run_seed(sim_cfg, k, held[0], tables, profile)
+            return _run_seed(sim_cfg, k, held.pop() if k == 0 else None, tables, profile)
+
         if config.threads > 1:
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                per_seed = list(
-                    pool.map(
-                        lambda k: _run_seed(sim_cfg, k, ref_op, tables, profile),
-                        range(config.n_seeds),
-                    )
-                )
+                per_seed = list(pool.map(seed_task, range(config.n_seeds)))
         else:
-            for k in range(config.n_seeds):
-                per_seed.append(_run_seed(sim_cfg, k, ref_op, tables, profile))
-                if config.matrix_seed is None:
-                    # later seeds build their own operator; drop seed 0's
-                    ref_op = None
+            per_seed = [seed_task(k) for k in range(config.n_seeds)]
 
     mse_db_mean: dict[str, np.ndarray] = {}
     mse_db_std: dict[str, np.ndarray] = {}

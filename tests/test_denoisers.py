@@ -11,12 +11,16 @@ from mamp import (
     PriorParams,
     bg_mmse,
     extrinsic_nle,
-    mmse_of_noise_level,
     scalar_mmse,
 )
 from mamp.denoisers import sample_prior
 
-from oracles import bg_posterior_oracle, bg_scalar_mmse_oracle
+from oracles import (
+    bg_posterior_oracle,
+    bg_scalar_mmse_mp,
+    bg_scalar_mmse_oracle,
+    mmse_of_noise_level,
+)
 
 
 def reference_bg_mmse(r, v, prior):
@@ -216,7 +220,41 @@ class TestScalarMMSE:
             # errors of the empirical mean estimated conservatively
             assert abs(mc - exact) < 3 * 10 * exact / np.sqrt(n)
 
+    @pytest.mark.parametrize("mu", [0.01, 0.05, 0.1, 0.3, 0.5, 0.9])
+    def test_matches_mpmath_oracle(self, mu):
+        prior = PriorParams(mu=mu)
+        for v in np.logspace(-8, 1, 10):
+            assert scalar_mmse(v, prior) == pytest.approx(
+                bg_scalar_mmse_mp(v, mu), rel=1e-12, abs=0.0
+            )
+
+    @pytest.mark.parametrize(
+        "mu,v", [(1e-4, 1e-14), (0.3, 3.16e-4), (0.01, 1e4), (0.2, 1e3), (0.999, 1e5)]
+    )
+    def test_matches_mpmath_oracle_at_extremes(self, mu, v):
+        # far below 0 dB the spike decays within a fraction of the logistic
+        # transition, and near the noiseless end u* sits many widths out
+        assert scalar_mmse(v, PriorParams(mu=mu)) == pytest.approx(
+            bg_scalar_mmse_mp(v, mu), rel=1e-12, abs=0.0
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu=st.floats(1e-3, 1.0),
+        log_v=st.floats(-10.0, 4.0),
+        log_step=st.floats(1e-3, 2.0),
+    )
+    def test_positive_below_lmmse_and_increasing(self, mu, log_v, log_step):
+        prior = PriorParams(mu=mu)
+        v = 10.0**log_v
+        m = scalar_mmse(v, prior)
+        # the LMMSE error of a unit-power signal bounds every prior's MMSE;
+        # mu = 1 meets it, up to rounding
+        assert 0.0 < m <= v / (1.0 + v) * (1.0 + 1e-14)
+        assert m < scalar_mmse(v * 10.0**log_step, prior)
+
     def test_quadrature_matches_independent_oracle(self):
+        # the quad oracle cancels at high SNR; these levels are where it holds
         prior = PriorParams(mu=0.1)
         for v in (0.01, 0.2):
             assert scalar_mmse(v, prior) == pytest.approx(

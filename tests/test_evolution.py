@@ -187,6 +187,30 @@ class TestFixedPoint:
             _, vp_eig = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
             assert vp == pytest.approx(vp_eig, rel=1e-8)
 
+    def test_both_routes_run_the_relaxed_iteration_bit_for_bit(self):
+        # the relax-0.5 loop written out; the step that meets tol is relaxed
+        from mamp.evolution import _phi_se, lmmse_gamma_se
+
+        def iterate(gamma_of, prior, tol):
+            v = 1.0
+            while True:
+                _, v_new = _phi_se(gamma_of(v), prior)
+                done = abs(v_new - v) / v < tol
+                v = v + 0.5 * (v_new - v)
+                if done:
+                    return gamma_of(v), v
+
+        prior = PriorParams(mu=0.1)
+        N, M, sigma2 = 1024, 512, 1e-3
+        d = make_geometric_singular_values(M, 10.0, float(N))
+        tab = tables_from_singular_values(d, N, 50, M=M)
+        assert oamp_fixed_point(tab, prior, sigma2) == iterate(
+            lambda v: series_gamma_se(v, tab, sigma2)[0], prior, 1e-10
+        )
+        assert bo_oamp_fixed_point_exact(d, N, prior, sigma2) == iterate(
+            lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, 1e-12
+        )
+
     def test_series_raises_when_truncated_at_max_terms(self):
         d = make_geometric_singular_values(256, 20.0, 512.0)
         tab = tables_from_singular_values(d, 512, 30, M=256)

@@ -1,9 +1,12 @@
 """Experiment configs, report emission, determinism and the CLI entry points."""
 
+import gc
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,8 @@ IID_WIDE = dict(
     base_seed=3,
 )
 IID_WIDE_MATRIX_BYTES = 128 * 4096 * 16
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -176,6 +181,32 @@ class TestRunExperiment:
             exact.mse_db_mean["se_oamp"], estimated.mse_db_mean["se_oamp"]
         )
 
+    def test_threaded_sweep_releases_setup_operator_after_seed_zero(self, monkeypatch):
+        built, released = {}, []
+        build, run_seed = harness._build_operator, harness._run_seed
+        seed2_started = threading.Event()
+
+        def recording_build(config, seed_index):
+            op = build(config, seed_index)
+            built.setdefault(seed_index, weakref.ref(op))
+            return op
+
+        def gated_run_seed(config, seed_index, ref_op, tables, profile):
+            if seed_index == 1:
+                # hold this worker so that seed 2 can only start on the other
+                # one, after seed 0's task has ended
+                seed2_started.wait(timeout=60)
+            elif seed_index == 2:
+                gc.collect()
+                released.append(built[0]() is None)
+                seed2_started.set()
+            return run_seed(config, seed_index, ref_op, tables, profile)
+
+        monkeypatch.setattr(harness, "_build_operator", recording_build)
+        monkeypatch.setattr(harness, "_run_seed", gated_run_seed)
+        run_experiment(ExperimentConfig(**{**IID_WIDE, "n_seeds": 3, "threads": 2}))
+        assert released == [True]
+
     def test_one_iid_matrix_alive_at_a_time(self):
         # set-up matrix reused by seed 0 and released before seed 1 is drawn,
         # each drawn without full-size temporaries
@@ -230,23 +261,39 @@ class TestEmission:
             emit_plot_script(report, str(tmp_path / "p.py"))
 
 
+def run_python(code: str) -> str:
+    """stdout of a fresh interpreter running code with this package importable."""
+    src = str(Path(mamp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, cwd=REPO,
+    )
+    return out.stdout
+
+
 class TestCli:
     def test_import_leaves_heavy_modules_unloaded(self):
-        # quadrature, dense eigensolver and multiprecision load on first use
-        src = str(Path(mamp.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        )}
-        code = (
+        # logistic, quadrature, dense eigensolver and multiprecision load on
+        # first use
+        out = run_python(
             "import sys, mamp.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'mpmath') "
-            "if m in sys.modules))"
+            "print(sorted(m for m in ('scipy.special', 'scipy.integrate', "
+            "'scipy.linalg', 'mpmath') if m in sys.modules))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True,
+        assert out.strip() == "[]"
+
+    def test_bounded_fixed_point_runs_without_scipy(self):
+        out = run_python(
+            "import sys; from mamp.cli import main; "
+            "rc = main(['fixed-point', 'configs/illconditioned_damping.ini', "
+            "'--moment-mode', 'bounded']); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        assert out.stdout.strip() == "[]"
+        assert "cross-check" in out
+        assert out.strip().splitlines()[-1] == "0 []"
 
     def test_run_subcommand(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", label="clismoke", n_seeds=1)
