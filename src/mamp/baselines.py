@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlgorithmResult, IterationRecord
+from .core import (
+    AlgorithmResult,
+    IterationRecord,
+    divide_in_place,
+    mean_squared_error,
+    residual,
+)
 from .denoisers import PriorParams, bg_mmse
 from .operators import SystemInstance
 from .spectral import SpectralProfile
@@ -43,11 +49,11 @@ def lmmse_le(
     d_sq = d**2
     eps = float(np.sum(d_sq / (rho + d_sq))) / op.N
     if z is None:
-        z = instance.y - op.apply(x_t)
+        z = residual(instance.y, op, x_t)
     scale = np.full(op.M, 1.0 / rho)
     scale[: len(d)] = 1.0 / (rho + d_sq)  # entries beyond J are killed by A^H
-    gamma_hat = op.apply_adjoint(scale * z)
-    r = gamma_hat / eps + x_t
+    r = divide_in_place(op.apply_adjoint(scale * z), eps)
+    r += x_t
     v_gamma = v_phi * (1.0 / eps - 1.0)
     return r, v_gamma
 
@@ -73,7 +79,7 @@ def run_bo_oamp(
         r, v_gamma = lmmse_le(x, v_phi, instance, z)
         out = bg_mmse(r, v_gamma, prior)
         mse = (
-            float(np.mean(np.abs(out.posterior_mean - instance.x_true) ** 2))
+            mean_squared_error(out.posterior_mean, instance.x_true)
             if instance.x_true is not None
             else np.nan
         )
@@ -88,7 +94,7 @@ def run_bo_oamp(
             status = "early_stop_nle"
             break
         x = out.extrinsic_mean
-        z = instance.y - op.apply(x)
+        z = residual(instance.y, op, x)
         v_phi = _residual_error_estimate(z, N, sigma2, delta, lambda1)
         v_phi = max(v_phi, 1e-12 * records[0].v_phi_bar)
     return AlgorithmResult("bo_oamp", T, records, x_hat, float(v_hat), status)
@@ -114,11 +120,12 @@ def run_mf_oamp(
     status = "ok"
     x_hat, v_hat = None, np.inf
     for t in range(1, T + 1):
-        r = x + op.apply_adjoint(z) / lam1
+        r = divide_in_place(op.apply_adjoint(z), lam1)
+        np.add(x, r, out=r)
         v_gamma = (sigma2 * lam1 + v_phi * (lam2 - lam1**2)) / lam1**2
         out = bg_mmse(r, v_gamma, prior)
         mse = (
-            float(np.mean(np.abs(out.posterior_mean - instance.x_true) ** 2))
+            mean_squared_error(out.posterior_mean, instance.x_true)
             if instance.x_true is not None
             else np.nan
         )
@@ -133,7 +140,7 @@ def run_mf_oamp(
             status = "early_stop_nle"
             break
         x = out.extrinsic_mean
-        z = instance.y - op.apply(x)
+        z = residual(instance.y, op, x)
         v_phi = _residual_error_estimate(z, N, sigma2, delta, lam1)
         v_phi = max(v_phi, 1e-12 * records[0].v_phi_bar)
     return AlgorithmResult("mf_oamp", T, records, x_hat, float(v_hat), status)
@@ -156,17 +163,19 @@ def run_amp(instance: SystemInstance, prior: PriorParams, T: int) -> AlgorithmRe
     x_hat, v_hat = None, np.inf
     v_first = None
     for t in range(1, T + 1):
-        z = instance.y - op.apply(x) + onsager
+        z = residual(instance.y, op, x)
+        z += onsager
         v = float(np.vdot(z, z).real) / M
         if v_first is None:
             v_first = v
         if v > 10.0 * v_first or not np.isfinite(v):
             status = "diverged"
             break
-        r = x + op.apply_adjoint(z)
+        r = op.apply_adjoint(z)
+        np.add(x, r, out=r)
         out = bg_mmse(r, v, prior)
         mse = (
-            float(np.mean(np.abs(out.posterior_mean - instance.x_true) ** 2))
+            mean_squared_error(out.posterior_mean, instance.x_true)
             if instance.x_true is not None
             else np.nan
         )
@@ -178,5 +187,5 @@ def run_amp(instance: SystemInstance, prior: PriorParams, T: int) -> AlgorithmRe
             )
         )
         # Onsager term: average denoiser divergence equals v_hat / v exactly
-        onsager = (out.posterior_var / v) / delta * z
+        onsager = np.multiply((out.posterior_var / v) / delta, z, out=z)
     return AlgorithmResult("amp", T, records, x_hat, float(v_hat), status)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoisers import PriorParams, bg_mmse
+from .denoisers import CHUNK, PriorParams, bg_mmse, chunks
 from .operators import SystemInstance, TransformOperator
 from .spectral import MomentTables
 
@@ -106,18 +106,32 @@ def memory_le_step(
     eps_gamma: float,
     operator: TransformOperator,
     lambda_dagger: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    adjoint: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One matched-filter step: accumulator update plus orthogonalized output.
 
-    r_hat <- xi z_bar + theta (ld r_hat - A A^H r_hat); the output is
+    r_hat <- xi z_bar + theta (ld r_hat - A A^H r_hat), in place; the output is
     (A^H r_hat - sum_i p_i x_i) / eps_gamma over the full estimate history X.
+    adjoint is A^H r_hat for the incoming r_hat when the caller holds it (the
+    previous step returned it); the Gram product then needs one forward
+    application.  Returns (r_hat, r, A^H r_hat of the updated r_hat), the last
+    None when the operator's Gram product does not use it.
     """
     if eps_gamma == 0.0 or not np.isfinite(eps_gamma):
         raise DegenerateNormalizationError(f"normalizer eps_gamma={eps_gamma}")
-    r_hat = xi * z_bar_t + theta * (lambda_dagger * r_hat - operator.apply_gram(r_hat))
+    gram = operator.apply_gram(r_hat, adjoint=adjoint)
+    # the operations of xi z_bar + theta (ld r_hat - gram), in that order
+    np.multiply(lambda_dagger, r_hat, out=r_hat)
+    r_hat -= gram
+    np.multiply(theta, r_hat, out=r_hat)
+    np.add(np.multiply(xi, z_bar_t, out=gram), r_hat, out=r_hat)
     correction = p.astype(complex) @ X
-    r = (operator.apply_adjoint(r_hat) - correction) / eps_gamma
-    return r_hat, r
+    u = operator.apply_adjoint(r_hat)
+    if operator.gram_uses_adjoint:
+        r = np.subtract(u, correction, out=correction)
+    else:
+        r, u = np.subtract(u, correction, out=u), None
+    return r_hat, divide_in_place(r, eps_gamma), u
 
 
 def estimate_phi_covariance(
@@ -214,6 +228,53 @@ def optimal_damping(V: np.ndarray, L: int | None = None) -> DampingSolution:
     return DampingSolution(zeta, float(diag[l - 2]), True)
 
 
+def damp_into(out: np.ndarray, zeta: np.ndarray, sources: list) -> None:
+    """out = sum_k zeta[k] sources[k], summed from zero chunk by chunk.
+
+    Each product is formed scalar first in a chunk-sized buffer, so out has the
+    bits of ``0 + zeta[0] * sources[0] + zeta[1] * sources[1] + ...`` without
+    that expression's full-size temporaries.
+    """
+    buf = np.empty(min(out.size, CHUNK), dtype=complex)
+    for sl in chunks(out.size):
+        block, prod = out[sl], buf[: sl.stop - sl.start]
+        block[...] = 0.0
+        for zk, src in zip(zeta, sources):
+            block += np.multiply(zk, src[sl], out=prod)
+
+
+def divide_in_place(z: np.ndarray, c: float) -> np.ndarray:
+    """z / c in place for a contiguous complex z and a real c.
+
+    NumPy divides a complex array by a real scalar by multiplying both parts
+    by 1 / c; doing that on the float view gives the same bits, faster.
+    """
+    parts = z.view(float)
+    parts *= 1.0 / c
+    return z
+
+
+def residual(y: np.ndarray, operator: TransformOperator, x: np.ndarray) -> np.ndarray:
+    """y - A x, formed in the buffer of A x."""
+    z = operator.apply(x)
+    return np.subtract(y, z, out=z)
+
+
+def mean_squared_error(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """mean |estimate - truth|^2 with the bits of that expression.
+
+    The squared moduli are formed chunk by chunk and averaged in one call over
+    the whole vector, which keeps the summation order.
+    """
+    sq = np.empty(estimate.shape)
+    diff = np.empty(min(estimate.size, CHUNK), dtype=complex)
+    for sl in chunks(estimate.size):
+        part = sq[sl]
+        np.abs(np.subtract(estimate[sl], truth[sl], out=diff[: part.size]), out=part)
+        np.square(part, out=part)
+    return float(np.mean(sq))
+
+
 def damping_window(effective: list[int], t_new: int, L: int) -> list[int]:
     """Last min(L, ...) retained estimate indices plus the new candidate t_new."""
     n_prev = min(L - 1, len(effective)) if L > 1 else 0
@@ -307,6 +368,8 @@ def run_bo_mamp(
     V[0, 0] = max(v_init, v_floor)
 
     r_hat = np.zeros(M, dtype=complex)
+    # A^H r_hat for the next Gram product, where the operator takes it
+    adjoint = np.zeros(N, dtype=complex) if op.gram_uses_adjoint else None
     scaled = np.array([1.0])  # memory weights of the current iteration
     effective = [1]
     records: list[IterationRecord] = []
@@ -334,7 +397,9 @@ def run_bo_mamp(
             status = "degenerate"
             break
         try:
-            r_hat, r = memory_le_step(r_hat, Z[t - 1], X[:t], p, xi, theta, eps, op, ld)
+            r_hat, r, adjoint = memory_le_step(
+                r_hat, Z[t - 1], X[:t], p, xi, theta, eps, op, ld, adjoint
+            )
         except DegenerateNormalizationError:
             status = "degenerate"
             break
@@ -343,7 +408,7 @@ def run_bo_mamp(
 
         out = bg_mmse(r, v_gamma, prior)
         mse = (
-            float(np.mean(np.abs(out.posterior_mean - instance.x_true) ** 2))
+            mean_squared_error(out.posterior_mean, instance.x_true)
             if instance.x_true is not None
             else np.nan
         )
@@ -360,7 +425,7 @@ def run_bo_mamp(
             status = "early_stop_nle"
             break
         x_new = out.extrinsic_mean
-        z_new = y - op.apply(x_new)
+        z_new = residual(y, op, x_new)
         row, diag = estimate_phi_covariance(z_new, Z[:t], N, sigma2, delta, w0)
         if diag <= v_floor:
             # residual energy at the noise floor: clamp and flag convergence
@@ -389,21 +454,11 @@ def run_bo_mamp(
             V[: t + 1, t] = np.conj(V[t, : t + 1])
             trivial = True
         else:
-            x_damped = np.zeros(N, dtype=complex)
-            z_damped = np.zeros(M, dtype=complex)
             new_row = np.zeros(t, dtype=complex)
-            for k, idx in enumerate(cand):
-                zk = sol.zeta[k]
-                if idx <= t:
-                    x_damped += zk * X[idx - 1]
-                    z_damped += zk * Z[idx - 1]
-                    new_row += np.conj(zk) * V[idx - 1, :t]
-                else:
-                    x_damped += zk * x_new
-                    z_damped += zk * z_new
-                    new_row += np.conj(zk) * row
-            X[t] = x_damped
-            Z[t] = z_damped
+            for zk, idx in zip(sol.zeta, cand):
+                new_row += np.conj(zk) * (V[idx - 1, :t] if idx <= t else row)
+            damp_into(X[t], sol.zeta, [X[i - 1] if i <= t else x_new for i in cand])
+            damp_into(Z[t], sol.zeta, [Z[i - 1] if i <= t else z_new for i in cand])
             V[t, :t] = new_row
             V[t, t] = sol.variance
             V[:t, t] = np.conj(new_row)
@@ -415,6 +470,9 @@ def run_bo_mamp(
                 sol.zeta.copy(), trivial,
             )
         )
+        # the new candidate now lives in X and Z (or was dropped): free it
+        # before the next iteration's denoiser call allocates
+        del out, x_new, z_new
 
     if status != "ok" and best[1] is not None and best[0] < v_hat:
         x_hat, v_hat = best[1], best[2]

@@ -46,26 +46,46 @@ class DenoiserOutput:
     extrinsic_var: float | None
 
 
-_DRAW_CHUNK = 1 << 16
+# Entries per chunk of the element-wise passes over full-size vectors (draws,
+# denoiser, damping): chunk-sized scratch stays in cache, and the outputs are
+# the only full-size allocations.
+CHUNK = 1 << 14
 
 
-def complex_normal(rng: Generator, shape, var: float) -> np.ndarray:
+def chunks(n: int):
+    """Slices of at most CHUNK entries that cover range(n) in order."""
+    for start in range(0, n, CHUNK):
+        yield slice(start, min(start + CHUNK, n))
+
+
+def complex_normal(
+    rng: Generator, shape, var: float, out: np.ndarray | None = None, add: bool = False
+) -> np.ndarray:
     """IID CN(0, var) draw, filled in place through one reused float buffer.
 
     All real parts are drawn first, then all imaginary parts, so the result is
     bit-identical to ``(rng.standard_normal(shape) + 1j *
     rng.standard_normal(shape)) * np.sqrt(var / 2)`` and leaves the generator
-    in the same state, without that expression's full-size temporaries.
+    in the same state, without that expression's full-size temporaries.  The
+    draw goes into ``out`` (contiguous complex, of the given shape) when it is
+    passed; with ``add`` it is added to what ``out`` holds, which gives the
+    bits of ``out + draw``.
     """
-    out = np.empty(shape, dtype=complex)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)
     scale = np.sqrt(var / 2.0)
-    buf = np.empty(min(flat.size, _DRAW_CHUNK))
+    buf = np.empty(min(flat.size, CHUNK))
     for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, _DRAW_CHUNK):
-            block = buf[: flat.size - start]
+        for sl in chunks(flat.size):
+            target = part[sl]
+            block = buf[: target.size]
             rng.standard_normal(out=block)
-            np.multiply(block, scale, out=part[start : start + block.size])
+            if add:
+                block *= scale
+                target += block
+            else:
+                np.multiply(block, scale, out=target)
     return out
 
 
@@ -79,8 +99,13 @@ def sample_prior(prior: PriorParams, n: int, rng: Generator) -> np.ndarray:
     return np.where(support, slab, 0.0).astype(complex)
 
 
-def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams):
-    """Per-entry posterior mean and variance of the spike-and-slab posterior."""
+def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams, scratch: np.ndarray):
+    """Per-entry posterior mean and variance of the spike-and-slab posterior.
+
+    Written chunk by chunk into the full-size outputs through two chunk-sized
+    float buffers taken from scratch; every entry sees the same operations, in
+    the same order, as the whole-array expressions would apply.
+    """
     # SciPy's logistic, loaded on first use: a NumPy one differs in the last
     # ulp on a few percent of inputs, which the simulated outputs would show
     from scipy.special import expit
@@ -91,33 +116,40 @@ def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams):
     # k rescales the Gaussian exponents accordingly
     k = 1.0 if prior.field == "complex" else 2.0
     x = r if prior.field == "complex" else np.real(r)
-    # the output and two float buffers carry every per-entry quantity: fewer
-    # live arrays than the equivalent expressions, same operations in order
-    mean = np.empty(np.shape(x), dtype=complex)
-    power = np.abs(x, out=np.empty(np.shape(x)))
-    np.square(power, out=power)
-    pi = np.empty(np.shape(x))
     if prior.mu < 1.0:
-        # minus the support log-odds, in log space to survive large |r|^2 / v
-        np.multiply(power, vx, out=pi)
-        pi /= k * v * (vx + v)
-        pi -= np.log((1.0 - prior.mu) / prior.mu) + np.log((vx + v) / v) / k
-        expit(pi, out=pi)
-    else:
-        pi.fill(1.0)
-    var = power
-    var *= gain**2
-    var += gain * v
-    var *= pi
-    pi *= gain
-    if prior.field == "complex":
-        np.multiply(pi, x, out=mean)
-    else:
-        pi *= x
-        mean[...] = pi
-    mean_power = np.abs(mean, out=pi)
-    np.square(mean_power, out=mean_power)
-    var -= mean_power
+        log_odds_scale = k * v * (vx + v)
+        log_odds_shift = np.log((1.0 - prior.mu) / prior.mu) + np.log((vx + v) / v) / k
+    mean = np.empty(np.shape(x), dtype=complex)
+    var = np.empty(np.shape(x))
+    r_flat, x_flat = r.reshape(-1), x.reshape(-1)
+    mean_flat, var_flat = mean.reshape(-1), var.reshape(-1)
+    for sl in chunks(x_flat.size):
+        if not np.all(np.isfinite(r_flat[sl])):
+            raise ValueError("pseudo-observation contains non-finite entries")
+        xb, mb, vb = x_flat[sl], mean_flat[sl], var_flat[sl]
+        power, pi = scratch[: xb.size], scratch[CHUNK : CHUNK + xb.size]
+        np.abs(xb, out=power)
+        np.square(power, out=power)
+        if prior.mu < 1.0:
+            # minus the support log-odds, in log space to survive large |r|^2 / v
+            np.multiply(power, vx, out=pi)
+            pi /= log_odds_scale
+            pi -= log_odds_shift
+            expit(pi, out=pi)
+        else:
+            pi.fill(1.0)
+        np.multiply(power, gain**2, out=vb)
+        vb += gain * v
+        vb *= pi
+        pi *= gain
+        if prior.field == "complex":
+            np.multiply(pi, xb, out=mb)
+        else:
+            pi *= xb
+            mb[...] = pi
+        np.abs(mb, out=pi)
+        np.square(pi, out=pi)
+        vb -= pi
     return mean, var
 
 
@@ -130,22 +162,38 @@ def bg_mmse(r: np.ndarray, v: float, prior: PriorParams) -> DenoiserOutput:
     if not (np.isfinite(v) and v > 0):
         raise ValueError(f"noise variance must be positive and finite, got {v}")
     r = np.asarray(r)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("pseudo-observation contains non-finite entries")
-    mean, var = _posterior_moments(r, v, prior)
+    scratch = np.empty(2 * CHUNK)
+    mean, var = _posterior_moments(r, v, prior, scratch)
     v_hat = float(np.mean(var))
+    del var  # freed before the extrinsic pass allocates its output
     if v_hat < v:
-        ext_mean, ext_var = _extrinsic_combine(r, v, mean, v_hat)
+        ext_mean, ext_var = _extrinsic_combine(r, v, mean, v_hat, scratch)
     else:
         ext_mean, ext_var = None, None
     return DenoiserOutput(mean, v_hat, ext_mean, ext_var)
 
 
-def _extrinsic_combine(r, v_gamma, x_hat, v_hat):
+def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch):
+    """v_ext (x_hat / v_hat - r / v_gamma), chunk by chunk.
+
+    NumPy divides a complex array by a real scalar by multiplying both parts
+    by the reciprocal, so the float-view products below give the same bits.
+    A real r keeps its true division.
+    """
     v_ext = 1.0 / (1.0 / v_hat - 1.0 / v_gamma)
-    mean = x_hat / v_hat
-    mean -= r / v_gamma
-    mean *= v_ext
+    mean = np.empty_like(x_hat)
+    r_flat, x_flat, m_flat = r.reshape(-1), x_hat.reshape(-1), mean.reshape(-1)
+    complex_r = r_flat.dtype == np.complex128 and r_flat.flags.c_contiguous
+    for sl in chunks(m_flat.size):
+        mb = m_flat[sl].view(float)
+        np.multiply(x_flat[sl].view(float), 1.0 / v_hat, out=mb)
+        if complex_r:
+            r_scaled = scratch[: mb.size]
+            np.multiply(r_flat[sl].view(float), 1.0 / v_gamma, out=r_scaled)
+            mb -= r_scaled
+        else:
+            m_flat[sl] -= r_flat[sl] / v_gamma
+        mb *= v_ext
     return mean, v_ext
 
 

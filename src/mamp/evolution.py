@@ -17,6 +17,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .core import (
+    damp_into,
     damping_window,
     gamma_covariance_row,
     optimal_damping,
@@ -46,23 +47,26 @@ class CorrelatedNoiseSampler:
     the running batch always realizes the tracked covariance even when a fresh
     joint factorization would be numerically indefinite.  Small negative
     conditional variances (within tolerance) are clamped to zero; larger ones
-    raise NearSingularCovarianceError.
+    raise NearSingularCovarianceError.  `variances` lists the conditional
+    variance each draw used, after the clamp.
 
     Layout: coordinate t is stored as row t - 1 of a row-major (rows, n_mc)
-    complex buffer that doubles its row capacity when full, so a draw writes
-    one contiguous row and the conditional mean reads the earlier rows in
-    place.  `history` is the read-only (n_mc, t) transposed view of the rows
-    drawn so far.
+    complex buffer, so a draw writes one contiguous row in place (conditional
+    mean, then the innovation added chunk by chunk) and the conditional mean
+    reads the earlier rows in place.  Size the buffer with `rows` to the number
+    of draws; past it the buffer doubles its row capacity.  `history` is the
+    read-only (n_mc, t) transposed view of the rows drawn so far.
     """
 
     _INITIAL_ROWS = 8
 
-    def __init__(self, n_mc: int, rng, tol: float = 1e-10):
+    def __init__(self, n_mc: int, rng, tol: float = 1e-10, rows: int | None = None):
         self.n = n_mc
         self.rng = rng
         self.tol = tol
-        self._rows = np.empty((self._INITIAL_ROWS, n_mc), dtype=complex)
+        self._rows = np.empty((rows or self._INITIAL_ROWS, n_mc), dtype=complex)
         self._t = 0
+        self.variances: list[float] = []
 
     @property
     def history(self) -> np.ndarray:
@@ -71,11 +75,13 @@ class CorrelatedNoiseSampler:
         return view
 
     def sample(self, V_gamma: np.ndarray, t: int) -> np.ndarray:
-        """Batch for coordinate t (1-based) given rows 1..t of V_gamma."""
+        """Batch for coordinate t (1-based) given rows 1..t of V_gamma.
+
+        Returns a read-only view of the stored row.
+        """
         if t == 1:
-            v = V_gamma[0, 0].real
-            g = self._gaussian(max(v, 0.0))
-            eta = g
+            alpha = None
+            v_g = max(V_gamma[0, 0].real, 0.0)
         else:
             block = V_gamma[: t - 1, : t - 1]
             col = V_gamma[: t - 1, t - 1]
@@ -92,19 +98,23 @@ class CorrelatedNoiseSampler:
                     f"conditional variance {v_g:.3e} at iteration {t}"
                 )
             v_g = max(v_g, 0.0)
-            # conditional mean uses the conjugate weights; identical to the
-            # plain transpose form whenever the covariance is real
-            eta = np.conj(alpha) @ self._rows[: self._t] + self._gaussian(v_g)
         if self._t == len(self._rows):
             grown = np.empty((2 * len(self._rows), self.n), dtype=complex)
             grown[: self._t] = self._rows
             self._rows = grown
-        self._rows[self._t] = eta
+        eta = self._rows[self._t]
+        if alpha is None:
+            complex_normal(self.rng, self.n, v_g, out=eta)
+        else:
+            # conditional mean uses the conjugate weights; identical to the
+            # plain transpose form whenever the covariance is real
+            np.matmul(np.conj(alpha), self._rows[: self._t], out=eta)
+            complex_normal(self.rng, self.n, v_g, out=eta, add=True)
         self._t += 1
+        self.variances.append(v_g)
+        eta = eta.view()
+        eta.flags.writeable = False
         return eta
-
-    def _gaussian(self, var: float) -> np.ndarray:
-        return complex_normal(self.rng, self.n, var)
 
 
 @dataclass
@@ -160,10 +170,12 @@ def run_bo_mamp_se(
     mc = nle_mode == "mc"
     if mc:
         x = sample_prior(prior, n_mc, rng)
-        sampler = CorrelatedNoiseSampler(n_mc, rng)
+        sampler = CorrelatedNoiseSampler(n_mc, rng, rows=T)
         # damped estimate errors, row per iteration (row 0 is the zero estimate)
         err_hist = np.empty((T + 1, n_mc), dtype=complex)
-        err_hist[0] = -x
+        np.negative(x, out=err_hist[0])
+        # holds x + eta, then the new undamped error
+        r_buf = np.empty(n_mc, dtype=complex)
 
     scaled = np.array([1.0])
     weights_history: list[np.ndarray] = []
@@ -221,14 +233,19 @@ def run_bo_mamp_se(
             except NearSingularCovarianceError:
                 status = "unstable_covariance"
                 break
-            out = bg_mmse(x + eta, vg_diag, prior)
+            out = bg_mmse(np.add(x, eta, out=r_buf), vg_diag, prior)
             v_hat_arr[t - 1] = out.posterior_var
             if out.extrinsic_mean is None:
                 status = "early_stop_nle"
                 break
-            e_new = out.extrinsic_mean - x
-            row = err_hist[:t] @ np.conj(e_new) / n_mc
-            diag = float(np.mean(np.abs(e_new) ** 2))
+            e_new = np.subtract(out.extrinsic_mean, x, out=r_buf)
+            # the extrinsic mean is spent: its buffer takes conj(e_new), then
+            # |e_new|^2 in its first n_mc floats
+            spent = out.extrinsic_mean
+            row = err_hist[:t] @ np.conjugate(e_new, out=spent) / n_mc
+            sq = np.abs(e_new, out=spent.view(float)[:n_mc])
+            diag = float(np.mean(np.square(sq, out=sq)))
+            del out, spent, sq
         else:
             m_hat = scalar_mmse(vg_diag, prior)
             v_hat_arr[t - 1] = m_hat
@@ -262,19 +279,13 @@ def run_bo_mamp_se(
                 err_hist[t] = err_hist[t - 1]
         else:
             new_row = np.zeros(t, dtype=complex)
+            for zk, idx in zip(sol.zeta, cand):
+                new_row += np.conj(zk) * (V_phi[idx - 1, :t] if idx <= t else row)
             if mc:
-                e_damped = err_hist[t]
-                e_damped[:] = 0.0
-            for k, idx in enumerate(cand):
-                zk = sol.zeta[k]
-                if idx <= t:
-                    new_row += np.conj(zk) * V_phi[idx - 1, :t]
-                    if mc:
-                        e_damped += zk * err_hist[idx - 1]
-                else:
-                    new_row += np.conj(zk) * row
-                    if mc:
-                        e_damped += zk * e_new
+                damp_into(
+                    err_hist[t], sol.zeta,
+                    [err_hist[i - 1] if i <= t else e_new for i in cand],
+                )
             V_phi[t, :t] = new_row
             V_phi[t, t] = sol.variance
             V_phi[:t, t] = np.conj(new_row)

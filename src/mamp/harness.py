@@ -316,7 +316,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     standard deviation over seeds of the per-seed dB values.  Evolution
     predictions are computed once (they are size-free) and reported both as
     their own algorithm rows and as the se_mse_db column of the matching
-    simulated algorithm.
+    simulated algorithm.  The Monte-Carlo evolution runs after the seed sweep,
+    once no operator is alive.
     """
     t_start = time.time()
     ref_op = _build_operator(config, 0)
@@ -328,18 +329,19 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     xi: dict[str, np.ndarray] = {}
     zeta: dict[str, list] = {}
     statuses: dict[str, object] = {}
-    if "se_mamp" in config.algorithms:
-        se = run_bo_mamp_se(
-            tables, prior, config.sigma2, config.T, L=config.L,
-            nle_mode=config.se_nle_mode, n_mc=config.n_mc,
-            rng_seed=config.base_seed + 0x5E, C_max=config.C_max,
-            eps_floor=config.eps_floor,
-        )
-        se_curves["se_mamp"] = se.v_hat
-        theta["se_mamp"] = se.theta
-        xi["se_mamp"] = se.xi
-        zeta["se_mamp"] = [z.tolist() for z in se.zeta]
-        statuses["se_mamp"] = se.status
+    # Everything that reads the set-up operator runs before the sweep, and
+    # the Monte-Carlo evolution, which needs only the tables, after it: the
+    # operator is gone by then, so its memory and the evolution's histories
+    # are never resident together.
+    fixed_point = None
+    if "fixed_point" in config.algorithms:
+        try:
+            fixed_point = _fixed_point_entry(config, tables, prior, ref_op)
+        except ValueError as exc:
+            # estimate-built tables cannot feed the geometric series, and a
+            # series that has not converged by max_terms is truncated; record
+            # the failure instead of aborting the whole experiment
+            fixed_point = {"error": str(exc)}
     if "se_oamp" in config.algorithms:
         if d_ref is None:
             d_ref = np.sqrt(np.clip(ref_op.gram_eigenvalues(), 0.0, None))
@@ -354,23 +356,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         ).v_hat
         statuses["se_mf_oamp"] = "ok"
 
-    fixed_point = None
-    if "fixed_point" in config.algorithms:
-        try:
-            fixed_point = _fixed_point_entry(config, tables, prior, ref_op)
-        except ValueError as exc:
-            # estimate-built tables cannot feed the geometric series, and a
-            # series that has not converged by max_terms is truncated; record
-            # the failure instead of aborting the whole experiment
-            fixed_point = {"error": str(exc)}
-
+    # only seed 0's task takes the set-up operator, so it is released when
+    # that task ends; one that matrix_seed pins, or that no seed ran on, is
+    # released by held.clear() after the sweep
+    held, ref_op = [ref_op], None
     sim_algos = [a for a in config.algorithms if a in _SIM_ALGOS]
     per_seed: list[dict[str, AlgorithmResult]] = []
     if sim_algos and config.n_seeds > 0:
         sim_cfg = replace(config, algorithms=tuple(sim_algos))
-        # only seed 0's task takes the set-up operator, so it is released
-        # when that task ends, unless matrix_seed pins it for every seed
-        held, ref_op = [ref_op], None
 
         def seed_task(k):
             if config.matrix_seed is not None:
@@ -382,6 +375,20 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 per_seed = list(pool.map(seed_task, range(config.n_seeds)))
         else:
             per_seed = [seed_task(k) for k in range(config.n_seeds)]
+    held.clear()
+
+    if "se_mamp" in config.algorithms:
+        se = run_bo_mamp_se(
+            tables, prior, config.sigma2, config.T, L=config.L,
+            nle_mode=config.se_nle_mode, n_mc=config.n_mc,
+            rng_seed=config.base_seed + 0x5E, C_max=config.C_max,
+            eps_floor=config.eps_floor,
+        )
+        se_curves["se_mamp"] = se.v_hat
+        theta["se_mamp"] = se.theta
+        xi["se_mamp"] = se.xi
+        zeta["se_mamp"] = [z.tolist() for z in se.zeta]
+        statuses["se_mamp"] = se.status
 
     mse_db_mean: dict[str, np.ndarray] = {}
     mse_db_std: dict[str, np.ndarray] = {}

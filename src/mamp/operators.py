@@ -58,13 +58,20 @@ class TransformOperator:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def apply_gram(self, v: np.ndarray) -> np.ndarray:
+    # whether apply_gram takes A^H v from the caller (see apply_gram)
+    gram_uses_adjoint = True
+
+    def apply_gram(self, v: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
         """A @ A^H @ v for v of length M.
 
-        One adjoint and one forward application here; the structured operator
-        overrides it with the diagonal S S^T, which needs no transform.
+        One adjoint and one forward application here, or only the forward one
+        when the caller passes adjoint = A^H v, which it may already hold.  The
+        structured operator overrides it with the diagonal S S^T, which needs
+        no transform and ignores adjoint.
         """
-        return self.apply(self.apply_adjoint(v))
+        if adjoint is None:
+            adjoint = self.apply_adjoint(v)
+        return self.apply(adjoint)
 
     def dense(self) -> np.ndarray:
         raise NotImplementedError
@@ -82,6 +89,7 @@ class StructuredOperator(TransformOperator):
     """
 
     variant = "structured"
+    gram_uses_adjoint = False
 
     def __init__(self, M: int, N: int, singular_values: np.ndarray, perm: np.ndarray):
         J = min(M, N)
@@ -115,7 +123,7 @@ class StructuredOperator(TransformOperator):
         u[self._kept] = self.singular_values * y[: self.J]
         return np.fft.ifft(u, norm="ortho")
 
-    def apply_gram(self, v: np.ndarray) -> np.ndarray:
+    def apply_gram(self, v: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
         # A A^H = S P F F^H P^T S^T = S S^T: d^2 on the first J entries
         out = np.zeros(self.M, dtype=complex)
         out[: self.J] = self._d_sq * v[: self.J]

@@ -18,7 +18,16 @@ from mamp import (
     tables_from_singular_values,
     xi_cost_coefficients,
 )
-from mamp.core import estimate_phi_covariance, spectral_radius_after_relaxation
+from mamp.core import (
+    damp_into,
+    divide_in_place,
+    estimate_phi_covariance,
+    mean_squared_error,
+    memory_le_step,
+    spectral_radius_after_relaxation,
+)
+from mamp.denoisers import CHUNK
+from mamp.operators import build_iid_gaussian_operator
 
 from oracles import dense_memory_filter_terms
 
@@ -164,6 +173,25 @@ class TestDamping:
             optimal_damping(np.eye(4, dtype=complex), L=3)
 
 
+class TestChunkedKernels:
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_equal_the_whole_vector_expressions_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        draw = lambda: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sources = [draw() for _ in range(3)]
+        zeta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        expected = np.zeros(n, dtype=complex)
+        for zk, src in zip(zeta, sources):
+            expected += zk * src
+        out = draw()
+        damp_into(out, zeta, sources)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        a, b = sources[:2]
+        assert mean_squared_error(a, b) == float(np.mean(np.abs(a - b) ** 2))
+        quotient = a / 1.7
+        assert np.array_equal(divide_in_place(a, 1.7).view(np.uint64), quotient.view(np.uint64))
+
+
 class TestCovarianceEstimate:
     def test_perfect_estimate_hits_noise_floor(self):
         inst, prior, tab, _ = small_problem(M=512, N=1024, seed=3)
@@ -249,6 +277,37 @@ class TestMemoryLEStep:
             for i in range(1, t + 1):
                 H = varthetas[i - 1] * (w[t - i] * np.eye(N) - W[t - i])
                 assert abs(np.trace(H)) / N < 1e-10
+
+
+    def test_in_place_step_equals_its_expressions_and_reuses_the_adjoint(self):
+        """On a dense operator, the step's A^H r_hat stands in for the next
+        Gram product's adjoint; the in-place arithmetic keeps the bits of the
+        written-out update."""
+        op = build_iid_gaussian_operator(24, 48, rng_seed=3)
+        rng = np.random.default_rng(4)
+        cn = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        r_hat, z_bar, X, p = cn(24), cn(24), np.stack([cn(48), cn(48)]), cn(2).real
+        xi, theta, eps, ld = 0.7, 0.4, 1.3, 2.1
+        new_hat = xi * z_bar + theta * (ld * r_hat - op.apply(op.apply_adjoint(r_hat)))
+        r_ref = (op.apply_adjoint(new_hat) - p.astype(complex) @ X) / eps
+        bits = lambda a: a.view(np.uint64)
+        for adjoint in (None, op.apply_adjoint(r_hat)):
+            acc = r_hat.copy()
+            out_hat, r, u = memory_le_step(acc, z_bar, X, p, xi, theta, eps, op, ld, adjoint)
+            assert out_hat is acc
+            assert np.array_equal(bits(out_hat), bits(new_hat))
+            assert np.array_equal(bits(r), bits(r_ref))
+            assert np.array_equal(bits(u), bits(op.apply_adjoint(new_hat)))
+
+    def test_structured_step_keeps_no_adjoint(self):
+        inst, _, tab, _ = small_problem()
+        op = inst.operator
+        X = np.zeros((1, op.N), dtype=complex)
+        *_, u = memory_le_step(
+            np.zeros(op.M, dtype=complex), inst.y, X, np.array([-tab.w0]), 1.0, 0.5,
+            tab.w0, op, tab.lambda_dagger,
+        )
+        assert u is None
 
 
 class TestGammaCovariance:

@@ -13,6 +13,7 @@ from mamp import (
     extrinsic_nle,
     scalar_mmse,
 )
+from mamp import denoisers
 from mamp.denoisers import sample_prior
 
 from oracles import (
@@ -154,6 +155,37 @@ class TestPosterior:
         else:
             assert np.array_equal(out.extrinsic_mean, ext_mean)
             assert out.extrinsic_var == ext_var
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    @pytest.mark.parametrize("mu", [1.0, 0.1])
+    @pytest.mark.parametrize("field,dtype", [
+        ("complex", complex), ("real", float), ("real", complex),
+    ])
+    def test_chunked_passes_match_reference_bits_at_chunk_edges(
+        self, extra, mu, field, dtype
+    ):
+        """bg_mmse works in chunks of CHUNK entries; sizes C - 1, C, C + 1 and
+        3C + 7 put the last chunk at every edge case."""
+        C = denoisers.CHUNK
+        n = 3 * C + 7 if extra is None else C + extra
+        prior = PriorParams(mu=mu, field=field)
+        rng = np.random.default_rng(n)
+        v = 0.05
+        x = sample_prior(prior, n, rng)
+        if dtype is complex:
+            r = x + np.sqrt(v / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        else:
+            r = x.real + np.sqrt(v) * rng.standard_normal(n)
+        mean, v_hat, ext_mean, ext_var = reference_bg_mmse(r, v, prior)
+        assert ext_mean is not None
+        out = bg_mmse(r, v, prior)
+        ext, v_ext = extrinsic_nle(r, v, prior)
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        assert np.array_equal(bits(out.posterior_mean), bits(mean))
+        assert out.posterior_var == v_hat
+        assert np.array_equal(bits(out.extrinsic_mean), bits(ext_mean))
+        assert np.array_equal(bits(ext), bits(ext_mean))
+        assert out.extrinsic_var == v_ext == ext_var
 
 
 class TestExtrinsic:

@@ -66,6 +66,24 @@ class TestCorrelatedNoiseSampler:
         for k, eta in enumerate(draws):
             assert np.array_equal(H[:, k], eta)
 
+    def test_sized_sampler_draws_in_place_with_schur_complement_variances(self):
+        n, T = 64, 12
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((T, T)) + 1j * rng.standard_normal((T, T))
+        V = B @ B.conj().T / T + 0.1 * np.eye(T)
+        sampler = CorrelatedNoiseSampler(n, np.random.default_rng(7), rows=T)
+        draws = [sampler.sample(V, 1)]
+        start = sampler.history.__array_interface__["data"][0]
+        draws += [sampler.sample(V, t) for t in range(2, T + 1)]
+        # all T rows live in the buffer the first draw was written to
+        assert sampler.history.__array_interface__["data"][0] == start
+        assert all(np.shares_memory(eta, sampler.history) for eta in draws)
+        assert not draws[-1].flags.writeable
+        # the conditional variance of coordinate t given 1..t-1 is the Schur
+        # complement of V[:t-1, :t-1], i.e. |L[t-1, t-1]|^2 of V = L L^H
+        schur = np.abs(np.diag(np.linalg.cholesky(V))) ** 2
+        np.testing.assert_allclose(sampler.variances, schur, rtol=1e-12)
+
     def test_near_singular_raises(self):
         rng = np.random.default_rng(3)
         sampler = CorrelatedNoiseSampler(100, rng)

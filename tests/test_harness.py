@@ -207,6 +207,30 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(**{**IID_WIDE, "n_seeds": 3, "threads": 2}))
         assert released == [True]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"threads": 2}, {"n_seeds": 0}, {"matrix_seed": 11}],
+        ids=["sequential", "threaded", "no_seeds", "pinned_matrix"],
+    )
+    def test_no_operator_alive_when_the_evolution_starts(self, monkeypatch, overrides):
+        built, alive = [], []
+        build, run_se = harness._build_operator, harness.run_bo_mamp_se
+
+        def recording_build(config, seed_index):
+            op = build(config, seed_index)
+            built.append(weakref.ref(op))
+            return op
+
+        def checking_se(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in built))
+            return run_se(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_build_operator", recording_build)
+        monkeypatch.setattr(harness, "run_bo_mamp_se", checking_se)
+        report = run_experiment(ExperimentConfig(**{**SMALL, **overrides}))
+        assert built and alive == [0]
+        assert report.statuses["se_mamp"] == "ok"
+
     def test_one_iid_matrix_alive_at_a_time(self):
         # set-up matrix reused by seed 0 and released before seed 1 is drawn,
         # each drawn without full-size temporaries

@@ -162,6 +162,13 @@ class TestStructuredOperator:
         assert np.all(gram[J:] == 0)
         assert np.linalg.norm(gram - ref) <= 1e-13 * np.linalg.norm(ref)
 
+    def test_gram_ignores_a_given_adjoint(self):
+        d = make_geometric_singular_values(8, 7.0, 16.0)
+        op = build_structured_operator(8, 16, d, rng_seed=4)
+        v = np.arange(8) + 1j
+        assert not op.gram_uses_adjoint
+        assert np.array_equal(op.apply_gram(v, adjoint=np.ones(16)), op.apply_gram(v))
+
     @pytest.mark.parametrize("M,N", [(8, 16), (16, 16), (24, 16), (5, 3)])
     def test_gram_matches_dense_product(self, M, N):
         d = make_geometric_singular_values(min(M, N), 7.0, float(N))
@@ -246,6 +253,15 @@ class TestIIDOperator:
             op.apply_adjoint(u), op.matrix.conj().T @ u, rtol=1e-13, atol=1e-13
         )
 
+    def test_gram_takes_the_adjoint_it_is_given(self):
+        op = build_iid_gaussian_operator(48, 96, rng_seed=5)
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+        u = op.apply_adjoint(v)
+        assert op.gram_uses_adjoint
+        assert np.array_equal(op.apply_gram(v, adjoint=u), op.apply_gram(v))
+        assert np.array_equal(op.apply_gram(v, adjoint=u), op.apply(u))
+
     @pytest.mark.parametrize("M, N", [(48, 96), (96, 48)])
     def test_gram_eigenvalues_match_explicit_product(self, M, N):
         rng = np.random.default_rng(7)
@@ -277,3 +293,13 @@ class TestComplexNormal:
         assert np.array_equal(z, ref)
         # the generator is left where the expression leaves it
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_draws_into_out_or_adds_to_it(self):
+        n, var = 70_000, 0.3
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        base = reference_complex_normal(np.random.default_rng(1), n, 1.0)
+        out = base.copy()
+        assert complex_normal(rng, n, var, out=out, add=True) is out
+        assert np.array_equal(out, base + reference_complex_normal(ref_rng, n, var))
+        assert complex_normal(rng, n, var, out=out) is out
+        assert np.array_equal(out, reference_complex_normal(ref_rng, n, var))
