@@ -22,7 +22,6 @@ from .denoisers import (
     NonImprovingNLEError,
     PriorParams,
     bg_mmse,
-    extrinsic_nle,
     scalar_mmse,
 )
 from .evolution import (

@@ -58,17 +58,19 @@ def lmmse_le(
     return r, v_gamma
 
 
-def run_bo_oamp(
-    instance: SystemInstance, prior: PriorParams, T: int
+def _run_oamp(
+    name: str, instance: SystemInstance, prior: PriorParams, T: int, lambda1: float,
+    le_step,
 ) -> AlgorithmResult:
-    """LMMSE OAMP/VAMP with the shared extrinsic denoiser."""
+    """OAMP loop shared by the baselines: le_step(x, v_phi, z) -> (r, v_gamma).
+
+    The input error level v_phi is the residual-energy estimate with trace
+    normalizer lambda1, floored at 1e-12 of its first value.
+    """
     op = instance.operator
-    if op.singular_values is None:
-        raise ValueError("LMMSE OAMP needs the operator's singular values")
     N = op.N
     delta = op.delta
     sigma2 = instance.noise_var
-    lambda1 = float(np.sum(op.singular_values**2)) / N
     x = np.zeros(N, dtype=complex)
     z = instance.y  # y - A 0
     v_phi = _residual_error_estimate(z, N, sigma2, delta, lambda1)
@@ -76,13 +78,9 @@ def run_bo_oamp(
     status = "ok"
     x_hat, v_hat = None, np.inf
     for t in range(1, T + 1):
-        r, v_gamma = lmmse_le(x, v_phi, instance, z)
+        r, v_gamma = le_step(x, v_phi, z)
         out = bg_mmse(r, v_gamma, prior)
-        mse = (
-            mean_squared_error(out.posterior_mean, instance.x_true)
-            if instance.x_true is not None
-            else np.nan
-        )
+        mse = mean_squared_error(out.posterior_mean, instance.x_true)
         x_hat, v_hat = out.posterior_mean, out.posterior_var
         records.append(
             IterationRecord(
@@ -97,7 +95,21 @@ def run_bo_oamp(
         z = residual(instance.y, op, x)
         v_phi = _residual_error_estimate(z, N, sigma2, delta, lambda1)
         v_phi = max(v_phi, 1e-12 * records[0].v_phi_bar)
-    return AlgorithmResult("bo_oamp", T, records, x_hat, float(v_hat), status)
+    return AlgorithmResult(name, T, records, x_hat, float(v_hat), status)
+
+
+def run_bo_oamp(
+    instance: SystemInstance, prior: PriorParams, T: int
+) -> AlgorithmResult:
+    """LMMSE OAMP/VAMP with the shared extrinsic denoiser."""
+    d = instance.operator.singular_values
+    if d is None:
+        raise ValueError("LMMSE OAMP needs the operator's singular values")
+    lambda1 = float(np.sum(d**2)) / instance.operator.N
+    return _run_oamp(
+        "bo_oamp", instance, prior, T, lambda1,
+        lambda x, v_phi, z: lmmse_le(x, v_phi, instance, z),
+    )
 
 
 def run_mf_oamp(
@@ -108,42 +120,16 @@ def run_mf_oamp(
 ) -> AlgorithmResult:
     """Non-memory matched-filter OAMP: cheap linear step, shared denoiser."""
     op = instance.operator
-    N = op.N
-    delta = op.delta
     sigma2 = instance.noise_var
     lam1 = float(profile.moments[1])
     lam2 = float(profile.moments[2])
-    x = np.zeros(N, dtype=complex)
-    z = instance.y  # y - A 0
-    v_phi = _residual_error_estimate(z, N, sigma2, delta, lam1)
-    records: list[IterationRecord] = []
-    status = "ok"
-    x_hat, v_hat = None, np.inf
-    for t in range(1, T + 1):
+
+    def le_step(x, v_phi, z):
         r = divide_in_place(op.apply_adjoint(z), lam1)
         np.add(x, r, out=r)
-        v_gamma = (sigma2 * lam1 + v_phi * (lam2 - lam1**2)) / lam1**2
-        out = bg_mmse(r, v_gamma, prior)
-        mse = (
-            mean_squared_error(out.posterior_mean, instance.x_true)
-            if instance.x_true is not None
-            else np.nan
-        )
-        x_hat, v_hat = out.posterior_mean, out.posterior_var
-        records.append(
-            IterationRecord(
-                t, v_gamma, v_phi, out.posterior_var, mse, np.nan, np.nan,
-                np.zeros(0), False,
-            )
-        )
-        if out.extrinsic_mean is None:
-            status = "early_stop_nle"
-            break
-        x = out.extrinsic_mean
-        z = residual(instance.y, op, x)
-        v_phi = _residual_error_estimate(z, N, sigma2, delta, lam1)
-        v_phi = max(v_phi, 1e-12 * records[0].v_phi_bar)
-    return AlgorithmResult("mf_oamp", T, records, x_hat, float(v_hat), status)
+        return r, (sigma2 * lam1 + v_phi * (lam2 - lam1**2)) / lam1**2
+
+    return _run_oamp("mf_oamp", instance, prior, T, lam1, le_step)
 
 
 def run_amp(instance: SystemInstance, prior: PriorParams, T: int) -> AlgorithmResult:
@@ -174,11 +160,7 @@ def run_amp(instance: SystemInstance, prior: PriorParams, T: int) -> AlgorithmRe
         r = op.apply_adjoint(z)
         np.add(x, r, out=r)
         out = bg_mmse(r, v, prior)
-        mse = (
-            mean_squared_error(out.posterior_mean, instance.x_true)
-            if instance.x_true is not None
-            else np.nan
-        )
+        mse = mean_squared_error(out.posterior_mean, instance.x_true)
         x = out.posterior_mean
         x_hat, v_hat = x, out.posterior_var
         records.append(

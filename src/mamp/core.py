@@ -36,13 +36,6 @@ def optimize_theta(lambda_dagger: float, rho_t: float) -> float:
     return 1.0 / (lambda_dagger + rho_t)
 
 
-def spectral_radius_after_relaxation(
-    lambda_min: float, lambda_max: float, rho_t: float
-) -> float:
-    """(lambda_max - lambda_min) / (lambda_max + lambda_min + 2 rho): always < 1."""
-    return (lambda_max - lambda_min) / (lambda_max + lambda_min + 2.0 * rho_t)
-
-
 def xi_cost_coefficients(
     scaled_prev: np.ndarray,
     V_phi: np.ndarray,
@@ -94,6 +87,42 @@ def optimize_xi(
     if c0 == 0.0 and c1 == 0.0 and c2 == 0.0 and c3 == 0.0:
         return 1.0, True
     return float(C_max), False
+
+
+def memory_weights(
+    V: np.ndarray,
+    scaled: np.ndarray,
+    t: int,
+    tables: MomentTables,
+    sigma2: float,
+    C_max: float,
+    fixed_xi: float | None = None,
+) -> tuple[float, float, np.ndarray, np.ndarray, float, float]:
+    """Linear side of iteration t, shared by the simulation and the evolution.
+
+    V is the ledger (rows and columns 0..t-1 are read) and scaled the previous
+    iteration's scaled memory weights.  Returns (theta, xi, scaled, p, eps,
+    v_gamma): the relaxation, the new-residual weight (fixed_xi when given,
+    1 at t = 1), the new scaled weights, the orthogonalization coefficients p,
+    their normalizer eps and the matched-filter output variance, which is nan
+    when eps is 0 or not finite.
+    """
+    ld = tables.lambda_dagger
+    theta = optimize_theta(ld, sigma2 / V[t - 1, t - 1].real)
+    scaled_prev = scaled[: t - 1] * (theta * ld)
+    c0, c1, c2, c3 = xi_cost_coefficients(scaled_prev, V[:t, :t], tables, sigma2)
+    if fixed_xi is not None:
+        xi = float(fixed_xi)
+    elif t == 1:
+        xi = 1.0
+    else:
+        xi, _ = optimize_xi(c0, c1, c2, c3, C_max)
+    scaled = np.append(scaled_prev, xi)
+    p = -scaled * tables.w_scaled[t - np.arange(1, t + 1)]
+    eps = -float(p.sum())
+    if eps == 0.0 or not np.isfinite(eps):
+        return theta, xi, scaled, p, eps, np.nan
+    return theta, xi, scaled, p, eps, (c1 * xi**2 - 2.0 * c2 * xi + c3) / eps**2
 
 
 def memory_le_step(
@@ -260,12 +289,14 @@ def residual(y: np.ndarray, operator: TransformOperator, x: np.ndarray) -> np.nd
     return np.subtract(y, z, out=z)
 
 
-def mean_squared_error(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """mean |estimate - truth|^2 with the bits of that expression.
+def mean_squared_error(estimate: np.ndarray, truth: np.ndarray | None) -> float:
+    """mean |estimate - truth|^2 with the bits of that expression; nan without truth.
 
     The squared moduli are formed chunk by chunk and averaged in one call over
     the whole vector, which keeps the summation order.
     """
+    if truth is None:
+        return np.nan
     sq = np.empty(estimate.shape)
     diff = np.empty(min(estimate.size, CHUNK), dtype=complex)
     for sl in chunks(estimate.size):
@@ -279,6 +310,67 @@ def damping_window(effective: list[int], t_new: int, L: int) -> list[int]:
     """Last min(L, ...) retained estimate indices plus the new candidate t_new."""
     n_prev = min(L - 1, len(effective)) if L > 1 else 0
     return (effective[-n_prev:] if n_prev else []) + [t_new]
+
+
+class Ledger:
+    """Error covariances of the damped estimates, and the damping that updates them.
+
+    V[s, s'] is the covariance of damped errors s and s' (0-based; V[0, 0] =
+    v_init is the zero estimate's).  `effective` lists the 1-based indices of
+    the estimates damping retained, from which each step's window is drawn.
+    The simulation and the state evolution share this kernel and differ only
+    in the vectors they damp alongside it.
+    """
+
+    def __init__(self, T: int, L: int, v_init: float):
+        self.V = np.zeros((T + 1, T + 1), dtype=complex)
+        self.V[0, 0] = v_init
+        self.L = L
+        self.effective = [1]
+
+    def damp(
+        self, t: int, row: np.ndarray, diag: float, histories: list
+    ) -> DampingSolution:
+        """Damp the new candidate t + 1 against the window; write row t of V.
+
+        row[s - 1] is the covariance of the candidate's error with damped error
+        s (s = 1..t) and diag its variance.  histories holds (H, new) pairs:
+        H[t] becomes the damped combination of the window's rows of H, with
+        new standing for the candidate.  On the singular fallback the previous
+        damped estimate is kept: H[t] = H[t - 1] and V's row t repeats row t - 1.
+        """
+        V = self.V
+        cand = damping_window(self.effective, t + 1, self.L)
+        l = len(cand)
+        Vc = np.empty((l, l), dtype=complex)
+        for a_idx, a in enumerate(cand):
+            for b_idx, b in enumerate(cand):
+                if a <= t and b <= t:
+                    Vc[a_idx, b_idx] = V[a - 1, b - 1]
+                elif a == b:
+                    Vc[a_idx, b_idx] = diag
+                elif a > t:
+                    Vc[a_idx, b_idx] = row[b - 1]
+                else:
+                    Vc[a_idx, b_idx] = np.conj(row[a - 1])
+        sol = optimal_damping(Vc, self.L)
+        if sol.singular:
+            for H, _ in histories:
+                H[t] = H[t - 1]
+            V[t, : t + 1] = V[t - 1, : t + 1]
+            V[t, t] = V[t - 1, t - 1]
+            V[: t + 1, t] = np.conj(V[t, : t + 1])
+            return sol
+        new_row = np.zeros(t, dtype=complex)
+        for zk, idx in zip(sol.zeta, cand):
+            new_row += np.conj(zk) * (V[idx - 1, :t] if idx <= t else row)
+        for H, new in histories:
+            damp_into(H[t], sol.zeta, [H[i - 1] if i <= t else new for i in cand])
+        V[t, :t] = new_row
+        V[t, t] = sol.variance
+        V[:t, t] = np.conj(new_row)
+        self.effective.append(t + 1)
+        return sol
 
 
 @dataclass
@@ -357,21 +449,19 @@ def run_bo_mamp(
         raise ValueError(f"moment tables sized for T={tab.T}, need {T}")
     ld = tab.lambda_dagger
     w0 = tab.w0
-    ws = tab.w_scaled
 
-    V = np.zeros((T + 1, T + 1), dtype=complex)
     X = np.zeros((T + 1, N), dtype=complex)  # damped estimates, x_1 = 0
     Z = np.zeros((T + 1, M), dtype=complex)  # damped residuals, z_1 = y
     Z[0] = y
     v_init = (float(np.vdot(y, y).real) / N - delta * sigma2) / w0
     v_floor = config.eps_floor * max(v_init, np.finfo(float).tiny)
-    V[0, 0] = max(v_init, v_floor)
+    ledger = Ledger(T, L, max(v_init, v_floor))
+    V = ledger.V
 
     r_hat = np.zeros(M, dtype=complex)
     # A^H r_hat for the next Gram product, where the operator takes it
     adjoint = np.zeros(N, dtype=complex) if op.gram_uses_adjoint else None
     scaled = np.array([1.0])  # memory weights of the current iteration
-    effective = [1]
     records: list[IterationRecord] = []
     status = "ok"
     x_hat, v_hat = None, np.inf
@@ -380,19 +470,9 @@ def run_bo_mamp(
     r_history = [] if config.collect_debug else None
 
     for t in range(1, T + 1):
-        v_diag = V[t - 1, t - 1].real
-        rho = sigma2 / v_diag
-        theta = optimize_theta(ld, rho)
-        scaled_prev = scaled[: t - 1] * (theta * ld)
-        c0, c1, c2, c3 = xi_cost_coefficients(scaled_prev, V[:t, :t], tab, sigma2)
-        if t == 1:
-            xi = 1.0
-        else:
-            xi, _ = optimize_xi(c0, c1, c2, c3, config.C_max)
-        scaled = np.append(scaled_prev, xi)
-        p = -scaled * ws[t - np.arange(1, t + 1)]
-        eps = -float(p.sum())
-        v_gamma = (c1 * xi**2 - 2.0 * c2 * xi + c3) / eps**2 if eps != 0 else np.nan
+        theta, xi, scaled, p, eps, v_gamma = memory_weights(
+            V, scaled, t, tab, sigma2, config.C_max
+        )
         if not np.isfinite(v_gamma) or v_gamma <= 0:
             status = "degenerate"
             break
@@ -407,19 +487,15 @@ def run_bo_mamp(
             r_history.append(r)
 
         out = bg_mmse(r, v_gamma, prior)
-        mse = (
-            mean_squared_error(out.posterior_mean, instance.x_true)
-            if instance.x_true is not None
-            else np.nan
-        )
+        mse = mean_squared_error(out.posterior_mean, instance.x_true)
         if out.posterior_var < best[0]:
             best = (out.posterior_var, out.posterior_mean, out.posterior_var)
         x_hat, v_hat = out.posterior_mean, out.posterior_var
         if out.extrinsic_mean is None:
             records.append(
                 IterationRecord(
-                    t, v_gamma, v_diag, out.posterior_var, mse, theta, xi,
-                    np.zeros(0), False,
+                    t, v_gamma, V[t - 1, t - 1].real, out.posterior_var, mse, theta,
+                    xi, np.zeros(0), False,
                 )
             )
             status = "early_stop_nle"
@@ -431,43 +507,11 @@ def run_bo_mamp(
             # residual energy at the noise floor: clamp and flag convergence
             diag = v_floor
             floor_hit = True
-
-        cand = damping_window(effective, t + 1, L)
-        l = len(cand)
-        Vc = np.empty((l, l), dtype=complex)
-        for a_idx, a in enumerate(cand):
-            for b_idx, b in enumerate(cand):
-                if a <= t and b <= t:
-                    Vc[a_idx, b_idx] = V[a - 1, b - 1]
-                elif a == b:
-                    Vc[a_idx, b_idx] = diag
-                elif a > t:
-                    Vc[a_idx, b_idx] = row[b - 1]
-                else:
-                    Vc[a_idx, b_idx] = np.conj(row[a - 1])
-        sol = optimal_damping(Vc, L)
-        if sol.singular:
-            X[t] = X[t - 1]
-            Z[t] = Z[t - 1]
-            V[t, : t + 1] = V[t - 1, : t + 1]
-            V[t, t] = V[t - 1, t - 1]
-            V[: t + 1, t] = np.conj(V[t, : t + 1])
-            trivial = True
-        else:
-            new_row = np.zeros(t, dtype=complex)
-            for zk, idx in zip(sol.zeta, cand):
-                new_row += np.conj(zk) * (V[idx - 1, :t] if idx <= t else row)
-            damp_into(X[t], sol.zeta, [X[i - 1] if i <= t else x_new for i in cand])
-            damp_into(Z[t], sol.zeta, [Z[i - 1] if i <= t else z_new for i in cand])
-            V[t, :t] = new_row
-            V[t, t] = sol.variance
-            V[:t, t] = np.conj(new_row)
-            effective.append(t + 1)
-            trivial = False
+        sol = ledger.damp(t, row, diag, [(X, x_new), (Z, z_new)])
         records.append(
             IterationRecord(
                 t, v_gamma, V[t, t].real, out.posterior_var, mse, theta, xi,
-                sol.zeta.copy(), trivial,
+                sol.zeta.copy(), sol.singular,
             )
         )
         # the new candidate now lives in X and Z (or was dropped): free it
@@ -478,7 +522,7 @@ def run_bo_mamp(
         x_hat, v_hat = best[1], best[2]
     debug: dict = {
         "ledger": V,
-        "effective": effective,
+        "effective": ledger.effective,
         "v_init": V[0, 0].real,
         "noise_floor_reached": floor_hit,
     }

@@ -197,22 +197,6 @@ def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch):
     return mean, v_ext
 
 
-def extrinsic_nle(
-    r: np.ndarray, v_gamma: float, prior: PriorParams
-) -> tuple[np.ndarray, float]:
-    """Orthogonal (extrinsic) denoising step shared by all the algorithms.
-
-    Raises NonImprovingNLEError when the posterior variance is not strictly
-    below v_gamma; callers terminate or hold their previous estimate.
-    """
-    out = bg_mmse(r, v_gamma, prior)
-    if out.extrinsic_mean is None:
-        raise NonImprovingNLEError(
-            f"posterior variance {out.posterior_var:.3e} >= input level {v_gamma:.3e}"
-        )
-    return out.extrinsic_mean, out.extrinsic_var
-
-
 # Fixed rule of scalar_mmse: 24-node Gauss-Legendre panels, one below the
 # logistic transition and _MMSE_PANELS on each side of its centre.  Nothing is
 # left past _MMSE_WIDTHS scale lengths (e^-45 ~ 3e-20) of either side, nor

@@ -1,12 +1,15 @@
 """Covariance state evolution of the long-memory solver and shared fixed points.
 
-The evolution mirrors the simulated recursion exactly on the linear side
-(scaled memory weights, analytic output covariances).  The denoiser side is
-evaluated either by Monte Carlo over a correlated Gaussian noise history (the
-faithful covariance recursion) or deterministically from the scalar MMSE
+The evolution runs the simulation's own kernel: `core.memory_weights` for the
+linear side (relaxation, scaled memory weights, output variance) and
+`core.Ledger.damp` for the optimal damping and the error-covariance ledger,
+so the two cannot drift apart.  Only the denoiser side is its own: either
+Monte Carlo over a correlated Gaussian noise history (the faithful covariance
+recursion, whose damped errors the ledger damps alongside) or the scalar MMSE
 curve, exploiting the banded structure that optimal damping enforces on the
 estimate-error covariance matrix.  Both converge to the analytic LMMSE fixed
-point, which is also computed directly from a geometric operator series.
+point, which is also computed directly from a geometric operator series.  The
+scalar OAMP evolutions share one loop and differ only in their v_gamma map.
 """
 
 from __future__ import annotations
@@ -16,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .core import (
-    damp_into,
-    damping_window,
-    gamma_covariance_row,
-    optimal_damping,
-    optimize_theta,
-    optimize_xi,
-    xi_cost_coefficients,
-)
+from .core import Ledger, gamma_covariance_row, memory_weights, optimize_theta
 from .denoisers import (
     NonImprovingNLEError,
     PriorParams,
@@ -157,14 +152,9 @@ def run_bo_mamp_se(
         raise ValueError(f"unknown nle_mode {nle_mode!r}")
     if tables.T < T:
         raise ValueError(f"moment tables sized for T={tables.T}, need {T}")
-    ld = tables.lambda_dagger
-    ws = tables.w_scaled
-    w0 = tables.w0
-
-    V_phi = np.zeros((T + 1, T + 1), dtype=complex)
+    ledger = Ledger(T, L, 1.0)
+    V_phi = ledger.V
     V_gamma = np.zeros((T, T), dtype=complex)
-    V_phi[0, 0] = 1.0
-    v_floor = eps_floor
 
     rng = default_rng(rng_seed)
     mc = nle_mode == "mc"
@@ -180,7 +170,6 @@ def run_bo_mamp_se(
     scaled = np.array([1.0])
     weights_history: list[np.ndarray] = []
     eps_history: list[float] = []
-    effective = [1]
     v_gamma_diag = np.full(T, np.nan)
     v_phi_diag = np.full(T, np.nan)
     v_hat_arr = np.full(T, np.nan)
@@ -190,26 +179,14 @@ def run_bo_mamp_se(
     status = "ok"
 
     for t in range(1, T + 1):
-        v_diag = V_phi[t - 1, t - 1].real
-        rho = sigma2 / v_diag
-        theta = optimize_theta(ld, rho)
-        scaled_prev = scaled[: t - 1] * (theta * ld)
-        c0, c1, c2, c3 = xi_cost_coefficients(scaled_prev, V_phi[:t, :t], tables, sigma2)
-        if fixed_xi is not None:
-            xi = float(fixed_xi)
-        elif t == 1:
-            xi = 1.0
-        else:
-            xi, _ = optimize_xi(c0, c1, c2, c3, C_max)
-        scaled = np.append(scaled_prev, xi)
-        p = -scaled * ws[t - np.arange(1, t + 1)]
-        eps = -float(p.sum())
+        theta, xi, scaled, _, eps, vg_diag = memory_weights(
+            V_phi, scaled, t, tables, sigma2, C_max, fixed_xi
+        )
         if eps == 0.0 or not np.isfinite(eps):
             status = "degenerate"
             break
         weights_history.append(scaled.copy())
         eps_history.append(eps)
-        vg_diag = (c1 * xi**2 - 2.0 * c2 * xi + c3) / eps**2
         if mc:
             # the correlated-noise sampler needs the full covariance row;
             # the deterministic path only consumes the diagonal
@@ -255,41 +232,8 @@ def run_bo_mamp_se(
             m = 1.0 / (1.0 / m_hat - 1.0 / vg_diag)
             row = np.full(t, m, dtype=complex)
             diag = m
-        diag = max(diag, v_floor)
-
-        cand = damping_window(effective, t + 1, L)
-        l = len(cand)
-        Vc = np.empty((l, l), dtype=complex)
-        for a_idx, a in enumerate(cand):
-            for b_idx, b in enumerate(cand):
-                if a <= t and b <= t:
-                    Vc[a_idx, b_idx] = V_phi[a - 1, b - 1]
-                elif a == b:
-                    Vc[a_idx, b_idx] = diag
-                elif a > t:
-                    Vc[a_idx, b_idx] = row[b - 1]
-                else:
-                    Vc[a_idx, b_idx] = np.conj(row[a - 1])
-        sol = optimal_damping(Vc, L)
-        if sol.singular:
-            V_phi[t, : t + 1] = V_phi[t - 1, : t + 1]
-            V_phi[t, t] = V_phi[t - 1, t - 1]
-            V_phi[: t + 1, t] = np.conj(V_phi[t, : t + 1])
-            if mc:
-                err_hist[t] = err_hist[t - 1]
-        else:
-            new_row = np.zeros(t, dtype=complex)
-            for zk, idx in zip(sol.zeta, cand):
-                new_row += np.conj(zk) * (V_phi[idx - 1, :t] if idx <= t else row)
-            if mc:
-                damp_into(
-                    err_hist[t], sol.zeta,
-                    [err_hist[i - 1] if i <= t else e_new for i in cand],
-                )
-            V_phi[t, :t] = new_row
-            V_phi[t, t] = sol.variance
-            V_phi[:t, t] = np.conj(new_row)
-            effective.append(t + 1)
+        diag = max(diag, eps_floor)
+        sol = ledger.damp(t, row, diag, [(err_hist, e_new)] if mc else [])
         v_phi_diag[t - 1] = V_phi[t, t].real
         zeta_list.append(sol.zeta.copy())
 
@@ -315,17 +259,15 @@ def lmmse_gamma_se(v_phi: float, d: np.ndarray, N: int, sigma2: float) -> float:
     return v_phi * (1.0 / eps - 1.0)
 
 
-def run_bo_oamp_se(
-    d: np.ndarray, N: int, prior: PriorParams, sigma2: float, T: int
-) -> SETrajectory:
-    """Scalar evolution of LMMSE OAMP/VAMP from unit signal variance."""
+def _scalar_se(gamma_of, prior: PriorParams, T: int) -> SETrajectory:
+    """Scalar evolution v_phi -> gamma_of(v_phi) -> phi_se from unit signal variance."""
     v_phi = 1.0
     v_gamma_diag = np.full(T, np.nan)
     v_phi_diag = np.full(T, np.nan)
     v_hat = np.full(T, np.nan)
     status = "ok"
     for t in range(1, T + 1):
-        v_gamma = lmmse_gamma_se(v_phi, d, N, sigma2)
+        v_gamma = gamma_of(v_phi)
         v_gamma_diag[t - 1] = v_gamma
         try:
             m_hat, v_phi = _phi_se(v_gamma, prior)
@@ -340,28 +282,19 @@ def run_bo_oamp_se(
     )
 
 
+def run_bo_oamp_se(
+    d: np.ndarray, N: int, prior: PriorParams, sigma2: float, T: int
+) -> SETrajectory:
+    """Scalar evolution of LMMSE OAMP/VAMP from unit signal variance."""
+    return _scalar_se(lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, T)
+
+
 def run_mf_oamp_se(
     lambda1: float, lambda2: float, prior: PriorParams, sigma2: float, T: int
 ) -> SETrajectory:
     """Scalar evolution of matched-filter OAMP via first/second spectral moments."""
-    v_phi = 1.0
-    v_gamma_diag = np.full(T, np.nan)
-    v_phi_diag = np.full(T, np.nan)
-    v_hat = np.full(T, np.nan)
-    status = "ok"
-    for t in range(1, T + 1):
-        v_gamma = (sigma2 * lambda1 + v_phi * (lambda2 - lambda1**2)) / lambda1**2
-        v_gamma_diag[t - 1] = v_gamma
-        try:
-            m_hat, v_phi = _phi_se(v_gamma, prior)
-        except NonImprovingNLEError:
-            status = "early_stop_nle"
-            break
-        v_hat[t - 1] = m_hat
-        v_phi_diag[t - 1] = v_phi
-    return SETrajectory(
-        T, v_gamma_diag, v_phi_diag, v_hat, np.full(T, np.nan), np.full(T, np.nan),
-        [], np.zeros((0, 0)), np.zeros((0, 0)), status, "scalar",
+    return _scalar_se(
+        lambda v: (sigma2 * lambda1 + v * (lambda2 - lambda1**2)) / lambda1**2, prior, T
     )
 
 

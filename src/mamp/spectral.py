@@ -228,20 +228,6 @@ class MomentTables:
     def wbar_at(self, i: int, j: int) -> float:
         return float(self.wbar_scaled[i, j] * self.lambda_dagger ** (i + j))
 
-    def extended(self, T_new: int) -> "MomentTables":
-        """Same spectrum, longer tables; only available for eigenvalue-built tables."""
-        if T_new <= self.T:
-            return self
-        if self.eig_source is None:
-            raise ValueError(
-                "tables built from moment estimates cannot be extended; "
-                "re-estimate with a larger iteration budget"
-            )
-        d_sq, N, zero_mass = self.eig_source
-        return _tables_from_spectrum(
-            d_sq, N, zero_mass, T_new, self.lambda_dagger, self.lambda_min, self.lambda_max
-        )
-
     def w_scaled_extended(self, n: int) -> np.ndarray:
         """Scaled filter weights w'_0..w'_n, extending past the stored horizon.
 

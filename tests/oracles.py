@@ -7,7 +7,8 @@ carried out with Bessel kernels and the radial integral with adaptive
 quadrature.  A plain two-dimensional adaptive integral validates the Bessel
 route on a handful of points.  The scalar MMSE has a 40-digit mpmath oracle
 built from Bayes' rule, and a Monte-Carlo one that runs the package's
-denoiser.
+denoiser.  `extrinsic_nle` states the extrinsic step's contract (raise when
+the posterior does not improve) on top of the package's denoiser.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from numpy.random import Generator, default_rng
 from scipy import integrate
 from scipy.special import ive
 
-from mamp.denoisers import PriorParams, bg_mmse, complex_normal, sample_prior
+from mamp.denoisers import (
+    NonImprovingNLEError,
+    PriorParams,
+    bg_mmse,
+    complex_normal,
+    sample_prior,
+)
 
 
 def bg_posterior_oracle(r_abs: float, v: float, mu: float) -> tuple[float, float]:
@@ -159,6 +166,22 @@ def mmse_of_noise_level(
     eta = complex_normal(rng, n_mc, 1.0)
     mean = bg_mmse(x + np.sqrt(v_gamma) * eta, v_gamma, prior).posterior_mean
     return float(np.mean(np.abs(mean - x) ** 2))
+
+
+def extrinsic_nle(
+    r: np.ndarray, v_gamma: float, prior: PriorParams
+) -> tuple[np.ndarray, float]:
+    """The extrinsic part of bg_mmse, raising when the posterior does not improve.
+
+    Raises NonImprovingNLEError when the posterior variance is not strictly
+    below v_gamma, where bg_mmse returns no extrinsic estimate.
+    """
+    out = bg_mmse(r, v_gamma, prior)
+    if out.extrinsic_mean is None:
+        raise NonImprovingNLEError(
+            f"posterior variance {out.posterior_var:.3e} >= input level {v_gamma:.3e}"
+        )
+    return out.extrinsic_mean, out.extrinsic_var
 
 
 def dense_memory_filter_terms(A: np.ndarray, lambda_dagger: float, t_max: int):

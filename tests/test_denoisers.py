@@ -10,7 +10,6 @@ from mamp import (
     NonImprovingNLEError,
     PriorParams,
     bg_mmse,
-    extrinsic_nle,
     scalar_mmse,
 )
 from mamp import denoisers
@@ -20,6 +19,7 @@ from oracles import (
     bg_posterior_oracle,
     bg_scalar_mmse_mp,
     bg_scalar_mmse_oracle,
+    extrinsic_nle,
     mmse_of_noise_level,
 )
 

@@ -1,6 +1,8 @@
 """Experiment configs, report emission, determinism and the CLI entry points."""
 
+import csv
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -365,3 +367,39 @@ class TestCli:
         cfg = write_config(tmp_path / "exp.ini", label="est", n_seeds=1, N=256)
         rc = main(["run", cfg, "--out-dir", str(tmp_path), "--moment-mode", "estimated"])
         assert rc == 0
+
+
+# (rtol, atol) per CSV column, the reference-seed tolerances of the benchmark
+# (perfbench/run.py); every other column must match its recorded text exactly
+GOLDEN_TOL = {
+    "mse_db_mean": (1e-9, 1e-12),
+    "mse_db_std": (1e-8, 1e-12),
+    "se_mse_db": (1e-9, 1e-12),
+    "theta": (1e-9, 1e-12),
+    "xi": (1e-9, 1e-12),
+}
+
+
+class TestShippedConfigPins:
+    """Seed-0 CSVs of the shipped configs that no benchmark workload runs."""
+
+    @pytest.mark.parametrize("label", ["wellconditioned", "underloaded"])
+    def test_seed_zero_csv_matches_recorded(self, label, tmp_path):
+        cfg = str(REPO / "configs" / f"{label}.ini")
+        assert main(["run", cfg, "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / f"{label}.csv", newline="") as fh:
+            got = list(csv.DictReader(fh))
+        with open(REPO / "tests" / "golden" / f"{label}.csv", newline="") as fh:
+            want = list(csv.DictReader(fh))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for col, ref in w.items():
+                where = (w["algo"], w["iter"], col, g[col], ref)
+                if col not in GOLDEN_TOL:
+                    assert g[col] == ref, where
+                    continue
+                a, b = float(g[col]), float(ref)
+                rtol, atol = GOLDEN_TOL[col]
+                both_nan = math.isnan(a) and math.isnan(b)
+                assert both_nan or abs(a - b) <= atol + rtol * abs(b), where
