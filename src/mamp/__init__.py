@@ -27,7 +27,6 @@ from .denoisers import (
 from .evolution import (
     CorrelatedNoiseSampler,
     NearSingularCovarianceError,
-    SETrajectory,
     bo_oamp_fixed_point_exact,
     oamp_fixed_point,
     run_bo_mamp_se,

@@ -82,12 +82,7 @@ def _run_oamp(
         out = bg_mmse(r, v_gamma, prior)
         mse = mean_squared_error(out.posterior_mean, instance.x_true)
         x_hat, v_hat = out.posterior_mean, out.posterior_var
-        records.append(
-            IterationRecord(
-                t, v_gamma, v_phi, out.posterior_var, mse, np.nan, np.nan,
-                np.zeros(0), False,
-            )
-        )
+        records.append(IterationRecord(t, v_gamma, v_phi, out.posterior_var, mse))
         if out.extrinsic_mean is None:
             status = "early_stop_nle"
             break
@@ -163,11 +158,7 @@ def run_amp(instance: SystemInstance, prior: PriorParams, T: int) -> AlgorithmRe
         mse = mean_squared_error(out.posterior_mean, instance.x_true)
         x = out.posterior_mean
         x_hat, v_hat = x, out.posterior_var
-        records.append(
-            IterationRecord(
-                t, v, v, out.posterior_var, mse, np.nan, np.nan, np.zeros(0), False
-            )
-        )
+        records.append(IterationRecord(t, v, v, out.posterior_var, mse))
         # Onsager term: average denoiser divergence equals v_hat / v exactly
         onsager = np.multiply((out.posterior_var / v) / delta, z, out=z)
     return AlgorithmResult("amp", T, records, x_hat, float(v_hat), status)

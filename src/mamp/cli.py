@@ -17,6 +17,9 @@ from .harness import (
     run_experiment,
 )
 
+FP_RTOL = 1e-4  # evolution tail vs fixed point, relative
+FP_CROSS_RTOL = 1e-8  # series vs eigenvalue-exact fixed point, relative
+
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config)
@@ -124,14 +127,14 @@ def _cmd_compare(args) -> int:
     fp_mmse = fp["mmse"]
     rel_fp = abs(se_final - fp_mmse) / fp_mmse
     print(f"evolution tail vs fixed point: relative gap {rel_fp:.3e} "
-          f"(tolerance {config.compare_fp_rtol})")
-    if not rel_fp <= config.compare_fp_rtol:
+          f"(tolerance {FP_RTOL})")
+    if not rel_fp <= FP_RTOL:
         failures.append(f"evolution/fixed-point gap {rel_fp:.3e}")
     if "v_phi_eig" in fp:
         rel_x = abs(fp["v_phi"] - fp["v_phi_eig"]) / fp["v_phi_eig"]
         print(f"fixed point vs eigenvalue-exact: relative gap {rel_x:.3e} "
-              f"(tolerance {config.compare_fp_cross_rtol})")
-        if not rel_x <= config.compare_fp_cross_rtol:
+              f"(tolerance {FP_CROSS_RTOL})")
+        if not rel_x <= FP_CROSS_RTOL:
             failures.append(f"fixed-point cross-check gap {rel_x:.3e}")
 
     if failures:

@@ -22,6 +22,9 @@ from .denoisers import CHUNK, PriorParams, bg_mmse, chunks
 from .operators import SystemInstance, TransformOperator
 from .spectral import MomentTables
 
+C_MAX = 1e6  # bound on the new-residual weight xi
+EPS_FLOOR = 1e-12  # noise floor of the new estimate's error variance, relative
+
 
 class DegenerateNormalizationError(RuntimeError):
     """The orthogonalization normalizer vanished; the iteration cannot proceed."""
@@ -95,7 +98,6 @@ def memory_weights(
     t: int,
     tables: MomentTables,
     sigma2: float,
-    C_max: float,
     fixed_xi: float | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray, float, float]:
     """Linear side of iteration t, shared by the simulation and the evolution.
@@ -116,7 +118,7 @@ def memory_weights(
     elif t == 1:
         xi = 1.0
     else:
-        xi, _ = optimize_xi(c0, c1, c2, c3, C_max)
+        xi, _ = optimize_xi(c0, c1, c2, c3, C_MAX)
     scaled = np.append(scaled_prev, xi)
     p = -scaled * tables.w_scaled[t - np.arange(1, t + 1)]
     eps = -float(p.sum())
@@ -340,20 +342,13 @@ class Ledger:
         damped estimate is kept: H[t] = H[t - 1] and V's row t repeats row t - 1.
         """
         V = self.V
-        cand = damping_window(self.effective, t + 1, self.L)
-        l = len(cand)
-        Vc = np.empty((l, l), dtype=complex)
-        for a_idx, a in enumerate(cand):
-            for b_idx, b in enumerate(cand):
-                if a <= t and b <= t:
-                    Vc[a_idx, b_idx] = V[a - 1, b - 1]
-                elif a == b:
-                    Vc[a_idx, b_idx] = diag
-                elif a > t:
-                    Vc[a_idx, b_idx] = row[b - 1]
-                else:
-                    Vc[a_idx, b_idx] = np.conj(row[a - 1])
-        sol = optimal_damping(Vc, self.L)
+        # the candidate's covariances go in row and column t, so the window's
+        # block is one fancy index; both outcomes below overwrite them
+        V[t, :t] = row
+        V[:t, t] = np.conj(row)
+        V[t, t] = diag
+        idx = [i - 1 for i in damping_window(self.effective, t + 1, self.L)]
+        sol = optimal_damping(V[np.ix_(idx, idx)], self.L)
         if sol.singular:
             for H, _ in histories:
                 H[t] = H[t - 1]
@@ -362,10 +357,10 @@ class Ledger:
             V[: t + 1, t] = np.conj(V[t, : t + 1])
             return sol
         new_row = np.zeros(t, dtype=complex)
-        for zk, idx in zip(sol.zeta, cand):
-            new_row += np.conj(zk) * (V[idx - 1, :t] if idx <= t else row)
+        for zk, i in zip(sol.zeta, idx):
+            new_row += np.conj(zk) * V[i, :t]
         for H, new in histories:
-            damp_into(H[t], sol.zeta, [H[i - 1] if i <= t else new for i in cand])
+            damp_into(H[t], sol.zeta, [H[i] if i < t else new for i in idx])
         V[t, :t] = new_row
         V[t, t] = sol.variance
         V[:t, t] = np.conj(new_row)
@@ -377,13 +372,13 @@ class Ledger:
 class IterationRecord:
     t: int
     v_gamma: float
-    v_phi_bar: float
-    v_hat: float
-    mse: float
-    theta: float
-    xi: float
-    zeta: np.ndarray
-    trivial: bool
+    v_phi_bar: float = np.nan
+    v_hat: float = np.nan
+    mse: float = np.nan
+    theta: float = np.nan
+    xi: float = np.nan
+    zeta: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    trivial: bool = False
 
 
 @dataclass
@@ -424,8 +419,6 @@ class MampConfig:
     tables: MomentTables
     T: int
     L: int = 3
-    C_max: float = 1e6
-    eps_floor: float = 1e-12
     collect_debug: bool = False
 
 
@@ -454,7 +447,7 @@ def run_bo_mamp(
     Z = np.zeros((T + 1, M), dtype=complex)  # damped residuals, z_1 = y
     Z[0] = y
     v_init = (float(np.vdot(y, y).real) / N - delta * sigma2) / w0
-    v_floor = config.eps_floor * max(v_init, np.finfo(float).tiny)
+    v_floor = EPS_FLOOR * max(v_init, np.finfo(float).tiny)
     ledger = Ledger(T, L, max(v_init, v_floor))
     V = ledger.V
 
@@ -470,9 +463,7 @@ def run_bo_mamp(
     r_history = [] if config.collect_debug else None
 
     for t in range(1, T + 1):
-        theta, xi, scaled, p, eps, v_gamma = memory_weights(
-            V, scaled, t, tab, sigma2, config.C_max
-        )
+        theta, xi, scaled, p, eps, v_gamma = memory_weights(V, scaled, t, tab, sigma2)
         if not np.isfinite(v_gamma) or v_gamma <= 0:
             status = "degenerate"
             break
@@ -494,8 +485,7 @@ def run_bo_mamp(
         if out.extrinsic_mean is None:
             records.append(
                 IterationRecord(
-                    t, v_gamma, V[t - 1, t - 1].real, out.posterior_var, mse, theta,
-                    xi, np.zeros(0), False,
+                    t, v_gamma, V[t - 1, t - 1].real, out.posterior_var, mse, theta, xi
                 )
             )
             status = "early_stop_nle"

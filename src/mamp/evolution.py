@@ -10,16 +10,25 @@ curve, exploiting the banded structure that optimal damping enforces on the
 estimate-error covariance matrix.  Both converge to the analytic LMMSE fixed
 point, which is also computed directly from a geometric operator series.  The
 scalar OAMP evolutions share one loop and differ only in their v_gamma map.
+Every evolution returns the simulations' result type, `core.AlgorithmResult`,
+with one `IterationRecord` per iteration reached and its predicted posterior
+MSE as the record's mse, so simulations and evolutions are read alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import default_rng
 
-from .core import Ledger, gamma_covariance_row, memory_weights, optimize_theta
+from .core import (
+    EPS_FLOOR,
+    AlgorithmResult,
+    IterationRecord,
+    Ledger,
+    gamma_covariance_row,
+    memory_weights,
+    optimize_theta,
+)
 from .denoisers import (
     NonImprovingNLEError,
     PriorParams,
@@ -48,18 +57,16 @@ class CorrelatedNoiseSampler:
     Layout: coordinate t is stored as row t - 1 of a row-major (rows, n_mc)
     complex buffer, so a draw writes one contiguous row in place (conditional
     mean, then the innovation added chunk by chunk) and the conditional mean
-    reads the earlier rows in place.  Size the buffer with `rows` to the number
-    of draws; past it the buffer doubles its row capacity.  `history` is the
-    read-only (n_mc, t) transposed view of the rows drawn so far.
+    reads the earlier rows in place.  `rows` is the number of draws the buffer
+    holds.  `history` is the read-only (n_mc, t) transposed view of the rows
+    drawn so far.
     """
 
-    _INITIAL_ROWS = 8
-
-    def __init__(self, n_mc: int, rng, tol: float = 1e-10, rows: int | None = None):
+    def __init__(self, n_mc: int, rng, rows: int, tol: float = 1e-10):
         self.n = n_mc
         self.rng = rng
         self.tol = tol
-        self._rows = np.empty((rows or self._INITIAL_ROWS, n_mc), dtype=complex)
+        self._rows = np.empty((rows, n_mc), dtype=complex)
         self._t = 0
         self.variances: list[float] = []
 
@@ -93,10 +100,6 @@ class CorrelatedNoiseSampler:
                     f"conditional variance {v_g:.3e} at iteration {t}"
                 )
             v_g = max(v_g, 0.0)
-        if self._t == len(self._rows):
-            grown = np.empty((2 * len(self._rows), self.n), dtype=complex)
-            grown[: self._t] = self._rows
-            self._rows = grown
         eta = self._rows[self._t]
         if alpha is None:
             complex_normal(self.rng, self.n, v_g, out=eta)
@@ -112,19 +115,13 @@ class CorrelatedNoiseSampler:
         return eta
 
 
-@dataclass
-class SETrajectory:
-    T: int
-    v_gamma_diag: np.ndarray
-    v_phi_diag: np.ndarray  # post-damping ledger diagonal per iteration
-    v_hat: np.ndarray  # predicted posterior variance (the MSE prediction)
-    theta: np.ndarray
-    xi: np.ndarray
-    zeta: list
-    V_phi: np.ndarray
-    V_gamma: np.ndarray
-    status: str
-    mode: str
+def _evolution_result(
+    name: str, T: int, records: list[IterationRecord], status: str, debug=None
+) -> AlgorithmResult:
+    """An evolution's records as a result; v_hat is its last predicted MSE."""
+    mse = [r.mse for r in records if np.isfinite(r.mse)]
+    v_hat = float(mse[-1]) if mse else np.nan
+    return AlgorithmResult(name, T, records, None, v_hat, status, debug or {})
 
 
 def run_bo_mamp_se(
@@ -137,16 +134,15 @@ def run_bo_mamp_se(
     n_mc: int = 100_000,
     rng_seed: int = 0,
     fixed_xi: float | None = None,
-    C_max: float = 1e6,
-    eps_floor: float = 1e-12,
-) -> SETrajectory:
+) -> AlgorithmResult:
     """Covariance evolution of the damped long-memory recursion.
 
     nle_mode="mc" evaluates the denoiser cross-covariances by Monte Carlo on a
     correlated noise history (the reference recursion); nle_mode="deterministic"
     replaces them with the scalar MMSE curve under the optimal-damping banded
     covariance structure, which is exact at the fixed point and noise-free, so
-    long horizons can be checked to tight tolerances.
+    long horizons can be checked to tight tolerances.  Each record's v_hat and
+    mse hold the predicted posterior MSE; debug holds the ledger and V_gamma.
     """
     if nle_mode not in ("mc", "deterministic"):
         raise ValueError(f"unknown nle_mode {nle_mode!r}")
@@ -170,17 +166,12 @@ def run_bo_mamp_se(
     scaled = np.array([1.0])
     weights_history: list[np.ndarray] = []
     eps_history: list[float] = []
-    v_gamma_diag = np.full(T, np.nan)
-    v_phi_diag = np.full(T, np.nan)
-    v_hat_arr = np.full(T, np.nan)
-    theta_arr = np.full(T, np.nan)
-    xi_arr = np.full(T, np.nan)
-    zeta_list: list = []
+    records: list[IterationRecord] = []
     status = "ok"
 
     for t in range(1, T + 1):
         theta, xi, scaled, _, eps, vg_diag = memory_weights(
-            V_phi, scaled, t, tables, sigma2, C_max, fixed_xi
+            V_phi, scaled, t, tables, sigma2, fixed_xi
         )
         if eps == 0.0 or not np.isfinite(eps):
             status = "degenerate"
@@ -199,9 +190,8 @@ def run_bo_mamp_se(
         if not np.isfinite(vg_diag) or vg_diag <= 0:
             status = "degenerate"
             break
-        theta_arr[t - 1] = theta
-        xi_arr[t - 1] = xi
-        v_gamma_diag[t - 1] = vg_diag
+        rec = IterationRecord(t, vg_diag, theta=theta, xi=xi)
+        records.append(rec)
 
         # denoiser side
         if mc:
@@ -211,7 +201,7 @@ def run_bo_mamp_se(
                 status = "unstable_covariance"
                 break
             out = bg_mmse(np.add(x, eta, out=r_buf), vg_diag, prior)
-            v_hat_arr[t - 1] = out.posterior_var
+            rec.v_hat = rec.mse = out.posterior_var
             if out.extrinsic_mean is None:
                 status = "early_stop_nle"
                 break
@@ -225,22 +215,20 @@ def run_bo_mamp_se(
             del out, spent, sq
         else:
             m_hat = scalar_mmse(vg_diag, prior)
-            v_hat_arr[t - 1] = m_hat
+            rec.v_hat = rec.mse = m_hat
             if m_hat >= vg_diag:
                 status = "early_stop_nle"
                 break
             m = 1.0 / (1.0 / m_hat - 1.0 / vg_diag)
             row = np.full(t, m, dtype=complex)
             diag = m
-        diag = max(diag, eps_floor)
+        diag = max(diag, EPS_FLOOR)
         sol = ledger.damp(t, row, diag, [(err_hist, e_new)] if mc else [])
-        v_phi_diag[t - 1] = V_phi[t, t].real
-        zeta_list.append(sol.zeta.copy())
+        rec.v_phi_bar = V_phi[t, t].real
+        rec.zeta, rec.trivial = sol.zeta.copy(), sol.singular
 
-    return SETrajectory(
-        T, v_gamma_diag, v_phi_diag, v_hat_arr, theta_arr, xi_arr, zeta_list,
-        V_phi, V_gamma, status, nle_mode,
-    )
+    debug = {"ledger": V_phi, "V_gamma": V_gamma}
+    return _evolution_result("se_mamp", T, records, status, debug)
 
 
 def _phi_se(v_gamma: float, prior: PriorParams) -> tuple[float, float]:
@@ -259,42 +247,39 @@ def lmmse_gamma_se(v_phi: float, d: np.ndarray, N: int, sigma2: float) -> float:
     return v_phi * (1.0 / eps - 1.0)
 
 
-def _scalar_se(gamma_of, prior: PriorParams, T: int) -> SETrajectory:
+def _scalar_se(name: str, gamma_of, prior: PriorParams, T: int) -> AlgorithmResult:
     """Scalar evolution v_phi -> gamma_of(v_phi) -> phi_se from unit signal variance."""
     v_phi = 1.0
-    v_gamma_diag = np.full(T, np.nan)
-    v_phi_diag = np.full(T, np.nan)
-    v_hat = np.full(T, np.nan)
+    records: list[IterationRecord] = []
     status = "ok"
     for t in range(1, T + 1):
-        v_gamma = gamma_of(v_phi)
-        v_gamma_diag[t - 1] = v_gamma
+        rec = IterationRecord(t, gamma_of(v_phi))
+        records.append(rec)
         try:
-            m_hat, v_phi = _phi_se(v_gamma, prior)
+            m_hat, v_phi = _phi_se(rec.v_gamma, prior)
         except NonImprovingNLEError:
             status = "early_stop_nle"
             break
-        v_hat[t - 1] = m_hat
-        v_phi_diag[t - 1] = v_phi
-    return SETrajectory(
-        T, v_gamma_diag, v_phi_diag, v_hat, np.full(T, np.nan), np.full(T, np.nan),
-        [], np.zeros((0, 0)), np.zeros((0, 0)), status, "scalar",
-    )
+        rec.v_phi_bar, rec.v_hat, rec.mse = v_phi, m_hat, m_hat
+    return _evolution_result(name, T, records, status)
 
 
 def run_bo_oamp_se(
     d: np.ndarray, N: int, prior: PriorParams, sigma2: float, T: int
-) -> SETrajectory:
+) -> AlgorithmResult:
     """Scalar evolution of LMMSE OAMP/VAMP from unit signal variance."""
-    return _scalar_se(lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, T)
+    return _scalar_se("se_oamp", lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, T)
 
 
 def run_mf_oamp_se(
     lambda1: float, lambda2: float, prior: PriorParams, sigma2: float, T: int
-) -> SETrajectory:
+) -> AlgorithmResult:
     """Scalar evolution of matched-filter OAMP via first/second spectral moments."""
     return _scalar_se(
-        lambda v: (sigma2 * lambda1 + v * (lambda2 - lambda1**2)) / lambda1**2, prior, T
+        "se_mf_oamp",
+        lambda v: (sigma2 * lambda1 + v * (lambda2 - lambda1**2)) / lambda1**2,
+        prior,
+        T,
     )
 
 

@@ -77,14 +77,10 @@ class ExperimentConfig:
     moment_mode: str = "exact"  # exact | estimated | bounded
     n_mc: int = 100_000
     se_nle_mode: str = "mc"  # mc | deterministic
-    C_max: float = 1e6
-    eps_floor: float = 1e-12
     threads: int = 1
     out_dir: str = "."
     label: str = "experiment"
     compare_se_tol_db: float = 0.5
-    compare_fp_rtol: float = 1e-4
-    compare_fp_cross_rtol: float = 1e-8
 
     def __post_init__(self):
         self.algorithms = tuple(self.algorithms)
@@ -130,7 +126,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
-        parser.optionxform = str  # keys are case-sensitive (N, M, T, L, C_max)
+        parser.optionxform = str  # keys are case-sensitive (N, M, T, L)
         read = parser.read(path)
         if not read:
             raise ConfigError(f"config file not found or unreadable: {path}")
@@ -139,8 +135,7 @@ class ExperimentConfig:
         if not sections:
             raise ConfigError("config needs an [experiment] section")
         ints = {"N", "M", "T", "L", "n_seeds", "base_seed", "matrix_seed", "n_mc", "threads"}
-        floats = {"delta", "kappa", "mu", "snr_db", "C_max", "eps_floor",
-                  "compare_se_tol_db", "compare_fp_rtol", "compare_fp_cross_rtol"}
+        floats = {"delta", "kappa", "mu", "snr_db", "compare_se_tol_db"}
         for section in sections:
             for key, raw in parser.items(section):
                 if key == "algorithms":
@@ -230,12 +225,7 @@ def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile
     for algo in config.algorithms:
         if algo == "bo_mamp":
             results[algo] = run_bo_mamp(
-                inst,
-                prior,
-                MampConfig(
-                    tables=tables, T=config.T, L=config.L,
-                    C_max=config.C_max, eps_floor=config.eps_floor,
-                ),
+                inst, prior, MampConfig(tables=tables, T=config.T, L=config.L)
             )
         elif algo == "bo_oamp":
             results[algo] = run_bo_oamp(inst, prior, config.T)
@@ -312,23 +302,21 @@ def _fixed_point_entry(config: ExperimentConfig, tables, prior, ref_op) -> dict:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute the configured sweep and aggregate per-iteration MSE curves.
 
-    mse_db_mean is 10 log10 of the seed-averaged MSE; mse_db_std is the
-    standard deviation over seeds of the per-seed dB values.  Evolution
-    predictions are computed once (they are size-free) and reported both as
-    their own algorithm rows and as the se_mse_db column of the matching
-    simulated algorithm.  The Monte-Carlo evolution runs after the seed sweep,
-    once no operator is alive.
+    Every algorithm yields AlgorithmResults: a simulation one per seed, an
+    evolution one in all (they are size-free), and one loop reads them alike.
+    mse_db_mean is 10 log10 of the mean MSE over the results; mse_db_std is
+    the standard deviation over the results of their dB values (zeros for
+    one).  theta, xi and zeta come from the first result and statuses from
+    all.  The se_mse_db column is an evolution's own curve, and a
+    simulation's is that of its evolution twin when configured.  The
+    Monte-Carlo evolution runs after the seed sweep, once no operator is alive.
     """
     t_start = time.time()
     ref_op = _build_operator(config, 0)
     profile, tables, d_ref = _spectral_inputs(config, ref_op)
     prior = PriorParams(mu=config.mu)
 
-    se_curves: dict[str, np.ndarray] = {}
-    theta: dict[str, np.ndarray] = {}
-    xi: dict[str, np.ndarray] = {}
-    zeta: dict[str, list] = {}
-    statuses: dict[str, object] = {}
+    results: dict[str, list[AlgorithmResult]] = {}
     # Everything that reads the set-up operator runs before the sweep, and
     # the Monte-Carlo evolution, which needs only the tables, after it: the
     # operator is gone by then, so its memory and the evolution's histories
@@ -345,23 +333,22 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     if "se_oamp" in config.algorithms:
         if d_ref is None:
             d_ref = np.sqrt(np.clip(ref_op.gram_eigenvalues(), 0.0, None))
-        se_curves["se_oamp"] = run_bo_oamp_se(
-            d_ref, config.N, prior, config.sigma2, config.T
-        ).v_hat
-        statuses["se_oamp"] = "ok"
+        results["se_oamp"] = [
+            run_bo_oamp_se(d_ref, config.N, prior, config.sigma2, config.T)
+        ]
     if "se_mf_oamp" in config.algorithms:
-        se_curves["se_mf_oamp"] = run_mf_oamp_se(
-            float(profile.moments[1]), float(profile.moments[2]),
-            prior, config.sigma2, config.T,
-        ).v_hat
-        statuses["se_mf_oamp"] = "ok"
+        results["se_mf_oamp"] = [
+            run_mf_oamp_se(
+                float(profile.moments[1]), float(profile.moments[2]),
+                prior, config.sigma2, config.T,
+            )
+        ]
 
     # only seed 0's task takes the set-up operator, so it is released when
     # that task ends; one that matrix_seed pins, or that no seed ran on, is
     # released by held.clear() after the sweep
     held, ref_op = [ref_op], None
     sim_algos = [a for a in config.algorithms if a in _SIM_ALGOS]
-    per_seed: list[dict[str, AlgorithmResult]] = []
     if sim_algos and config.n_seeds > 0:
         sim_cfg = replace(config, algorithms=tuple(sim_algos))
 
@@ -375,47 +362,48 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 per_seed = list(pool.map(seed_task, range(config.n_seeds)))
         else:
             per_seed = [seed_task(k) for k in range(config.n_seeds)]
+        for algo in sim_algos:
+            results[algo] = [res[algo] for res in per_seed]
     held.clear()
 
     if "se_mamp" in config.algorithms:
-        se = run_bo_mamp_se(
-            tables, prior, config.sigma2, config.T, L=config.L,
-            nle_mode=config.se_nle_mode, n_mc=config.n_mc,
-            rng_seed=config.base_seed + 0x5E, C_max=config.C_max,
-            eps_floor=config.eps_floor,
-        )
-        se_curves["se_mamp"] = se.v_hat
-        theta["se_mamp"] = se.theta
-        xi["se_mamp"] = se.xi
-        zeta["se_mamp"] = [z.tolist() for z in se.zeta]
-        statuses["se_mamp"] = se.status
+        results["se_mamp"] = [
+            run_bo_mamp_se(
+                tables, prior, config.sigma2, config.T, L=config.L,
+                nle_mode=config.se_nle_mode, n_mc=config.n_mc,
+                rng_seed=config.base_seed + 0x5E,
+            )
+        ]
 
     mse_db_mean: dict[str, np.ndarray] = {}
     mse_db_std: dict[str, np.ndarray] = {}
     se_col: dict[str, np.ndarray] = {}
-    nan_row = np.full(config.T, np.nan)
+    theta: dict[str, np.ndarray] = {}
+    xi: dict[str, np.ndarray] = {}
+    zeta: dict[str, list] = {}
+    statuses: dict[str, object] = {}
+    # the evolution whose curve fills a simulation's se_mse_db column; an
+    # evolution's is its own
+    se_source = {"bo_mamp": "se_mamp", "bo_oamp": "se_oamp", "mf_oamp": "se_mf_oamp",
+                 "amp": None}
     for algo in config.algorithms:
-        if algo in _SIM_ALGOS and per_seed:
-            stack = np.stack([res[algo].mse for res in per_seed])
-            mse_db_mean[algo] = _to_db(np.nanmean(stack, axis=0))
-            per_seed_db = _to_db(stack)
-            mse_db_std[algo] = (
-                np.nanstd(per_seed_db, axis=0) if config.n_seeds > 1 else np.zeros(config.T)
-            )
-            first = per_seed[0][algo]
-            theta.setdefault(algo, first.trajectory("theta"))
-            xi.setdefault(algo, first.trajectory("xi"))
-            zeta.setdefault(algo, [r.zeta.tolist() for r in first.records])
-            statuses[algo] = [res[algo].status for res in per_seed]
-            twin = {"bo_mamp": "se_mamp", "bo_oamp": "se_oamp", "mf_oamp": "se_mf_oamp"}.get(algo)
-            se_col[algo] = _to_db(se_curves[twin]) if twin in se_curves else nan_row
-        elif algo in se_curves:
-            mse_db_mean[algo] = _to_db(se_curves[algo])
-            mse_db_std[algo] = np.zeros(config.T)
-            se_col[algo] = _to_db(se_curves[algo])
-        elif algo == "fixed_point":
+        if algo not in results:
             continue
-    report = RunReport(
+        runs = results[algo]
+        stack = np.stack([res.mse for res in runs])
+        if len(runs) > 1:
+            mse_db_mean[algo] = _to_db(np.nanmean(stack, axis=0))
+            mse_db_std[algo] = np.nanstd(_to_db(stack), axis=0)
+        else:
+            mse_db_mean[algo], mse_db_std[algo] = _to_db(stack[0]), np.zeros(config.T)
+        first = runs[0]
+        theta[algo] = first.trajectory("theta")
+        xi[algo] = first.trajectory("xi")
+        zeta[algo] = [r.zeta.tolist() for r in first.records]
+        statuses[algo] = [res.status for res in runs] if algo in _SIM_ALGOS else first.status
+        se_runs = results.get(se_source.get(algo, algo))
+        se_col[algo] = _to_db(se_runs[0].mse) if se_runs else np.full(config.T, np.nan)
+    return RunReport(
         config=asdict(config),
         algorithms=tuple(a for a in config.algorithms if a in mse_db_mean),
         T=config.T,
@@ -423,15 +411,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         mse_db_mean=mse_db_mean,
         mse_db_std=mse_db_std,
         se_mse_db=se_col,
-        theta={k: np.asarray(v) for k, v in theta.items()},
-        xi={k: np.asarray(v) for k, v in xi.items()},
+        theta=theta,
+        xi=xi,
         zeta=zeta,
         statuses=statuses,
         fixed_point=fixed_point,
         spectral=profile.to_dict(),
         wall_clock_s=time.time() - t_start,
     )
-    return report
 
 
 CSV_HEADER = "algo,iter,mse_db_mean,mse_db_std,se_mse_db,theta,xi,n_seeds"

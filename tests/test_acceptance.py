@@ -117,7 +117,7 @@ class TestAcceptance:
             _, vp_fp = oamp_fixed_point(tab, prior, sigma2)
             _, vp_eig = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
             se = run_bo_mamp_se(tab, prior, sigma2, 200, L=3, nle_mode="deterministic")
-            worst_se = max(worst_se, abs(se.v_phi_diag[-1] - vp_fp) / vp_fp)
+            worst_se = max(worst_se, abs(se.trajectory("v_phi_bar")[-1] - vp_fp) / vp_fp)
             worst_cross = max(worst_cross, abs(vp_fp - vp_eig) / vp_eig)
         ok = worst_se <= 1e-4 and worst_cross <= 1e-8
         assert _report(
@@ -131,7 +131,7 @@ class TestAcceptance:
         """Ten-seed mean MSE tracks the covariance evolution within 0.5 dB."""
         mses = np.stack([r.mse for _, r in reference_runs["runs_l3"]])
         sim_db = _db(mses.mean(axis=0))
-        se_db = _db(reference_runs["se"].v_hat)
+        se_db = _db(reference_runs["se"].mse)
         gap = float(np.max(np.abs(sim_db - se_db)))
         ok = gap <= 0.5
         assert _report(3, ok, f"max |simulation - evolution| {gap:.3f} dB (tol 0.5)")
@@ -171,7 +171,7 @@ class TestAcceptance:
             diag = diag[np.isfinite(diag)]
             ok_mono &= bool(np.all(np.diff(diag) <= 1e-12))
         se = reference_runs["se"]
-        V = se.V_phi
+        V = se.debug["ledger"]
         worst_se_band = 0.0
         for t in range(2, se.T + 1):
             band = V[t, max(0, t - 2) : t].real

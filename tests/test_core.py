@@ -412,8 +412,8 @@ class TestGammaCovariance:
         se = run_bo_mamp_se(tab, prior, inst.noise_var, 5, L=3, nle_mode="mc",
                             n_mc=2000, rng_seed=0)
         for t in range(1, 6):
-            assert se.V_gamma[t - 1, t - 1].real == pytest.approx(
-                se.v_gamma_diag[t - 1], rel=1e-10
+            assert se.debug["V_gamma"][t - 1, t - 1].real == pytest.approx(
+                se.trajectory("v_gamma")[t - 1], rel=1e-10
             )
 
 

@@ -22,7 +22,7 @@ from mamp.evolution import series_gamma_se
 class TestCorrelatedNoiseSampler:
     def test_first_coordinate_variance(self):
         rng = np.random.default_rng(0)
-        sampler = CorrelatedNoiseSampler(200_000, rng)
+        sampler = CorrelatedNoiseSampler(200_000, rng, rows=1)
         V = np.array([[0.7 + 0j]])
         eta = sampler.sample(V, 1)
         assert np.mean(np.abs(eta) ** 2) == pytest.approx(0.7, abs=3 * 0.7 / np.sqrt(200_000))
@@ -31,7 +31,7 @@ class TestCorrelatedNoiseSampler:
         # V = [[1, .5], [.5, 1]]: regression weight .5, innovation variance .75
         rng = np.random.default_rng(1)
         n = 400_000
-        sampler = CorrelatedNoiseSampler(n, rng)
+        sampler = CorrelatedNoiseSampler(n, rng, rows=2)
         V = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
         eta1 = sampler.sample(V, 1)
         eta2 = sampler.sample(V, 2)
@@ -42,7 +42,7 @@ class TestCorrelatedNoiseSampler:
     def test_batch_realizes_target_covariance(self):
         rng = np.random.default_rng(2)
         n = 1_000_000
-        sampler = CorrelatedNoiseSampler(n, rng)
+        sampler = CorrelatedNoiseSampler(n, rng, rows=3)
         V = np.array(
             [[1.0, 0.6, 0.3], [0.6, 1.0, 0.55], [0.3, 0.55, 0.9]], dtype=complex
         )
@@ -54,11 +54,11 @@ class TestCorrelatedNoiseSampler:
         tol = 3.0 / np.sqrt(n) * 2.0
         np.testing.assert_allclose(emp.conj(), V, atol=tol)
 
-    def test_history_columns_are_returned_draws_across_buffer_growth(self):
+    def test_history_columns_are_returned_draws(self):
         n, t_max = 64, 40
         idx = np.arange(t_max)
         V = (0.5 ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
-        sampler = CorrelatedNoiseSampler(n, np.random.default_rng(5))
+        sampler = CorrelatedNoiseSampler(n, np.random.default_rng(5), rows=t_max)
         draws = [sampler.sample(V, t) for t in range(1, t_max + 1)]
         H = sampler.history
         assert H.shape == (n, t_max)
@@ -86,7 +86,7 @@ class TestCorrelatedNoiseSampler:
 
     def test_near_singular_raises(self):
         rng = np.random.default_rng(3)
-        sampler = CorrelatedNoiseSampler(100, rng)
+        sampler = CorrelatedNoiseSampler(100, rng, rows=2)
         V = np.array([[1.0, 1.0], [1.0, 0.5]], dtype=complex)  # not PSD
         sampler.sample(V, 1)
         with pytest.raises(NearSingularCovarianceError):
@@ -94,7 +94,7 @@ class TestCorrelatedNoiseSampler:
 
     def test_tiny_negative_innovation_clamped(self):
         rng = np.random.default_rng(4)
-        sampler = CorrelatedNoiseSampler(1000, rng)
+        sampler = CorrelatedNoiseSampler(1000, rng, rows=2)
         V = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]], dtype=complex)
         sampler.sample(V, 1)
         eta2 = sampler.sample(V, 2)  # conditional variance ~ -1e-14 -> 0
@@ -117,7 +117,8 @@ class TestEvolutionRuns:
         prior = PriorParams(mu=1.0)
         se = run_bo_mamp_se(self.tab, prior, self.sigma2, 2, L=2, nle_mode="mc",
                             n_mc=200_000, rng_seed=0)
-        assert se.V_phi[1, 0].real == pytest.approx(1.0, abs=3 * 2 / np.sqrt(200_000))
+        V = se.debug["ledger"]
+        assert V[1, 0].real == pytest.approx(1.0, abs=3 * 2 / np.sqrt(200_000))
 
     def test_noiseless_input_noiseless_output(self):
         assert scalar_mmse(1e-10, self.prior) < 1e-7
@@ -127,8 +128,8 @@ class TestEvolutionRuns:
                                nle_mode="mc", n_mc=100_000, rng_seed=1)
         se_det = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 25, L=3,
                                 nle_mode="deterministic")
-        db_mc = 10 * np.log10(se_mc.v_hat)
-        db_det = 10 * np.log10(se_det.v_hat)
+        db_mc = 10 * np.log10(se_mc.mse)
+        db_det = 10 * np.log10(se_det.mse)
         # the deterministic variant models damping as keep-or-replace, so the
         # fast transient may deviate by ~1 dB; the plateau must coincide
         assert np.max(np.abs(db_mc - db_det)) < 2.0
@@ -137,9 +138,9 @@ class TestEvolutionRuns:
     def test_ledger_hermitian_and_monotone(self):
         se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 20, L=3,
                             nle_mode="mc", n_mc=50_000, rng_seed=2)
-        V = se.V_phi[:21, :21]
+        V = se.debug["ledger"][:21, :21]
         np.testing.assert_allclose(V, V.conj().T, atol=1e-12)
-        diag = np.concatenate([[1.0], se.v_phi_diag])
+        diag = np.concatenate([[1.0], se.trajectory("v_phi_bar")])
         assert np.all(np.diff(diag) <= 1e-12)
         eig_min = np.linalg.eigvalsh(V).min()
         assert eig_min > -1e-8
@@ -147,10 +148,34 @@ class TestEvolutionRuns:
     def test_banded_after_damping(self):
         se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 15, L=3,
                             nle_mode="mc", n_mc=50_000, rng_seed=3)
-        V = se.V_phi
+        V = se.debug["ledger"]
         for t in range(2, 16):
             band = V[t, max(0, t - 2) : t]
             np.testing.assert_allclose(band.real, V[t, t].real, rtol=1e-8)
+
+    def test_unstable_covariance_keeps_the_partial_record(self, monkeypatch):
+        sample = CorrelatedNoiseSampler.sample
+
+        def failing_sample(sampler, V_gamma, t):
+            if t == 3:
+                raise NearSingularCovarianceError("forced at iteration 3")
+            return sample(sampler, V_gamma, t)
+
+        monkeypatch.setattr(CorrelatedNoiseSampler, "sample", failing_sample)
+        se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 6, L=3,
+                            nle_mode="mc", n_mc=2_000, rng_seed=0)
+        assert se.status == "unstable_covariance"
+        assert [r.t for r in se.records] == [1, 2, 3]
+        for rec in se.records[:2]:
+            fields = [rec.v_gamma, rec.v_phi_bar, rec.v_hat, rec.mse, rec.theta, rec.xi]
+            assert np.all(np.isfinite(fields))
+            assert rec.zeta.size == rec.t + 1  # the zero estimate and t candidates
+        last = se.records[2]
+        assert np.all(np.isfinite([last.theta, last.xi, last.v_gamma]))
+        assert np.all(np.isnan([last.v_hat, last.mse, last.v_phi_bar]))
+        assert last.zeta.size == 0
+        assert np.all(np.isnan(se.mse[2:]))
+        assert se.v_hat == se.records[1].mse
 
     def test_fixed_xi_reaches_same_fixed_point(self):
         tab = tables_from_singular_values(self.d, self.N, 200, M=self.M)
@@ -158,20 +183,21 @@ class TestEvolutionRuns:
         for xi_star in (0.5, 1.0, 2.0):
             se = run_bo_mamp_se(tab, self.prior, self.sigma2, 200, L=3,
                                 nle_mode="deterministic", fixed_xi=xi_star)
-            assert se.v_phi_diag[-1] == pytest.approx(vp_fp, rel=1e-6), xi_star
+            assert se.trajectory("v_phi_bar")[-1] == pytest.approx(vp_fp, rel=1e-6), xi_star
 
 
 class TestScalarEvolutions:
     def test_bo_oamp_evolution_decreases(self):
         d = make_geometric_singular_values(512, 10.0, 1024.0)
         se = run_bo_oamp_se(d, 1024, PriorParams(mu=0.1), 1e-3, 20)
-        assert np.all(np.diff(se.v_phi_diag[np.isfinite(se.v_phi_diag)]) < 0)
+        v_phi = se.trajectory("v_phi_bar")
+        assert np.all(np.diff(v_phi[np.isfinite(v_phi)]) < 0)
 
     def test_mf_oamp_evolution_matches_lmmse_for_flat_spectrum(self):
         d = np.full(512, np.sqrt(2.0))
         se_mf = run_mf_oamp_se(1.0, 2.0, PriorParams(mu=0.1), 1e-3, 15)
         se_bo = run_bo_oamp_se(d, 1024, PriorParams(mu=0.1), 1e-3, 15)
-        np.testing.assert_allclose(se_mf.v_hat, se_bo.v_hat, rtol=1e-9)
+        np.testing.assert_allclose(se_mf.mse, se_bo.mse, rtol=1e-9)
 
 
 class TestFixedPoint:

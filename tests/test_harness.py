@@ -233,6 +233,24 @@ class TestRunExperiment:
         assert built and alive == [0]
         assert report.statuses["se_mamp"] == "ok"
 
+    def test_each_evolution_reports_its_own_status(self, monkeypatch):
+        run_se = harness.run_bo_oamp_se
+
+        def stopping_se(*args, **kwargs):
+            res = run_se(*args, **kwargs)
+            res.status = "early_stop_nle"
+            return res
+
+        monkeypatch.setattr(harness, "run_bo_oamp_se", stopping_se)
+        cfg = {**SMALL, "algorithms": ("bo_oamp", "se_oamp", "se_mf_oamp")}
+        report = run_experiment(ExperimentConfig(**cfg))
+        assert report.statuses["se_oamp"] == "early_stop_nle"
+        assert report.statuses["se_mf_oamp"] == "ok"
+        assert report.statuses["bo_oamp"] == ["ok", "ok"]
+        se_db = report.mse_db_mean["se_oamp"]
+        np.testing.assert_array_equal(report.se_mse_db["bo_oamp"], se_db)
+        np.testing.assert_array_equal(report.se_mse_db["se_oamp"], se_db)
+
     def test_one_iid_matrix_alive_at_a_time(self):
         # set-up matrix reused by seed 0 and released before seed 1 is drawn,
         # each drawn without full-size temporaries
