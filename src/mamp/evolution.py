@@ -294,20 +294,22 @@ def series_gamma_se(
 
     Evaluates eps* = theta sum_i (theta ld)^i w'_i and the double series for
     the output variance, grouped by total lag (the couplings split into a
-    lag-only part and a separable product).  Terms are added until the bound
-    theta^2 x^s (s+1) (sigma^2 |w'_s| + v_phi |wbar'|) drops below series_tol;
-    the tables are extended on demand, which requires eigenvalue-built tables.
-    Raises ValueError when the bound is still at or above series_tol once
-    max_terms terms are reached.
+    lag-only part and a separable product).  With q = tables.weight_decay,
+    |w'_s| <= w0 q^s and |w'_s - w'_{s+1}| <= 2 w0 q^s, so the lag-s term is
+    at most theta^2 (s+1) (x q)^s (sigma^2 w0 + v_phi (2 ld w0 + w0^2));
+    the length doubles from 8 until that bound at the last lag drops below
+    series_tol.  The tables are extended on demand, which requires
+    eigenvalue-built tables.  Raises ValueError when the bound is still at
+    or above series_tol once max_terms terms are reached.
     """
     ld = tables.lambda_dagger
     rho = sigma2 / v_phi
     theta = optimize_theta(ld, rho)
     x = theta * ld
-    # |w'_s| <= w0 * (rho_B / ld)^s, so terms contract at the relaxed spectral
-    # radius x * rho_B / ld < 1
+    # terms contract at x * q < 1: q is the decay of the weights themselves,
+    # at most the relaxed spectral radius rho_B / ld of the assumed extremes
     w0 = tables.w0
-    contraction = x * tables.rho_B / ld
+    contraction = x * tables.weight_decay
     coeff = theta**2 * (sigma2 * w0 + v_phi * (2 * ld * w0 + w0**2))
 
     def _tail_bound(s_idx: int) -> float:
@@ -322,11 +324,14 @@ def series_gamma_se(
             )
         n_terms *= 2
     w = tables.w_scaled_extended(n_terms)
-    s = np.arange(n_terms)
-    xs = x**s
-    eps_star = theta * float(xs @ w[:n_terms])
-    sig_part = sigma2 * float(((s + 1) * xs) @ w[:n_terms])
-    wbar_part = v_phi * ld * float(((s + 1) * xs) @ (w[:n_terms] - w[1 : n_terms + 1]))
+    # the three lag sums as one (3, n) product with x**s: back-to-back dots
+    # stall in a threaded BLAS where one matrix-vector product does not
+    head, lag = w[:n_terms], np.arange(1, n_terms + 1)
+    rows = np.stack([head, lag * head, lag * (head - w[1:])])
+    w_sum, sig_sum, wbar_sum = rows @ x ** np.arange(n_terms)
+    eps_star = theta * float(w_sum)
+    sig_part = sigma2 * float(sig_sum)
+    wbar_part = v_phi * ld * float(wbar_sum)
     v_gamma = theta**2 * (sig_part + wbar_part) / eps_star**2 - v_phi
     return float(v_gamma), float(eps_star)
 

@@ -278,6 +278,18 @@ def _to_db(values: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(values)
 
 
+def _nan_columns(reduce, stack: np.ndarray) -> np.ndarray:
+    """reduce(stack, axis=0) over the columns holding a non-NaN value, NaN elsewhere.
+
+    An all-NaN column (every seed stopped before that iteration) is left NaN
+    without calling the reduction on an empty slice, which would warn.
+    """
+    out = np.full(stack.shape[1], np.nan)
+    live = ~np.isnan(stack).all(axis=0)
+    out[live] = reduce(stack[:, live], axis=0)
+    return out
+
+
 def _fixed_point_entry(config: ExperimentConfig, tables, prior, ref_op) -> dict:
     vg, vp = oamp_fixed_point(tables, prior, config.sigma2)
     # mse_db reports the posterior error at the fixed point, comparable with
@@ -392,8 +404,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         runs = results[algo]
         stack = np.stack([res.mse for res in runs])
         if len(runs) > 1:
-            mse_db_mean[algo] = _to_db(np.nanmean(stack, axis=0))
-            mse_db_std[algo] = np.nanstd(_to_db(stack), axis=0)
+            mse_db_mean[algo] = _to_db(_nan_columns(np.nanmean, stack))
+            mse_db_std[algo] = _nan_columns(np.nanstd, _to_db(stack))
         else:
             mse_db_mean[algo], mse_db_std[algo] = _to_db(stack[0]), np.zeros(config.T)
         first = runs[0]

@@ -219,6 +219,26 @@ class MomentTables:
         """Spectral radius of the shifted matrix, (lambda_max - lambda_min)/2."""
         return 0.5 * (self.lambda_max - self.lambda_min)
 
+    @property
+    def weight_decay(self) -> float:
+        """Rate q with |w'_s| <= w0 q**s for every s.
+
+        w'_s = sum_k d_k^2 r_k**s / N with r_k = (ld - d_k^2)/ld, so q is the
+        largest |r_k| over the positive d_k^2 of eig_source (zero eigenvalues
+        carry no weight; q = 0 when none is positive).  Extremes that enclose
+        the spectrum give q <= rho_B / ld, and bounds give a much smaller q
+        than that: with lambda_min = 0 assumed, rho_B / ld is exactly 1.
+        Estimate-built tables keep no spectrum and fall back to rho_B / ld.
+        """
+        if self.eig_source is None:
+            return self.rho_B / self.lambda_dagger
+        d_sq = self.eig_source[0]
+        d_sq = d_sq[d_sq > 0]
+        if not len(d_sq):
+            return 0.0
+        ld = self.lambda_dagger
+        return float(np.max(np.abs((ld - d_sq) / ld)))
+
     def b_at(self, t: int) -> float:
         return float(self.b_scaled[t] * self.lambda_dagger**t)
 

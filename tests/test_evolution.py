@@ -219,6 +219,50 @@ class TestFixedPoint:
             v_eig = lmmse_gamma_se(v, d, 512, sigma2)
             assert v_series == pytest.approx(v_eig, rel=1e-9)
 
+    def test_series_transfer_equals_eigenvalue_transfer_with_bounded_extremes(self):
+        # lambda_min = 0 and the trace bound on lambda_max: the series stops
+        # at the decay of the weights, not at the unit radius of the extremes
+        from mamp import bound_extremal_eigenvalues, exact_moments_from_singular_values
+        from mamp.evolution import lmmse_gamma_se
+
+        d = make_geometric_singular_values(256, 20.0, 512.0)
+        prof = exact_moments_from_singular_values(d, 512, 30, M=256)
+        _, lam_up = bound_extremal_eigenvalues(float(prof.moments[60]), 60, 512)
+        tab = tables_from_singular_values(d, 512, 30, M=256, lambda_extremes=(0.0, lam_up))
+        assert tab.rho_B / tab.lambda_dagger == 1.0
+        sigma2 = 1e-2
+        for v in (1.0, 0.1, 0.01):
+            v_series, _ = series_gamma_se(v, tab, sigma2)
+            v_eig = lmmse_gamma_se(v, d, 512, sigma2)
+            assert v_series == pytest.approx(v_eig, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["bounded", "exact"])
+    def test_fixed_point_series_lengths_on_the_paper_config(self, monkeypatch, mode):
+        # term counts, not times: with bounded moments a tail bound that
+        # decays at rho_B / ld = 1 asked for 2**18 terms
+        from dataclasses import replace
+        from pathlib import Path
+
+        from mamp import harness
+        from mamp.spectral import MomentTables
+
+        lengths = []
+        extend = MomentTables.w_scaled_extended
+
+        def recording_extend(tables, n):
+            lengths.append(n)
+            return extend(tables, n)
+
+        ini = Path(__file__).resolve().parents[1] / "configs" / "illconditioned_damping.ini"
+        config = replace(harness.ExperimentConfig.from_file(str(ini)), moment_mode=mode)
+        _, tab, _ = harness._spectral_inputs(config, harness._build_operator(config, 0))
+        monkeypatch.setattr(MomentTables, "w_scaled_extended", recording_extend)
+        oamp_fixed_point(tab, PriorParams(mu=config.mu), config.sigma2)
+        if mode == "bounded":
+            assert max(lengths) <= 4096
+        else:
+            assert max(lengths) == 2048
+
     def test_fixed_points_agree_between_routes(self):
         prior = PriorParams(mu=0.1)
         for kappa, delta, snr in ((10.0, 0.5, 30.0), (100.0, 1.0, 20.0)):

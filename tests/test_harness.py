@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -266,6 +267,30 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(**{**SMALL, "n_seeds": 1}))
         text = report.to_json()
         assert '"bo_mamp"' in text
+
+    def test_iterations_no_seed_reached_reduce_without_warnings(self):
+        # amp diverges on both seeds at kappa = 30 and stops before T; the
+        # iterations past the stop stay NaN without an empty-slice warning
+        cfg = ExperimentConfig(algorithms=("amp",), N=1024, kappa=30.0, T=60, n_seeds=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_experiment(cfg)
+        assert report.statuses["amp"] == ["diverged", "diverged"]
+        mean, std = report.mse_db_mean["amp"], report.mse_db_std["amp"]
+        assert np.isfinite(mean[0]) and np.isfinite(std[0])
+        assert np.isnan(mean[-1]) and np.isnan(std[-1])
+
+    def test_nan_columns_equal_the_nan_reductions(self):
+        # seeds stopped at different iterations: columns with a value reduce
+        # bit for bit as np.nanmean / np.nanstd do, the rest stay NaN
+        stack = np.random.default_rng(0).random((3, 10))
+        for row, stop in enumerate((4, 7, 6)):
+            stack[row, stop:] = np.nan
+        for reduce in (np.nanmean, np.nanstd):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = reduce(stack, axis=0)
+            np.testing.assert_array_equal(harness._nan_columns(reduce, stack), want)
 
 
 class TestEmission:

@@ -245,3 +245,64 @@ class TestMomentTables:
         tab = build_moment_tables(prof, 3)
         with pytest.raises(ValueError):
             tab.w_scaled_extended(100)
+
+
+class TestWeightDecay:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d_sq=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=24),
+        zero_floor=st.booleans(),
+        stretch=st.floats(1.0, 1.5),
+        extra=st.integers(0, 8),
+        n=st.integers(4, 2000),
+    )
+    def test_extension_decays_at_the_weight_rate(self, d_sq, zero_floor, stretch, extra, n):
+        d = np.sqrt(d_sq)
+        d_sq = d**2
+        lo = 0.0 if zero_floor else float(d_sq.min())
+        hi = float(d_sq.max()) * stretch
+        tab = tables_from_singular_values(
+            d, len(d) + extra, 1, M=len(d), lambda_extremes=(lo, hi)
+        )
+        q = tab.weight_decay
+        # the eigenvalues lie inside the extremes, up to the rounding of ld
+        assert 0.0 <= q <= tab.rho_B / tab.lambda_dagger + 1e-15
+        w = tab.w_scaled_extended(n)
+        # a chain of s products carries s roundings; the absolute slack covers
+        # sums that reach the subnormal range
+        bound = tab.w0 * q ** np.arange(n + 1)
+        assert np.all(np.abs(w) <= bound * (1 + 1e-12) + 1e-300)
+
+    def test_bounded_extremes_decay_faster_than_their_radius(self):
+        # with lambda_min = 0 assumed, rho_B / ld is exactly 1, while the
+        # spectrum itself sits strictly inside (0, 2 ld)
+        d = make_geometric_singular_values(256, 10.0, 512.0)
+        tab = tables_from_singular_values(d, 512, 5, M=256, lambda_extremes=(0.0, 120.0))
+        assert tab.rho_B / tab.lambda_dagger == 1.0
+        ld = tab.lambda_dagger
+        want = max(ld - d.min() ** 2, d.max() ** 2 - ld) / ld
+        assert tab.weight_decay == pytest.approx(want, rel=1e-15)
+
+    def test_exact_extremes_give_the_spectral_radius(self):
+        d = make_geometric_singular_values(64, 10.0, 128.0)
+        tab = tables_from_singular_values(d, 128, 5, M=64)
+        assert tab.weight_decay == pytest.approx(tab.rho_B / tab.lambda_dagger, rel=1e-15)
+
+    def test_zero_when_the_only_eigenvalue_sits_at_lambda_dagger(self):
+        assert tables_from_singular_values(np.ones(8), 8, 4, M=8).weight_decay == 0.0
+        # structural zeros carry no weight and do not count
+        tab = tables_from_singular_values(
+            np.array([1.0, 0.0, 0.0]), 3, 4, M=3, lambda_extremes=(0.0, 2.0)
+        )
+        assert tab.weight_decay == 0.0
+
+    def test_zero_when_no_eigenvalue_is_positive(self):
+        tab = tables_from_singular_values(np.zeros(4), 4, 2, M=4, lambda_extremes=(0.0, 1.0))
+        assert tab.weight_decay == 0.0
+        assert np.all(tab.w_scaled_extended(100) == 0.0)
+
+    def test_estimate_built_tables_fall_back_to_the_radius(self):
+        op = build_structured_operator(8, 16, np.ones(8), rng_seed=0)
+        prof = estimate_moments_power_recursion(op, 3, rng_seed=0, n_probes=2)
+        tab = build_moment_tables(prof, 3)
+        assert tab.weight_decay == tab.rho_B / tab.lambda_dagger
