@@ -17,15 +17,11 @@ from .core import (
     divide_in_place,
     mean_squared_error,
     residual,
+    residual_error_estimate,
 )
 from .denoisers import PriorParams, bg_mmse
 from .operators import SystemInstance
 from .spectral import SpectralProfile
-
-
-def _residual_error_estimate(z: np.ndarray, N: int, sigma2: float, delta: float,
-                             lambda1: float) -> float:
-    return (float(np.vdot(z, z).real) / N - delta * sigma2) / lambda1
 
 
 def lmmse_le(
@@ -73,7 +69,7 @@ def _run_oamp(
     sigma2 = instance.noise_var
     x = np.zeros(N, dtype=complex)
     z = instance.y  # y - A 0
-    v_phi = _residual_error_estimate(z, N, sigma2, delta, lambda1)
+    v_phi = residual_error_estimate(z, N, sigma2, delta, lambda1)
     records: list[IterationRecord] = []
     status = "ok"
     x_hat, v_hat = None, np.inf
@@ -88,7 +84,7 @@ def _run_oamp(
             break
         x = out.extrinsic_mean
         z = residual(instance.y, op, x)
-        v_phi = _residual_error_estimate(z, N, sigma2, delta, lambda1)
+        v_phi = residual_error_estimate(z, N, sigma2, delta, lambda1)
         v_phi = max(v_phi, 1e-12 * records[0].v_phi_bar)
     return AlgorithmResult(name, T, records, x_hat, float(v_hat), status)
 

@@ -181,8 +181,7 @@ def estimate_phi_covariance(
     """
     # conjugating z_new, not Z_damped, avoids copying the t x N history
     row = (z_new.conj() @ Z_damped.T) / N - delta * sigma2
-    diag = float(np.vdot(z_new, z_new).real / N - delta * sigma2)
-    return row / w0, diag / w0
+    return row / w0, residual_error_estimate(z_new, N, sigma2, delta, w0)
 
 
 def gamma_covariance_row(
@@ -289,6 +288,17 @@ def residual(y: np.ndarray, operator: TransformOperator, x: np.ndarray) -> np.nd
     """y - A x, formed in the buffer of A x."""
     z = operator.apply(x)
     return np.subtract(y, z, out=z)
+
+
+def residual_error_estimate(
+    z: np.ndarray, N: int, sigma2: float, delta: float, scale: float
+) -> float:
+    """Residual-energy estimate (||z||^2 / N - delta sigma^2) / scale of an error level.
+
+    scale is the trace normalizer of the linear step: w0 for the long-memory
+    solver, lambda_1 for the baselines.
+    """
+    return (float(np.vdot(z, z).real) / N - delta * sigma2) / scale
 
 
 def mean_squared_error(estimate: np.ndarray, truth: np.ndarray | None) -> float:
@@ -446,7 +456,7 @@ def run_bo_mamp(
     X = np.zeros((T + 1, N), dtype=complex)  # damped estimates, x_1 = 0
     Z = np.zeros((T + 1, M), dtype=complex)  # damped residuals, z_1 = y
     Z[0] = y
-    v_init = (float(np.vdot(y, y).real) / N - delta * sigma2) / w0
+    v_init = residual_error_estimate(y, N, sigma2, delta, w0)
     v_floor = EPS_FLOOR * max(v_init, np.finfo(float).tiny)
     ledger = Ledger(T, L, max(v_init, v_floor))
     V = ledger.V
@@ -464,16 +474,14 @@ def run_bo_mamp(
 
     for t in range(1, T + 1):
         theta, xi, scaled, p, eps, v_gamma = memory_weights(V, scaled, t, tab, sigma2)
+        # a vanished or non-finite eps gives a nan v_gamma, so memory_le_step's
+        # guard never fires here
         if not np.isfinite(v_gamma) or v_gamma <= 0:
             status = "degenerate"
             break
-        try:
-            r_hat, r, adjoint = memory_le_step(
-                r_hat, Z[t - 1], X[:t], p, xi, theta, eps, op, ld, adjoint
-            )
-        except DegenerateNormalizationError:
-            status = "degenerate"
-            break
+        r_hat, r, adjoint = memory_le_step(
+            r_hat, Z[t - 1], X[:t], p, xi, theta, eps, op, ld, adjoint
+        )
         if r_history is not None:
             r_history.append(r)
 

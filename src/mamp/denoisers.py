@@ -2,10 +2,12 @@
 
 The closed-form posterior below is the standard spike-and-slab computation:
 with nonzero probability mu and slab variance 1/mu the signal has unit power,
-and the pseudo-observation is r = x + CN(0, v).  All formulas are validated
-against an independent quadrature oracle in the test suite before use.
-Only the simulation denoiser needs SciPy (its logistic); the deterministic
-scalar MMSE is pure NumPy.
+and the pseudo-observation is r = x + CN(0, v).  Only the complex prior is
+supported: the slab is circular complex Gaussian, like every noise draw, and
+bg_mmse reads its input as complex.  All formulas are validated against an
+independent quadrature oracle in the test suite before use.  Only the
+simulation denoiser needs SciPy (its logistic); the deterministic scalar MMSE
+is pure NumPy.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ class NonImprovingNLEError(RuntimeError):
 
 @dataclass(frozen=True)
 class PriorParams:
-    """Bernoulli-Gaussian prior with E|x|^2 = mu * component_var = 1."""
+    """Complex Bernoulli-Gaussian prior with E|x|^2 = mu * component_var = 1."""
 
     mu: float
-    field: str = "complex"
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 1.0:
             raise ValueError(f"mu must be in (0, 1], got {self.mu}")
-        if self.field not in ("complex", "real"):
-            raise ValueError(f"field must be 'complex' or 'real', got {self.field!r}")
 
     @property
     def component_var(self) -> float:
@@ -90,13 +89,10 @@ def complex_normal(
 
 
 def sample_prior(prior: PriorParams, n: int, rng: Generator) -> np.ndarray:
-    """IID draw of length n from the prior (complex field returns CN slabs)."""
+    """IID draw of length n from the prior: CN(0, 1/mu) slabs on the support."""
     support = rng.random(n) < prior.mu
-    if prior.field == "complex":
-        slab = complex_normal(rng, n, prior.component_var)
-    else:
-        slab = rng.standard_normal(n) * np.sqrt(prior.component_var)
-    return np.where(support, slab, 0.0).astype(complex)
+    slab = complex_normal(rng, n, prior.component_var)
+    return np.where(support, slab, 0.0)
 
 
 def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams, scratch: np.ndarray):
@@ -112,23 +108,18 @@ def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams, scratch: np.
 
     vx = prior.component_var
     gain = vx / (vx + v)
-    # a complex slab has two real degrees of freedom and a real one has one;
-    # k rescales the Gaussian exponents accordingly
-    k = 1.0 if prior.field == "complex" else 2.0
-    x = r if prior.field == "complex" else np.real(r)
     if prior.mu < 1.0:
-        log_odds_scale = k * v * (vx + v)
-        log_odds_shift = np.log((1.0 - prior.mu) / prior.mu) + np.log((vx + v) / v) / k
-    mean = np.empty(np.shape(x), dtype=complex)
-    var = np.empty(np.shape(x))
-    r_flat, x_flat = r.reshape(-1), x.reshape(-1)
-    mean_flat, var_flat = mean.reshape(-1), var.reshape(-1)
-    for sl in chunks(x_flat.size):
-        if not np.all(np.isfinite(r_flat[sl])):
+        log_odds_scale = v * (vx + v)
+        log_odds_shift = np.log((1.0 - prior.mu) / prior.mu) + np.log((vx + v) / v)
+    mean = np.empty(r.shape, dtype=complex)
+    var = np.empty(r.shape)
+    r_flat, mean_flat, var_flat = r.reshape(-1), mean.reshape(-1), var.reshape(-1)
+    for sl in chunks(r_flat.size):
+        rb, mb, vb = r_flat[sl], mean_flat[sl], var_flat[sl]
+        if not np.all(np.isfinite(rb)):
             raise ValueError("pseudo-observation contains non-finite entries")
-        xb, mb, vb = x_flat[sl], mean_flat[sl], var_flat[sl]
-        power, pi = scratch[: xb.size], scratch[CHUNK : CHUNK + xb.size]
-        np.abs(xb, out=power)
+        power, pi = scratch[: rb.size], scratch[CHUNK : CHUNK + rb.size]
+        np.abs(rb, out=power)
         np.square(power, out=power)
         if prior.mu < 1.0:
             # minus the support log-odds, in log space to survive large |r|^2 / v
@@ -142,11 +133,7 @@ def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams, scratch: np.
         vb += gain * v
         vb *= pi
         pi *= gain
-        if prior.field == "complex":
-            np.multiply(pi, xb, out=mb)
-        else:
-            pi *= xb
-            mb[...] = pi
+        np.multiply(pi, rb, out=mb)
         np.abs(mb, out=pi)
         np.square(pi, out=pi)
         vb -= pi
@@ -161,7 +148,7 @@ def bg_mmse(r: np.ndarray, v: float, prior: PriorParams) -> DenoiserOutput:
     """
     if not (np.isfinite(v) and v > 0):
         raise ValueError(f"noise variance must be positive and finite, got {v}")
-    r = np.asarray(r)
+    r = np.ascontiguousarray(r, dtype=complex)
     scratch = np.empty(2 * CHUNK)
     mean, var = _posterior_moments(r, v, prior, scratch)
     v_hat = float(np.mean(var))
@@ -178,21 +165,16 @@ def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch):
 
     NumPy divides a complex array by a real scalar by multiplying both parts
     by the reciprocal, so the float-view products below give the same bits.
-    A real r keeps its true division.
     """
     v_ext = 1.0 / (1.0 / v_hat - 1.0 / v_gamma)
     mean = np.empty_like(x_hat)
     r_flat, x_flat, m_flat = r.reshape(-1), x_hat.reshape(-1), mean.reshape(-1)
-    complex_r = r_flat.dtype == np.complex128 and r_flat.flags.c_contiguous
     for sl in chunks(m_flat.size):
         mb = m_flat[sl].view(float)
         np.multiply(x_flat[sl].view(float), 1.0 / v_hat, out=mb)
-        if complex_r:
-            r_scaled = scratch[: mb.size]
-            np.multiply(r_flat[sl].view(float), 1.0 / v_gamma, out=r_scaled)
-            mb -= r_scaled
-        else:
-            m_flat[sl] -= r_flat[sl] / v_gamma
+        r_scaled = scratch[: mb.size]
+        np.multiply(r_flat[sl].view(float), 1.0 / v_gamma, out=r_scaled)
+        mb -= r_scaled
         mb *= v_ext
     return mean, v_ext
 
@@ -228,8 +210,6 @@ def scalar_mmse(v: float, prior: PriorParams) -> float:
     """
     if v <= 0:
         raise ValueError(f"v must be positive, got {v}")
-    if prior.field != "complex":
-        raise NotImplementedError("deterministic scalar MMSE covers the complex field")
     mu, vx = prior.mu, prior.component_var
     s = vx + v
     gain = vx / s

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamp import (
+    DegenerateNormalizationError,
     InvalidLedgerError,
     MampConfig,
     PriorParams,
@@ -385,6 +386,18 @@ class TestMemoryLEStep:
             tab.w0, op, tab.lambda_dagger,
         )
         assert u is None
+
+    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+    def test_degenerate_normalizer_raises_before_any_update(self, eps):
+        inst, _, tab, _ = small_problem()
+        op = inst.operator
+        r_hat = np.zeros(op.M, dtype=complex)
+        X = np.zeros((1, op.N), dtype=complex)
+        with pytest.raises(DegenerateNormalizationError):
+            memory_le_step(
+                r_hat, inst.y, X, np.array([-tab.w0]), 1.0, 0.5, eps, op, tab.lambda_dagger
+            )
+        assert not r_hat.any()
 
 
 class TestGammaCovariance:

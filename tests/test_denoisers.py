@@ -27,30 +27,17 @@ from oracles import (
 def reference_bg_mmse(r, v, prior):
     """bg_mmse written one expression per quantity; the package must match its bits."""
     vx = prior.component_var
-    if prior.field == "complex":
-        log_odds = (
-            np.log((1.0 - prior.mu) / prior.mu)
-            + np.log((vx + v) / v)
-            - (np.abs(r) ** 2) * vx / (v * (vx + v))
-            if prior.mu < 1.0
-            else np.full(np.shape(r), -np.inf)
-        )
-        pi = expit(-log_odds)
-        gain = vx / (vx + v)
-        mean = pi * gain * r
-        second = pi * (gain * v + gain**2 * np.abs(r) ** 2)
-    else:
-        log_odds = (
-            np.log((1.0 - prior.mu) / prior.mu)
-            + 0.5 * np.log((vx + v) / v)
-            - (np.real(r) ** 2) * vx / (2.0 * v * (vx + v))
-            if prior.mu < 1.0
-            else np.full(np.shape(r), -np.inf)
-        )
-        pi = expit(-log_odds)
-        gain = vx / (vx + v)
-        mean = (pi * gain * np.real(r)).astype(complex)
-        second = pi * (gain * v + gain**2 * np.real(r) ** 2)
+    log_odds = (
+        np.log((1.0 - prior.mu) / prior.mu)
+        + np.log((vx + v) / v)
+        - (np.abs(r) ** 2) * vx / (v * (vx + v))
+        if prior.mu < 1.0
+        else np.full(np.shape(r), -np.inf)
+    )
+    pi = expit(-log_odds)
+    gain = vx / (vx + v)
+    mean = pi * gain * r
+    second = pi * (gain * v + gain**2 * np.abs(r) ** 2)
     var = second - np.abs(mean) ** 2
     v_hat = float(np.mean(var))
     if v_hat >= v:
@@ -140,12 +127,11 @@ class TestPosterior:
         ),
         v=st.floats(1e-6, 20.0),
         mu=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
-        field=st.sampled_from(["complex", "real"]),
     )
-    def test_equals_reference_formulas_exactly(self, parts, v, mu, field):
-        prior = PriorParams(mu=mu, field=field)
+    def test_equals_reference_formulas_exactly(self, parts, v, mu):
+        prior = PriorParams(mu=mu)
         re, im = np.array(parts).T
-        r = re + 1j * im if field == "complex" else re
+        r = re + 1j * im
         out = bg_mmse(r, v, prior)
         mean, v_hat, ext_mean, ext_var = reference_bg_mmse(r, v, prior)
         assert np.array_equal(out.posterior_mean, mean)
@@ -158,9 +144,7 @@ class TestPosterior:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, None])
     @pytest.mark.parametrize("mu", [1.0, 0.1])
-    @pytest.mark.parametrize("field,dtype", [
-        ("complex", complex), ("real", float), ("real", complex),
-    ])
+    @pytest.mark.parametrize("field,dtype", [("complex", complex)])
     def test_chunked_passes_match_reference_bits_at_chunk_edges(
         self, extra, mu, field, dtype
     ):
@@ -168,14 +152,11 @@ class TestPosterior:
         3C + 7 put the last chunk at every edge case."""
         C = denoisers.CHUNK
         n = 3 * C + 7 if extra is None else C + extra
-        prior = PriorParams(mu=mu, field=field)
+        prior = PriorParams(mu=mu)
         rng = np.random.default_rng(n)
         v = 0.05
         x = sample_prior(prior, n, rng)
-        if dtype is complex:
-            r = x + np.sqrt(v / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        else:
-            r = x.real + np.sqrt(v) * rng.standard_normal(n)
+        r = x + np.sqrt(v / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         mean, v_hat, ext_mean, ext_var = reference_bg_mmse(r, v, prior)
         assert ext_mean is not None
         out = bg_mmse(r, v, prior)
@@ -305,13 +286,3 @@ class TestScalarMMSE:
         with pytest.raises(ValueError):
             mmse_of_noise_level(-0.1, PriorParams(mu=0.5), 10, 0)
 
-
-class TestRealField:
-    def test_real_prior_smoke(self):
-        prior = PriorParams(mu=0.5, field="real")
-        rng = np.random.default_rng(2)
-        x = sample_prior(prior, 1 << 14, rng)
-        assert np.allclose(x.imag, 0.0)
-        assert np.mean(x.real**2) == pytest.approx(1.0, abs=0.05)
-        out = bg_mmse(x.real + 0.1 * rng.standard_normal(len(x)), 0.01, prior)
-        assert 0 < out.posterior_var < 1.0
