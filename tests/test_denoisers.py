@@ -144,12 +144,14 @@ class TestPosterior:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, None])
     @pytest.mark.parametrize("mu", [1.0, 0.1])
-    @pytest.mark.parametrize("field,dtype", [("complex", complex)])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "float"])
     def test_chunked_passes_match_reference_bits_at_chunk_edges(
-        self, extra, mu, field, dtype
+        self, extra, mu, layout
     ):
         """bg_mmse works in chunks of CHUNK entries; sizes C - 1, C, C + 1 and
-        3C + 7 put the last chunk at every edge case."""
+        3C + 7 put the last chunk at every edge case.  The input is read once as
+        contiguous complex, so a strided view or a float array gives the bits
+        of its contiguous complex copy."""
         C = denoisers.CHUNK
         n = 3 * C + 7 if extra is None else C + extra
         prior = PriorParams(mu=mu)
@@ -157,10 +159,19 @@ class TestPosterior:
         v = 0.05
         x = sample_prior(prior, n, rng)
         r = x + np.sqrt(v / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if layout == "strided":
+            buf = np.zeros(2 * n, dtype=complex)
+            buf[::2] = r
+            r_in = buf[::2]
+        elif layout == "float":
+            r_in = r.real.copy()
+            r = r_in.astype(complex)
+        else:
+            r_in = r
         mean, v_hat, ext_mean, ext_var = reference_bg_mmse(r, v, prior)
         assert ext_mean is not None
-        out = bg_mmse(r, v, prior)
-        ext, v_ext = extrinsic_nle(r, v, prior)
+        out = bg_mmse(r_in, v, prior)
+        ext, v_ext = extrinsic_nle(r_in, v, prior)
         bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
         assert np.array_equal(bits(out.posterior_mean), bits(mean))
         assert out.posterior_var == v_hat
