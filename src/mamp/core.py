@@ -24,6 +24,9 @@ from .spectral import MomentTables
 
 C_MAX = 1e6  # bound on the new-residual weight xi
 EPS_FLOOR = 1e-12  # noise floor of the new estimate's error variance, relative
+# smallest elimination pivot of a solvable damping block, relative to its
+# largest entry; a candidate repeating a retained estimate falls below it
+DAMPING_RANK_TOL = 1e-13
 
 
 class DegenerateNormalizationError(RuntimeError):
@@ -213,6 +216,20 @@ def gamma_covariance_row(
     return row
 
 
+def _smallest_pivot(V: np.ndarray) -> float:
+    """Smallest |pivot| of Gaussian elimination with partial pivoting on V."""
+    U = V.copy()
+    smallest = np.inf
+    for k in range(len(U)):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        U[[k, p]] = U[[p, k]]
+        smallest = min(smallest, abs(U[k, k]))
+        if U[k, k] == 0:
+            break
+        U[k + 1 :, k:] -= np.outer(U[k + 1 :, k] / U[k, k], U[k, k:])
+    return smallest
+
+
 @dataclass
 class DampingSolution:
     zeta: np.ndarray
@@ -223,9 +240,10 @@ class DampingSolution:
 def optimal_damping(V: np.ndarray, L: int | None = None) -> DampingSolution:
     """Minimum-variance convex combination weights over the candidate block.
 
-    Solves min zeta^H V zeta subject to sum(zeta) = 1.  When V is (numerically)
-    singular, or the solution fails the guaranteed-improvement property of a
-    positive-definite block, falls back to keeping the previous estimate
+    Solves min zeta^H V zeta subject to sum(zeta) = 1.  When V is numerically
+    singular (an elimination pivot at or below DAMPING_RANK_TOL times its
+    largest entry), or the solution fails the guaranteed-improvement property
+    of a positive-definite block, falls back to keeping the previous estimate
     (weight on the second-to-last candidate) and reports singular=True.
     """
     V = np.asarray(V, dtype=complex)
@@ -242,10 +260,13 @@ def optimal_damping(V: np.ndarray, L: int | None = None) -> DampingSolution:
     if l == 1:
         return DampingSolution(np.ones(1, dtype=complex), float(V[0, 0].real), False)
     diag = V.diagonal().real
-    try:
-        sol = np.linalg.solve(V, np.ones(l, dtype=complex))
-    except np.linalg.LinAlgError:
-        sol = None
+    sol = None
+    # LAPACK solves a rank-deficient block unless a pivot is exactly zero
+    if _smallest_pivot(V) > DAMPING_RANK_TOL * scale:
+        try:
+            sol = np.linalg.solve(V, np.ones(l, dtype=complex))
+        except np.linalg.LinAlgError:
+            pass
     if sol is not None:
         denom = float(np.real(np.sum(sol)))
         if denom > 0.0 and np.all(np.isfinite(sol)):

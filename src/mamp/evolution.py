@@ -17,6 +17,8 @@ MSE as the record's mse, so simulations and evolutions are read alike.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.random import default_rng
 
@@ -296,11 +298,13 @@ def series_gamma_se(
     the output variance, grouped by total lag (the couplings split into a
     lag-only part and a separable product).  With q = tables.weight_decay,
     |w'_s| <= w0 q^s and |w'_s - w'_{s+1}| <= 2 w0 q^s, so the lag-s term is
-    at most theta^2 (s+1) (x q)^s (sigma^2 w0 + v_phi (2 ld w0 + w0^2));
-    the length doubles from 8 until that bound at the last lag drops below
-    series_tol.  The tables are extended on demand, which requires
-    eigenvalue-built tables.  Raises ValueError when the bound is still at
-    or above series_tol once max_terms terms are reached.
+    at most (s+1) (x q)^s times the lag-0 bound theta^2 (sigma^2 w0 +
+    v_phi (2 ld w0 + w0^2)); the length doubles from 8 until that relative
+    bound at the last lag drops below series_tol.  A relative bound keeps
+    the result's relative accuracy at small sigma^2 and v_phi, where an
+    absolute one would not.  The tables are extended on demand, which
+    requires eigenvalue-built tables.  Raises ValueError when the bound is
+    still at or above series_tol once max_terms terms are reached.
     """
     ld = tables.lambda_dagger
     rho = sigma2 / v_phi
@@ -308,12 +312,10 @@ def series_gamma_se(
     x = theta * ld
     # terms contract at x * q < 1: q is the decay of the weights themselves,
     # at most the relaxed spectral radius rho_B / ld of the assumed extremes
-    w0 = tables.w0
     contraction = x * tables.weight_decay
-    coeff = theta**2 * (sigma2 * w0 + v_phi * (2 * ld * w0 + w0**2))
 
     def _tail_bound(s_idx: int) -> float:
-        return coeff * (s_idx + 1) * contraction**s_idx
+        return (s_idx + 1) * contraction**s_idx
 
     n_terms = 8
     while _tail_bound(n_terms - 1) >= series_tol:
@@ -336,16 +338,46 @@ def series_gamma_se(
     return float(v_gamma), float(eps_star)
 
 
-def _damped_fixed_point(gamma_of, prior, tol, max_sweeps, relax):
-    """Damped iteration of v -> phi_se(gamma_of(v)) from v = 1: (gamma_of(v*), v*)."""
-    v = 1.0
+def _log_fixed_point(gamma_of, prior, gamma_floor, tol, max_sweeps):
+    """Fixed point of v -> phi_se(gamma_of(v)) by safeguarded secant on log v.
+
+    Finds the root of g(u) = log phi_se(gamma_of(e**u)) - u.  Both transfer
+    maps rise with v and tend to gamma_floor = sigma2 / w0 as v -> 0 (w0 =
+    sum d_k^2 / N), so the start u = log phi_se(gamma_floor) lies below every
+    fixed point; when phi_se refuses that level the start is v = 1.  The MMSE denoiser's
+    extrinsic variance is at most the unit prior variance, so every fixed
+    point lies at or below v = 1.  Points with g > 0 lie below the root and
+    points with g <= 0 above it; with v = 1 they bracket the root.  The
+    first step is the Picard step g, later ones the secant step through the
+    last two points.  A step that is not finite or leaves the bracket is
+    replaced by the Picard step, or by bisection of the bracket when that
+    leaves it too.  Stops once the secant (or first) step or the bracket is
+    below tol and returns (gamma_of(v), v) at the last point evaluated;
+    raises ValueError after max_sweeps points.
+    """
+    try:
+        u = math.log(_phi_se(gamma_floor, prior)[1])
+    except NonImprovingNLEError:
+        u = 0.0
+    below, above = -math.inf, 0.0
+    prev = None
     for _ in range(max_sweeps):
-        _, v_new = _phi_se(gamma_of(v), prior)
-        converged = abs(v_new - v) / v < tol
-        v = v + relax * (v_new - v)
-        if converged:
-            break
-    return float(gamma_of(v)), float(v)
+        v_gamma = gamma_of(math.exp(u))
+        g = math.log(_phi_se(v_gamma, prior)[1]) - u
+        if g > 0:
+            below = u
+        else:
+            above = u
+        step = g
+        if prev is not None and prev[1] != g:
+            step = g * (u - prev[0]) / (prev[1] - g)
+        if abs(step) < tol or above - below < tol:
+            return float(v_gamma), math.exp(u)
+        if not below < u + step < above:
+            step = g if below < u + g < above else 0.5 * (below + above) - u
+        prev = u, g
+        u += step
+    raise ValueError(f"fixed point not reached in {max_sweeps} sweeps")
 
 
 def oamp_fixed_point(
@@ -353,13 +385,22 @@ def oamp_fixed_point(
     prior: PriorParams,
     sigma2: float,
     series_tol: float = 1e-12,
-    tol: float = 1e-10,
-    max_sweeps: int = 10_000,
-    relax: float = 0.5,
+    tol: float = 1e-13,
+    max_sweeps: int = 200,
 ) -> tuple[float, float]:
-    """Shared fixed point (v_gamma*, v_phi*) of the LMMSE and long-memory maps."""
+    """Shared fixed point (v_gamma*, v_phi*) of the LMMSE and long-memory maps.
+
+    Runs on the geometric series, which needs eigenvalue-built tables:
+    estimate-built ones raise ValueError even where the stored weights
+    would cover the series.
+    """
+    if tables.eig_source is None:
+        raise ValueError(
+            "the series fixed point needs eigenvalue-built tables; "
+            "estimate-built tables hold too few reliable weights"
+        )
     gamma_of = lambda v: series_gamma_se(v, tables, sigma2, series_tol)[0]
-    return _damped_fixed_point(gamma_of, prior, tol, max_sweeps, relax)
+    return _log_fixed_point(gamma_of, prior, sigma2 / tables.w0, tol, max_sweeps)
 
 
 def bo_oamp_fixed_point_exact(
@@ -367,10 +408,10 @@ def bo_oamp_fixed_point_exact(
     N: int,
     prior: PriorParams,
     sigma2: float,
-    tol: float = 1e-12,
-    max_sweeps: int = 10_000,
-    relax: float = 0.5,
+    tol: float = 1e-13,
+    max_sweeps: int = 200,
 ) -> tuple[float, float]:
     """Fixed point of the eigenvalue-exact LMMSE evolution (oracle route)."""
     gamma_of = lambda v: lmmse_gamma_se(v, d, N, sigma2)
-    return _damped_fixed_point(gamma_of, prior, tol, max_sweeps, relax)
+    w0 = float(np.sum(np.asarray(d, dtype=float) ** 2)) / N
+    return _log_fixed_point(gamma_of, prior, sigma2 / w0, tol, max_sweeps)

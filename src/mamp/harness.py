@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -370,6 +369,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             return _run_seed(sim_cfg, k, held.pop() if k == 0 else None, tables, profile)
 
         if config.threads > 1:
+            # concurrent.futures loads here: only a threaded sweep needs it
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
                 per_seed = list(pool.map(seed_task, range(config.n_seeds)))
         else:

@@ -121,7 +121,8 @@ class StructuredOperator(TransformOperator):
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         u = np.zeros(self.N, dtype=complex)
         u[self._kept] = self.singular_values * y[: self.J]
-        return np.fft.ifft(u, norm="ortho")
+        # u is a fresh buffer: transforming it in place saves an N-vector
+        return np.fft.ifft(u, norm="ortho", out=u)
 
     def apply_gram(self, v: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
         # A A^H = S P F F^H P^T S^T = S S^T: d^2 on the first J entries

@@ -251,8 +251,9 @@ class MomentTables:
     def w_scaled_extended(self, n: int) -> np.ndarray:
         """Scaled filter weights w'_0..w'_n, extending past the stored horizon.
 
-        Only the 1-D weight sequence is produced (no quadratic couplings), so
-        the geometric-series evaluators can run to tens of thousands of terms.
+        Only the 1-D weight sequence is produced (no quadratic couplings).
+        The fixed-point solver starts below v* and keeps its series within a
+        few dozen terms; long extensions are needed only at v far above v*.
         Extensions are cached on the instance and require eigenvalue-built
         tables; estimate-built tables raise instead.
         """

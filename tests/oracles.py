@@ -9,6 +9,8 @@ route on a handful of points.  The scalar MMSE has a 40-digit mpmath oracle
 built from Bayes' rule, and a Monte-Carlo one that runs the package's
 denoiser.  `extrinsic_nle` states the extrinsic step's contract (raise when
 the posterior does not improve) on top of the package's denoiser.
+`relaxed_fixed_point` is the plain relaxed iteration the secant fixed-point
+solver is checked against.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from mamp.denoisers import (
     complex_normal,
     sample_prior,
 )
+from mamp.evolution import _phi_se
 
 
 def bg_posterior_oracle(r_abs: float, v: float, mu: float) -> tuple[float, float]:
@@ -196,3 +199,20 @@ def dense_memory_filter_terms(A: np.ndarray, lambda_dagger: float, t_max: int):
     W = [A.conj().T @ P @ A for P in powers]
     w = [np.trace(Wk).real / N for Wk in W]
     return powers, W, w
+
+
+def relaxed_fixed_point(gamma_of, prior: PriorParams, tol: float, max_sweeps: int = 10_000):
+    """Fixed point of v -> phi_se(gamma_of(v)) by the 0.5-relaxed Picard iteration.
+
+    Starts at v = 1 and stops once a sweep changes v by less than tol
+    relative; that last step is relaxed too.  Returns (gamma_of(v*), v*).
+    A slow, plain reference for the package's secant solver.
+    """
+    v = 1.0
+    for _ in range(max_sweeps):
+        _, v_new = _phi_se(gamma_of(v), prior)
+        converged = abs(v_new - v) / v < tol
+        v = v + 0.5 * (v_new - v)
+        if converged:
+            break
+    return float(gamma_of(v)), float(v)

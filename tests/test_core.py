@@ -159,6 +159,28 @@ class TestDamping:
         np.testing.assert_allclose(sol.zeta, [0.0, 1.0, 0.0])
         assert sol.variance == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generic_complex_duplicate_is_singular(self, seed):
+        # the last candidate repeats the second's covariances; LAPACK meets
+        # no exactly zero pivot and solves it at condition number ~1e17
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        V = np.empty((3, 3), dtype=complex)
+        V[:2, :2] = B @ B.conj().T / 4
+        V[2, :2], V[:2, 2], V[2, 2] = V[1, :2], V[:2, 1], V[1, 1].real
+        sol = optimal_damping(V)
+        assert sol.singular
+        np.testing.assert_array_equal(sol.zeta, [0.0, 1.0, 0.0])
+        assert sol.variance == V[1, 1].real
+
+    def test_rank_test_leaves_an_ill_conditioned_block_alone(self):
+        # smallest pivot 2e-11 of the largest entry, below the least (4.7e-11)
+        # that full runs of the shipped configs produce: solved, not flagged
+        V = np.array([[1.0, 1.0 - 1e-11], [1.0 - 1e-11, 1.0]], dtype=complex)
+        sol = optimal_damping(V)
+        assert not sol.singular
+        np.testing.assert_allclose(sol.zeta, [0.5, 0.5], rtol=1e-4)
+
     def test_invalid_blocks_raise(self):
         with pytest.raises(InvalidLedgerError):
             optimal_damping(np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex))
@@ -249,6 +271,26 @@ class TestLedger:
         Vt = V[: t + 1, : t + 1]
         assert np.array_equal(Vt, Vt.conj().T)
         assert np.array_equal(V[:t, :t], before[:t, :t])
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generic_complex_duplicate_keeps_its_window_slot_free(self, seed):
+        # the candidate repeats damped estimate 2's covariances exactly, with
+        # generic complex entries: the fallback keeps estimate 2 and the
+        # window, where a plain solve kept the duplicate (or weights ~1e15)
+        rng = np.random.default_rng(seed)
+        n, T = 8, 3
+        Z = np.zeros((T + 1, n), dtype=complex)
+        Z[0] = draw_complex(rng, n)
+        ledger = Ledger(T, 3, float(np.vdot(Z[0], Z[0]).real) / n)
+        V = ledger.V
+        assert not damp_vectors(ledger, 1, [(Z, draw_complex(rng, n))]).singular
+        t = 2
+        sol = ledger.damp(t, V[t - 1, :t].copy(), float(V[t - 1, t - 1].real), [(Z, Z[t - 1].copy())])
+        assert sol.singular
+        assert ledger.effective == [1, 2]
+        assert np.array_equal(Z[t], Z[t - 1])
+        assert V[t, t] == V[t - 1, t - 1]
 
 
 class TestChunkedKernels:

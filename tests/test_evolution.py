@@ -236,6 +236,17 @@ class TestFixedPoint:
             v_eig = lmmse_gamma_se(v, d, 512, sigma2)
             assert v_series == pytest.approx(v_eig, rel=1e-9)
 
+    def test_series_transfer_keeps_relative_accuracy_at_small_variances(self):
+        # at 40 dB and v_phi ~ 5.6e-6 the result is ~1e-4: a tail bound
+        # against an absolute 1e-12 left it 2.4e-8 off the eigenvalue route
+        from mamp.evolution import lmmse_gamma_se
+
+        d = make_geometric_singular_values(1024, 10.0, 1024.0)
+        tab = tables_from_singular_values(d, 1024, 30, M=1024)
+        for v in (5.6e-6, 1e-3, 1.0):
+            v_series, _ = series_gamma_se(v, tab, 1e-4)
+            assert v_series == pytest.approx(lmmse_gamma_se(v, d, 1024, 1e-4), rel=1e-11)
+
     @pytest.mark.parametrize("mode", ["bounded", "exact"])
     def test_fixed_point_series_lengths_on_the_paper_config(self, monkeypatch, mode):
         # term counts, not times: with bounded moments a tail bound that
@@ -258,10 +269,10 @@ class TestFixedPoint:
         _, tab, _ = harness._spectral_inputs(config, harness._build_operator(config, 0))
         monkeypatch.setattr(MomentTables, "w_scaled_extended", recording_extend)
         oamp_fixed_point(tab, PriorParams(mu=config.mu), config.sigma2)
-        if mode == "bounded":
-            assert max(lengths) <= 4096
-        else:
-            assert max(lengths) == 2048
+        # one extension per series evaluation; starting below v* keeps every
+        # series inside a few dozen terms
+        assert len(lengths) <= 10
+        assert max(lengths) <= 64
 
     def test_fixed_points_agree_between_routes(self):
         prior = PriorParams(mu=0.1)
@@ -275,29 +286,119 @@ class TestFixedPoint:
             _, vp_eig = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
             assert vp == pytest.approx(vp_eig, rel=1e-8)
 
-    def test_both_routes_run_the_relaxed_iteration_bit_for_bit(self):
-        # the relax-0.5 loop written out; the step that meets tol is relaxed
+    def test_both_routes_run_the_safeguarded_secant_bit_for_bit(self):
+        # the solver written out: start at phi_se(sigma2 / w0), a Picard step,
+        # then secant steps on log v inside the bracket (below, above], the
+        # Picard step or bisection where a step would leave it
+        import math
+
         from mamp.evolution import _phi_se, lmmse_gamma_se
 
-        def iterate(gamma_of, prior, tol):
-            v = 1.0
+        def solve(gamma_of, w0, prior, sigma2, tol=1e-13):
+            u = math.log(_phi_se(sigma2 / w0, prior)[1])
+            below, above, last = -math.inf, 0.0, None
             while True:
-                _, v_new = _phi_se(gamma_of(v), prior)
-                done = abs(v_new - v) / v < tol
-                v = v + 0.5 * (v_new - v)
-                if done:
-                    return gamma_of(v), v
+                v_gamma = gamma_of(math.exp(u))
+                g = math.log(_phi_se(v_gamma, prior)[1]) - u
+                below, above = (u, above) if g > 0 else (below, u)
+                step = g
+                if last is not None and last[1] != g:
+                    step = g * (u - last[0]) / (last[1] - g)
+                if abs(step) < tol or above - below < tol:
+                    return v_gamma, math.exp(u)
+                if not below < u + step < above:
+                    step = g if below < u + g < above else (below + above) / 2 - u
+                last = u, g
+                u += step
 
-        prior = PriorParams(mu=0.1)
-        N, M, sigma2 = 1024, 512, 1e-3
-        d = make_geometric_singular_values(M, 10.0, float(N))
-        tab = tables_from_singular_values(d, N, 50, M=M)
-        assert oamp_fixed_point(tab, prior, sigma2) == iterate(
-            lambda v: series_gamma_se(v, tab, sigma2)[0], prior, 1e-10
+        # the second case steps through the knee of the denoiser's curve,
+        # where secant steps leave the bracket and Picard steps replace them
+        for mu, kappa, delta, sigma2 in ((0.1, 10.0, 0.5, 1e-3), (0.3, 1.0, 0.25, 1e-4)):
+            prior = PriorParams(mu=mu)
+            N = 1024
+            M = int(delta * N)
+            d = make_geometric_singular_values(M, kappa, float(N))
+            tab = tables_from_singular_values(d, N, 50, M=M)
+            assert oamp_fixed_point(tab, prior, sigma2) == solve(
+                lambda v: series_gamma_se(v, tab, sigma2)[0], tab.w0, prior, sigma2
+            )
+            w0 = float(np.sum(d**2)) / N
+            assert bo_oamp_fixed_point_exact(d, N, prior, sigma2) == solve(
+                lambda v: lmmse_gamma_se(v, d, N, sigma2), w0, prior, sigma2
+            )
+
+    def test_series_noise_near_a_high_fixed_point_ends_in_bisection(self):
+        # mu = 0.3 above delta = 0.25 leaves v* near 0.88, where the series
+        # needs 2**18 terms and its rounding makes the transfer noisy at
+        # ~1e-10: secant and Picard steps then leave the bracket, and only
+        # bisecting it ends the search
+        from mamp.evolution import lmmse_gamma_se
+
+        prior = PriorParams(mu=0.3)
+        N, M, sigma2 = 512, 128, 1e-3
+        d = make_geometric_singular_values(M, 100.0, float(N))
+        tab = tables_from_singular_values(d, N, 30, M=M)
+        _, v_series = oamp_fixed_point(tab, prior, sigma2, max_sweeps=40)
+        _, v_exact = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
+        assert v_exact > 0.5
+        assert v_series == pytest.approx(v_exact, rel=1e-9)
+        assert series_gamma_se(v_exact, tab, sigma2)[0] == pytest.approx(
+            lmmse_gamma_se(v_exact, d, N, sigma2), rel=1e-9
         )
-        assert bo_oamp_fixed_point_exact(d, N, prior, sigma2) == iterate(
-            lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, 1e-12
-        )
+
+    def test_no_more_work_than_the_relaxed_iteration_on_the_grid(self, monkeypatch):
+        # criterion 2's grid plus delta = 4 and mu in {0.05, 0.3}, and the
+        # slow case mu = 0.1, kappa = 100, delta = 0.25 at 40 dB: wherever the
+        # relaxed iteration from v = 1 converges, the secant solver takes no
+        # more series evaluations, no longer a series, and lands no farther
+        # from the eigenvalue-exact fixed point (or within 1e-11 of it)
+        import itertools
+
+        from mamp.evolution import lmmse_gamma_se
+        from mamp.spectral import MomentTables
+        from oracles import relaxed_fixed_point
+
+        lengths = []
+        extend = MomentTables.w_scaled_extended
+
+        def recording_extend(tables, n):
+            lengths.append(n)
+            return extend(tables, n)
+
+        def run(solver):
+            lengths.clear()
+            result = solver()
+            return result, len(lengths), max(lengths)
+
+        monkeypatch.setattr(MomentTables, "w_scaled_extended", recording_extend)
+        grid = list(itertools.product((0.05, 0.1, 0.3), (1.0, 10.0, 100.0), (0.5, 1.0, 4.0), (20.0, 30.0)))
+        grid.append((0.1, 100.0, 0.25, 40.0))
+        N, failures = 512, []
+        for mu, kappa, delta, snr in grid:
+            prior = PriorParams(mu=mu)
+            M = int(delta * N)
+            sigma2 = 10 ** (-snr / 10)
+            d = make_geometric_singular_values(min(M, N), kappa, float(N))
+            tab = tables_from_singular_values(d, N, 200, M=M)
+            series = lambda v: series_gamma_se(v, tab, sigma2)[0]
+            exact = lambda v: lmmse_gamma_se(v, d, N, sigma2)
+            try:
+                (_, v_old), n_old, len_old = run(lambda: relaxed_fixed_point(series, prior, 1e-10))
+            except ValueError:
+                continue  # the series at v = 1 needs more than max_terms
+            _, v_old_x = relaxed_fixed_point(exact, prior, 1e-12)
+            (_, v_new), n_new, len_new = run(lambda: oamp_fixed_point(tab, prior, sigma2))
+            _, v_new_x = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
+            gap_old = abs(v_old - v_old_x) / v_old_x
+            gap_new = abs(v_new - v_new_x) / v_new_x
+            if (
+                n_new > n_old
+                or len_new > len_old
+                or gap_new > max(gap_old, 1e-11)
+                or abs(v_new - v_old) > 1e-8 * v_old
+            ):
+                failures.append((mu, kappa, delta, snr, n_old, n_new, len_old, len_new, gap_old, gap_new))
+        assert not failures
 
     def test_series_raises_when_truncated_at_max_terms(self):
         d = make_geometric_singular_values(256, 20.0, 512.0)
@@ -305,12 +406,15 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match=r"tail bound .* max_terms = 64"):
             series_gamma_se(1.0, tab, 1e-2, max_terms=64)
 
-    def test_estimate_built_tables_error_when_series_needs_more(self):
+    @pytest.mark.parametrize("T", [3, 30])
+    def test_estimate_built_tables_raise(self, T):
+        # at the shipped T = 30 a short series can fit in the stored 2T + 2
+        # weights, but the estimate's weights past t ~ 20 are not reliable
         from mamp import build_moment_tables, build_structured_operator
         from mamp import estimate_moments_power_recursion
 
         op = build_structured_operator(128, 256, make_geometric_singular_values(128, 10.0, 256.0), rng_seed=0)
-        prof = estimate_moments_power_recursion(op, 3, rng_seed=0, n_probes=2)
-        tab = build_moment_tables(prof, 3)
-        with pytest.raises(ValueError):
+        prof = estimate_moments_power_recursion(op, T, rng_seed=0, n_probes=2)
+        tab = build_moment_tables(prof, T)
+        with pytest.raises(ValueError, match="eigenvalue-built tables"):
             oamp_fixed_point(tab, PriorParams(mu=0.1), 1e-3)

@@ -345,12 +345,12 @@ def run_python(code: str) -> str:
 
 class TestCli:
     def test_import_leaves_heavy_modules_unloaded(self):
-        # logistic, quadrature, dense eigensolver and multiprecision load on
-        # first use
+        # logistic, quadrature, dense eigensolver, multiprecision and the
+        # thread pool load on first use
         out = run_python(
             "import sys, mamp.cli; "
             "print(sorted(m for m in ('scipy.special', 'scipy.integrate', "
-            "'scipy.linalg', 'mpmath') if m in sys.modules))"
+            "'scipy.linalg', 'mpmath', 'concurrent.futures') if m in sys.modules))"
         )
         assert out.strip() == "[]"
 

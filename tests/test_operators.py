@@ -142,6 +142,16 @@ class TestStructuredOperator:
                 op.apply_adjoint(u), reference_structured_adjoint(op, u)
             )
 
+    @pytest.mark.parametrize("M,N", [(12, 16), (1 << 16, 1 << 17)])
+    def test_adjoint_in_place_has_the_bits_of_a_fresh_inverse_fft(self, M, N):
+        d = make_geometric_singular_values(min(M, N), 10.0, float(N))
+        op = build_structured_operator(M, N, d, rng_seed=3)
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        u = np.zeros(N, dtype=complex)
+        u[op.perm[: op.J]] = d * y[: op.J]
+        assert np.array_equal(op.apply_adjoint(y), np.fft.ifft(u, norm="ortho"))
+
     @given(
         shape=st.sampled_from(["wide", "square", "tall"]),
         J=st.integers(1, 48),
