@@ -217,11 +217,15 @@ def gamma_covariance_row(
 
 
 def _smallest_pivot(V: np.ndarray) -> float:
-    """Smallest |pivot| of Gaussian elimination with partial pivoting on V."""
+    """Smallest |pivot| of Gaussian elimination with partial pivoting on V.
+
+    Pivots are chosen by |Re| + |Im|, as LAPACK's getrf behind
+    np.linalg.solve chooses them.
+    """
     U = V.copy()
     smallest = np.inf
     for k in range(len(U)):
-        p = k + int(np.argmax(np.abs(U[k:, k])))
+        p = k + int(np.argmax(np.abs(U[k:, k].real) + np.abs(U[k:, k].imag)))
         U[[k, p]] = U[[p, k]]
         smallest = min(smallest, abs(U[k, k]))
         if U[k, k] == 0:

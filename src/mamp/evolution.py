@@ -300,7 +300,8 @@ def series_gamma_se(
     |w'_s| <= w0 q^s and |w'_s - w'_{s+1}| <= 2 w0 q^s, so the lag-s term is
     at most (s+1) (x q)^s times the lag-0 bound theta^2 (sigma^2 w0 +
     v_phi (2 ld w0 + w0^2)); the length doubles from 8 until that relative
-    bound at the last lag drops below series_tol.  A relative bound keeps
+    bound at the last lag drops below series_tol, and is cut back to the
+    stored weights when the bound holds there.  A relative bound keeps
     the result's relative accuracy at small sigma^2 and v_phi, where an
     absolute one would not.  The tables are extended on demand, which
     requires eigenvalue-built tables.  Raises ValueError when the bound is
@@ -325,6 +326,10 @@ def series_gamma_se(
                 f"series_tol {series_tol:.1e} at max_terms = {max_terms}"
             )
         n_terms *= 2
+    # the stored weights cost nothing to read: stop there when they suffice
+    stored = len(tables.w_scaled) - 1
+    if stored < n_terms and _tail_bound(stored - 1) < series_tol:
+        n_terms = stored
     w = tables.w_scaled_extended(n_terms)
     # the three lag sums as one (3, n) product with x**s: back-to-back dots
     # stall in a threaded BLAS where one matrix-vector product does not
@@ -338,28 +343,22 @@ def series_gamma_se(
     return float(v_gamma), float(eps_star)
 
 
-def _log_fixed_point(gamma_of, prior, gamma_floor, tol, max_sweeps):
-    """Fixed point of v -> phi_se(gamma_of(v)) by safeguarded secant on log v.
+# Width, in log v, of the band above the root found from below that the
+# certificate does not cover: a larger fixed point inside it is not excluded.
+_UNIQUENESS_BAND = 0.05
 
-    Finds the root of g(u) = log phi_se(gamma_of(e**u)) - u.  Both transfer
-    maps rise with v and tend to gamma_floor = sigma2 / w0 as v -> 0 (w0 =
-    sum d_k^2 / N), so the start u = log phi_se(gamma_floor) lies below every
-    fixed point; when phi_se refuses that level the start is v = 1.  The MMSE denoiser's
-    extrinsic variance is at most the unit prior variance, so every fixed
-    point lies at or below v = 1.  Points with g > 0 lie below the root and
-    points with g <= 0 above it; with v = 1 they bracket the root.  The
-    first step is the Picard step g, later ones the secant step through the
-    last two points.  A step that is not finite or leaves the bracket is
-    replaced by the Picard step, or by bisection of the bracket when that
-    leaves it too.  Stops once the secant (or first) step or the bracket is
-    below tol and returns (gamma_of(v), v) at the last point evaluated;
-    raises ValueError after max_sweeps points.
+
+def _secant_root(gamma_of, prior, u, below, above, tol, max_sweeps):
+    """Root of g(u) = log phi_se(gamma_of(e**u)) - u in (below, above].
+
+    Points with g > 0 move `below` up and points with g <= 0 move `above`
+    down.  The first step is the Picard step g, later ones the secant step
+    through the last two points.  A step that is not finite or leaves the
+    bracket is replaced by the Picard step, or by bisection of the bracket
+    when that leaves it too.  Stops once the secant (or first) step or the
+    bracket is below tol and returns (gamma_of(e**u), u) at the last point
+    evaluated; raises ValueError after max_sweeps points.
     """
-    try:
-        u = math.log(_phi_se(gamma_floor, prior)[1])
-    except NonImprovingNLEError:
-        u = 0.0
-    below, above = -math.inf, 0.0
     prev = None
     for _ in range(max_sweeps):
         v_gamma = gamma_of(math.exp(u))
@@ -372,12 +371,63 @@ def _log_fixed_point(gamma_of, prior, gamma_floor, tol, max_sweeps):
         if prev is not None and prev[1] != g:
             step = g * (u - prev[0]) / (prev[1] - g)
         if abs(step) < tol or above - below < tol:
-            return float(v_gamma), math.exp(u)
+            return float(v_gamma), u
         if not below < u + step < above:
             step = g if below < u + g < above else 0.5 * (below + above) - u
         prev = u, g
         u += step
     raise ValueError(f"fixed point not reached in {max_sweeps} sweeps")
+
+
+def _log_fixed_point(gamma_of, prior, gamma_floor, tol, max_sweeps, chain_of=None):
+    """Largest fixed point of v -> phi_se(gamma_of(v)), the one reached from v = 1.
+
+    The map F(v) = phi_se(gamma(v)) rises with v, and every fixed point lies
+    at or below v = 1 (the MMSE denoiser's extrinsic variance is at most the
+    unit prior variance).  Both transfer maps tend to gamma_floor = sigma2 /
+    w0 as v -> 0 (w0 = sum d_k^2 / N), so u = log phi_se(gamma_floor) lies
+    below every fixed point (when phi_se refuses that level the start is
+    v = 1).  From there `_secant_root` finds a root r cheaply, with short
+    series; it is the smallest root when there are several.
+
+    The Picard chain top -> top + log F(e**top) - top from top = 0 then
+    certifies it: F rises, so the chain stays at or above the largest fixed
+    point, and F(v) <= F(e**top) < v on (F(e**top), e**top], so no fixed
+    point lies above the chain.  The certificate holds once the chain is
+    within _UNIQUENESS_BAND of r.  A chain that stalls above that is nearing
+    a larger fixed point: the secant through its last two points predicts
+    its limit p, and a point c below p (p's mirror of the next chain point)
+    where g > 0 brackets that fixed point in (c, next chain point], where
+    `_secant_root` solves again.  The chain runs on chain_of (default
+    gamma_of), a cheap map equal to gamma_of, so the series is never summed
+    near v = 1, where it is long.  Returns (gamma_of(v*), v*); raises
+    ValueError when a search does not end within max_sweeps points.
+    """
+    chain_of = chain_of or gamma_of
+
+    def chain_g(u):
+        return math.log(_phi_se(chain_of(math.exp(u)), prior)[1]) - u
+
+    try:
+        u = math.log(_phi_se(gamma_floor, prior)[1])
+    except NonImprovingNLEError:
+        u = 0.0
+    v_gamma, root = _secant_root(gamma_of, prior, u, -math.inf, 0.0, tol, max_sweeps)
+    top, prev = 0.0, None
+    for _ in range(max_sweeps):
+        if top <= root + _UNIQUENESS_BAND:
+            return v_gamma, math.exp(root)
+        step = chain_g(top)
+        if prev is not None and prev[1] != step:
+            limit = top - step * (top - prev[0]) / (step - prev[1])
+            c = 2.0 * limit - (top + step)
+            if root + _UNIQUENESS_BAND < c < top + step and chain_g(c) > 0:
+                v_gamma, root = _secant_root(
+                    gamma_of, prior, c, c, top + step, tol, max_sweeps
+                )
+        prev = top, step
+        top += step
+    raise ValueError(f"fixed point not certified in {max_sweeps} sweeps")
 
 
 def oamp_fixed_point(
@@ -392,7 +442,9 @@ def oamp_fixed_point(
 
     Runs on the geometric series, which needs eigenvalue-built tables:
     estimate-built ones raise ValueError even where the stored weights
-    would cover the series.
+    would cover the series.  The certifying chain from v = 1 runs on the
+    eigenvalue-exact transfer of the same spectrum, which costs one pass
+    over it at any v, where the series near v = 1 needs thousands of terms.
     """
     if tables.eig_source is None:
         raise ValueError(
@@ -400,7 +452,10 @@ def oamp_fixed_point(
             "estimate-built tables hold too few reliable weights"
         )
     gamma_of = lambda v: series_gamma_se(v, tables, sigma2, series_tol)[0]
-    return _log_fixed_point(gamma_of, prior, sigma2 / tables.w0, tol, max_sweeps)
+    d_sq, N, _ = tables.eig_source
+    d = np.sqrt(d_sq)
+    chain_of = lambda v: lmmse_gamma_se(v, d, N, sigma2)
+    return _log_fixed_point(gamma_of, prior, sigma2 / tables.w0, tol, max_sweeps, chain_of)
 
 
 def bo_oamp_fixed_point_exact(

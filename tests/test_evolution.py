@@ -269,10 +269,11 @@ class TestFixedPoint:
         _, tab, _ = harness._spectral_inputs(config, harness._build_operator(config, 0))
         monkeypatch.setattr(MomentTables, "w_scaled_extended", recording_extend)
         oamp_fixed_point(tab, PriorParams(mu=config.mu), config.sigma2)
-        # one extension per series evaluation; starting below v* keeps every
-        # series inside a few dozen terms
+        # one request per series evaluation; starting below v* keeps every
+        # series inside the 2T + 2 stored weights, so none is extended
         assert len(lengths) <= 10
-        assert max(lengths) <= 64
+        assert max(lengths) < len(tab.w_scaled) <= 64
+        assert getattr(tab, "_w_ext", None) is None
 
     def test_fixed_points_agree_between_routes(self):
         prior = PriorParams(mu=0.1)
@@ -289,14 +290,16 @@ class TestFixedPoint:
     def test_both_routes_run_the_safeguarded_secant_bit_for_bit(self):
         # the solver written out: start at phi_se(sigma2 / w0), a Picard step,
         # then secant steps on log v inside the bracket (below, above], the
-        # Picard step or bisection where a step would leave it
+        # Picard step or bisection where a step would leave it; then the
+        # Picard chain from v = 1 on the eigenvalue-exact map, which stops
+        # 0.05 above the root or, where it stalls above that, brackets the
+        # larger root below its predicted limit and solves again there
         import math
 
         from mamp.evolution import _phi_se, lmmse_gamma_se
 
-        def solve(gamma_of, w0, prior, sigma2, tol=1e-13):
-            u = math.log(_phi_se(sigma2 / w0, prior)[1])
-            below, above, last = -math.inf, 0.0, None
+        def secant(gamma_of, prior, u, below, above, tol):
+            last = None
             while True:
                 v_gamma = gamma_of(math.exp(u))
                 g = math.log(_phi_se(v_gamma, prior)[1]) - u
@@ -305,27 +308,72 @@ class TestFixedPoint:
                 if last is not None and last[1] != g:
                     step = g * (u - last[0]) / (last[1] - g)
                 if abs(step) < tol or above - below < tol:
-                    return v_gamma, math.exp(u)
+                    return v_gamma, u
                 if not below < u + step < above:
                     step = g if below < u + g < above else (below + above) / 2 - u
                 last = u, g
                 u += step
 
+        def solve(gamma_of, chain_of, w0, prior, sigma2, tol=1e-13):
+            def chain_g(u):
+                return math.log(_phi_se(chain_of(math.exp(u)), prior)[1]) - u
+
+            u0 = math.log(_phi_se(sigma2 / w0, prior)[1])
+            v_gamma, root = secant(gamma_of, prior, u0, -math.inf, 0.0, tol)
+            top, last = 0.0, None
+            while top > root + 0.05:
+                step = chain_g(top)
+                if last is not None and last[1] != step:
+                    limit = top - step * (top - last[0]) / (step - last[1])
+                    c = 2 * limit - (top + step)
+                    if root + 0.05 < c < top + step and chain_g(c) > 0:
+                        v_gamma, root = secant(gamma_of, prior, c, c, top + step, tol)
+                last = top, step
+                top += step
+            return v_gamma, math.exp(root)
+
         # the second case steps through the knee of the denoiser's curve,
-        # where secant steps leave the bracket and Picard steps replace them
-        for mu, kappa, delta, sigma2 in ((0.1, 10.0, 0.5, 1e-3), (0.3, 1.0, 0.25, 1e-4)):
+        # where secant steps leave the bracket and Picard steps replace them;
+        # the third has two stable fixed points, and the chain moves the
+        # search from the lower one to the upper one
+        cases = ((0.1, 10.0, 0.5, 1e-3), (0.3, 1.0, 0.25, 1e-4), (0.1, 1.0, 0.15, 1e-5))
+        for mu, kappa, delta, sigma2 in cases:
             prior = PriorParams(mu=mu)
             N = 1024
             M = int(delta * N)
             d = make_geometric_singular_values(M, kappa, float(N))
             tab = tables_from_singular_values(d, N, 50, M=M)
+            exact = lambda v: lmmse_gamma_se(v, d, N, sigma2)
             assert oamp_fixed_point(tab, prior, sigma2) == solve(
-                lambda v: series_gamma_se(v, tab, sigma2)[0], tab.w0, prior, sigma2
+                lambda v: series_gamma_se(v, tab, sigma2)[0], exact, tab.w0, prior, sigma2
             )
             w0 = float(np.sum(d**2)) / N
             assert bo_oamp_fixed_point_exact(d, N, prior, sigma2) == solve(
-                lambda v: lmmse_gamma_se(v, d, N, sigma2), w0, prior, sigma2
+                exact, exact, w0, prior, sigma2
             )
+
+    def test_two_stable_fixed_points_give_the_one_reached_from_v_one(self):
+        # delta = 0.15 sits between the algorithmic and information-theoretic
+        # thresholds of mu = 0.1 at 50-60 dB: v -> phi_se(gamma(v)) crosses
+        # the diagonal near 3e-6 (reached from below), 0.067 and 0.6 (reached
+        # from v = 1, as every evolution starts); both routes report 0.6
+        from mamp.evolution import lmmse_gamma_se
+        from oracles import relaxed_fixed_point
+
+        prior = PriorParams(mu=0.1)
+        N, M = 512, 76
+        d = make_geometric_singular_values(M, 1.0, float(N))
+        tab = tables_from_singular_values(d, N, 200, M=M)
+        for snr in (50.0, 60.0):
+            sigma2 = 10 ** (-snr / 10)
+            _, v_oracle = relaxed_fixed_point(lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, 1e-12)
+            v_tail = run_bo_oamp_se(d, N, prior, sigma2, 300).trajectory("v_phi_bar")[-1]
+            assert v_oracle > 0.5
+            _, v_series = oamp_fixed_point(tab, prior, sigma2)
+            _, v_exact = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
+            for v in (v_series, v_exact):
+                assert v == pytest.approx(v_oracle, rel=1e-10)
+                assert v == pytest.approx(v_tail, rel=1e-12)
 
     def test_series_noise_near_a_high_fixed_point_ends_in_bisection(self):
         # mu = 0.3 above delta = 0.25 leaves v* near 0.88, where the series
@@ -348,10 +396,11 @@ class TestFixedPoint:
 
     def test_no_more_work_than_the_relaxed_iteration_on_the_grid(self, monkeypatch):
         # criterion 2's grid plus delta = 4 and mu in {0.05, 0.3}, and the
-        # slow case mu = 0.1, kappa = 100, delta = 0.25 at 40 dB: wherever the
-        # relaxed iteration from v = 1 converges, the secant solver takes no
-        # more series evaluations, no longer a series, and lands no farther
-        # from the eigenvalue-exact fixed point (or within 1e-11 of it)
+        # slow case mu = 0.1, kappa = 100, delta = 0.25 at 40 dB, and two
+        # cases with two stable fixed points: wherever the relaxed iteration
+        # from v = 1 converges, the secant solver reaches the same fixed point
+        # with no more series evaluations and no longer a series, and lands
+        # no farther from the eigenvalue-exact one (or within 1e-11 of it)
         import itertools
 
         from mamp.evolution import lmmse_gamma_se
@@ -372,7 +421,7 @@ class TestFixedPoint:
 
         monkeypatch.setattr(MomentTables, "w_scaled_extended", recording_extend)
         grid = list(itertools.product((0.05, 0.1, 0.3), (1.0, 10.0, 100.0), (0.5, 1.0, 4.0), (20.0, 30.0)))
-        grid.append((0.1, 100.0, 0.25, 40.0))
+        grid += [(0.1, 100.0, 0.25, 40.0), (0.1, 1.0, 0.15, 50.0), (0.1, 1.0, 0.15, 60.0)]
         N, failures = 512, []
         for mu, kappa, delta, snr in grid:
             prior = PriorParams(mu=mu)
