@@ -95,12 +95,13 @@ def sample_prior(prior: PriorParams, n: int, rng: Generator) -> np.ndarray:
     return np.where(support, slab, 0.0)
 
 
-def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams, scratch: np.ndarray):
+def _posterior_moments(r, v: float, prior: PriorParams, scratch, mean=None, var=None):
     """Per-entry posterior mean and variance of the spike-and-slab posterior.
 
-    Written chunk by chunk into the full-size outputs through two chunk-sized
-    float buffers taken from scratch; every entry sees the same operations, in
-    the same order, as the whole-array expressions would apply.
+    Written chunk by chunk into mean and var (allocated when not given)
+    through two chunk-sized float buffers taken from scratch; every entry
+    sees the same operations, in the same order, as the whole-array
+    expressions would apply.
     """
     # SciPy's logistic, loaded on first use: a NumPy one differs in the last
     # ulp on a few percent of inputs, which the simulated outputs would show
@@ -111,8 +112,10 @@ def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams, scratch: np.
     if prior.mu < 1.0:
         log_odds_scale = v * (vx + v)
         log_odds_shift = np.log((1.0 - prior.mu) / prior.mu) + np.log((vx + v) / v)
-    mean = np.empty(r.shape, dtype=complex)
-    var = np.empty(r.shape)
+    if mean is None:
+        # allocated after the import above: allocated before it, they cost
+        # large_n_sim ~16K more minor page faults (getrusage, glibc malloc)
+        mean, var = np.empty(r.shape, dtype=complex), np.empty(r.shape)
     r_flat, mean_flat, var_flat = r.reshape(-1), mean.reshape(-1), var.reshape(-1)
     for sl in chunks(r_flat.size):
         rb, mb, vb = r_flat[sl], mean_flat[sl], var_flat[sl]
@@ -140,40 +143,49 @@ def _posterior_moments(r: np.ndarray, v: float, prior: PriorParams, scratch: np.
     return mean, var
 
 
-def bg_mmse(r: np.ndarray, v: float, prior: PriorParams) -> DenoiserOutput:
+def bg_mmse(r: np.ndarray, v: float, prior: PriorParams, out=None) -> DenoiserOutput:
     """Symbol-wise MMSE estimate of x from r = x + CN(0, v).
 
     Returns the posterior mean, the entry-averaged posterior variance, and the
     Gaussian-extrinsic pair (None when the posterior did not improve on v).
+    out, when given, is a workspace (mean, var, ext) of contiguous arrays of
+    r's shape: complex posterior mean, float per-entry posterior variance and
+    complex extrinsic mean, written in place and returned.  ext may be r
+    itself; r is left untouched when the extrinsic is None.  Without out the
+    three are allocated, and var is freed before ext is allocated.
     """
     if not (np.isfinite(v) and v > 0):
         raise ValueError(f"noise variance must be positive and finite, got {v}")
     r = np.ascontiguousarray(r, dtype=complex)
+    mean, var, ext = out or (None, None, None)
     scratch = np.empty(2 * CHUNK)
-    mean, var = _posterior_moments(r, v, prior, scratch)
+    mean, var = _posterior_moments(r, v, prior, scratch, mean, var)
     v_hat = float(np.mean(var))
-    del var  # freed before the extrinsic pass allocates its output
+    del var  # without a workspace, freed before the extrinsic pass allocates
     if v_hat < v:
-        ext_mean, ext_var = _extrinsic_combine(r, v, mean, v_hat, scratch)
+        ext_mean, ext_var = _extrinsic_combine(r, v, mean, v_hat, scratch, ext)
     else:
         ext_mean, ext_var = None, None
     return DenoiserOutput(mean, v_hat, ext_mean, ext_var)
 
 
-def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch):
-    """v_ext (x_hat / v_hat - r / v_gamma), chunk by chunk.
+def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch, mean=None):
+    """v_ext (x_hat / v_hat - r / v_gamma), chunk by chunk, into mean.
 
-    NumPy divides a complex array by a real scalar by multiplying both parts
-    by the reciprocal, so the float-view products below give the same bits.
+    mean is allocated when not given.  Each chunk of r is scaled into scratch
+    before that chunk of mean is written, so mean may be r.  NumPy divides a
+    complex array by a real scalar by multiplying both parts by the
+    reciprocal, so the float-view products below give the same bits.
     """
     v_ext = 1.0 / (1.0 / v_hat - 1.0 / v_gamma)
-    mean = np.empty_like(x_hat)
+    if mean is None:
+        mean = np.empty_like(x_hat)
     r_flat, x_flat, m_flat = r.reshape(-1), x_hat.reshape(-1), mean.reshape(-1)
     for sl in chunks(m_flat.size):
         mb = m_flat[sl].view(float)
-        np.multiply(x_flat[sl].view(float), 1.0 / v_hat, out=mb)
         r_scaled = scratch[: mb.size]
         np.multiply(r_flat[sl].view(float), 1.0 / v_gamma, out=r_scaled)
+        np.multiply(x_flat[sl].view(float), 1.0 / v_hat, out=mb)
         mb -= r_scaled
         mb *= v_ext
     return mean, v_ext

@@ -52,25 +52,29 @@ class CorrelatedNoiseSampler:
     Each new coordinate is generated conditionally on the stored history, so
     the running batch always realizes the tracked covariance even when a fresh
     joint factorization would be numerically indefinite.  Small negative
-    conditional variances (within tolerance) are clamped to zero; larger ones
-    raise NearSingularCovarianceError.  `variances` lists the conditional
-    variance each draw used, after the clamp.
+    conditional variances (within tolerance) are clamped to zero and counted
+    in `clamped`; larger ones raise NearSingularCovarianceError.  `variances`
+    lists the conditional variance each draw used, after the clamp.
 
     Layout: coordinate t is stored as row t - 1 of a row-major (rows, n_mc)
     complex buffer, so a draw writes one contiguous row in place (conditional
     mean, then the innovation added chunk by chunk) and the conditional mean
-    reads the earlier rows in place.  `rows` is the number of draws the buffer
-    holds.  `history` is the read-only (n_mc, t) transposed view of the rows
-    drawn so far.
+    reads the earlier rows in place.  `rows` is the number of draws.  When
+    `last` (a contiguous complex n_mc-vector) is given, the draw of
+    coordinate `rows` is written there instead, and the buffer holds only
+    the rows - 1 draws a later one reads.  `history` is the read-only
+    (n_mc, t) transposed view of the stored rows drawn so far.
     """
 
-    def __init__(self, n_mc: int, rng, rows: int, tol: float = 1e-10):
+    def __init__(self, n_mc: int, rng, rows: int, tol: float = 1e-10, last=None):
         self.n = n_mc
         self.rng = rng
         self.tol = tol
-        self._rows = np.empty((rows, n_mc), dtype=complex)
+        self._rows = np.empty((rows - (last is not None), n_mc), dtype=complex)
+        self._last = last
         self._t = 0
         self.variances: list[float] = []
+        self.clamped = 0
 
     @property
     def history(self) -> np.ndarray:
@@ -85,7 +89,7 @@ class CorrelatedNoiseSampler:
         """
         if t == 1:
             alpha = None
-            v_g = max(V_gamma[0, 0].real, 0.0)
+            v_g = V_gamma[0, 0].real
         else:
             block = V_gamma[: t - 1, : t - 1]
             col = V_gamma[: t - 1, t - 1]
@@ -101,8 +105,11 @@ class CorrelatedNoiseSampler:
                 raise NearSingularCovarianceError(
                     f"conditional variance {v_g:.3e} at iteration {t}"
                 )
-            v_g = max(v_g, 0.0)
-        eta = self._rows[self._t]
+        if v_g < 0.0:
+            v_g = 0.0
+            self.clamped += 1
+        spare = self._last is not None and self._t == len(self._rows)
+        eta = self._last if spare else self._rows[self._t]
         if alpha is None:
             complex_normal(self.rng, self.n, v_g, out=eta)
         else:
@@ -144,7 +151,13 @@ def run_bo_mamp_se(
     replaces them with the scalar MMSE curve under the optimal-damping banded
     covariance structure, which is exact at the fixed point and noise-free, so
     long horizons can be checked to tight tolerances.  Each record's v_hat and
-    mse hold the predicted posterior MSE; debug holds the ledger and V_gamma.
+    mse hold the predicted posterior MSE; debug holds the ledger, V_gamma and
+    the number of conditional variances the sampler clamped to zero.
+
+    The Monte-Carlo path holds, at its peak, the 2T - 1 history rows a later
+    step reads (T - 1 stored noise draws, T damped errors) and three work
+    vectors: the pseudo-observation and the denoiser's posterior mean and
+    per-entry variance, each n_mc long.
     """
     if nle_mode not in ("mc", "deterministic"):
         raise ValueError(f"unknown nle_mode {nle_mode!r}")
@@ -157,13 +170,17 @@ def run_bo_mamp_se(
     rng = default_rng(rng_seed)
     mc = nle_mode == "mc"
     if mc:
-        x = sample_prior(prior, n_mc, rng)
-        sampler = CorrelatedNoiseSampler(n_mc, rng, rows=T)
-        # damped estimate errors, row per iteration (row 0 is the zero estimate)
-        err_hist = np.empty((T + 1, n_mc), dtype=complex)
-        np.negative(x, out=err_hist[0])
-        # holds x + eta, then the new undamped error
+        # damped estimate errors, row per iteration; row 0, the zero
+        # estimate's, is -x, and the damping at t = T writes no row
+        err_hist = np.empty((T, n_mc), dtype=complex)
+        np.negative(sample_prior(prior, n_mc, rng), out=err_hist[0])
+        # holds x + eta (the last eta is drawn into it), then the extrinsic
+        # mean, then the new undamped error
         r_buf = np.empty(n_mc, dtype=complex)
+        sampler = CorrelatedNoiseSampler(n_mc, rng, rows=T, last=r_buf)
+        # bg_mmse's workspace; its spent mean and variance take conj(e_new)
+        # and |e_new|^2
+        work = np.empty(n_mc, dtype=complex), np.empty(n_mc), r_buf
 
     scaled = np.array([1.0])
     weights_history: list[np.ndarray] = []
@@ -202,19 +219,17 @@ def run_bo_mamp_se(
             except NearSingularCovarianceError:
                 status = "unstable_covariance"
                 break
-            out = bg_mmse(np.add(x, eta, out=r_buf), vg_diag, prior)
+            # x + eta and ext - x as eta - (-x) and ext + (-x): the same bits
+            r = np.subtract(eta, err_hist[0], out=r_buf)
+            out = bg_mmse(r, vg_diag, prior, work)
             rec.v_hat = rec.mse = out.posterior_var
             if out.extrinsic_mean is None:
                 status = "early_stop_nle"
                 break
-            e_new = np.subtract(out.extrinsic_mean, x, out=r_buf)
-            # the extrinsic mean is spent: its buffer takes conj(e_new), then
-            # |e_new|^2 in its first n_mc floats
-            spent = out.extrinsic_mean
-            row = err_hist[:t] @ np.conjugate(e_new, out=spent) / n_mc
-            sq = np.abs(e_new, out=spent.view(float)[:n_mc])
+            e_new = np.add(out.extrinsic_mean, err_hist[0], out=r_buf)
+            row = err_hist[:t] @ np.conjugate(e_new, out=work[0]) / n_mc
+            sq = np.abs(e_new, out=work[1])
             diag = float(np.mean(np.square(sq, out=sq)))
-            del out, spent, sq
         else:
             m_hat = scalar_mmse(vg_diag, prior)
             rec.v_hat = rec.mse = m_hat
@@ -225,11 +240,12 @@ def run_bo_mamp_se(
             row = np.full(t, m, dtype=complex)
             diag = m
         diag = max(diag, EPS_FLOOR)
-        sol = ledger.damp(t, row, diag, [(err_hist, e_new)] if mc else [])
+        sol = ledger.damp(t, row, diag, [(err_hist, e_new)] if mc and t < T else [])
         rec.v_phi_bar = V_phi[t, t].real
         rec.zeta, rec.trivial = sol.zeta.copy(), sol.singular
 
-    debug = {"ledger": V_phi, "V_gamma": V_gamma}
+    clamped = sampler.clamped if mc else 0
+    debug = {"ledger": V_phi, "V_gamma": V_gamma, "clamped_variances": clamped}
     return _evolution_result("se_mamp", T, records, status, debug)
 
 

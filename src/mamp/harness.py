@@ -232,6 +232,8 @@ def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile
             results[algo] = run_mf_oamp(inst, prior, config.T, profile)
         elif algo == "amp":
             results[algo] = run_amp(inst, prior, config.T)
+        # the report reads only records and statuses: drop the N-vector now
+        results[algo].x_hat = None
     return results
 
 

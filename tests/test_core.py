@@ -141,16 +141,29 @@ class TestDamping:
         np.testing.assert_allclose(sol.zeta, [0.5, 0.5], rtol=1e-14)
         assert sol.variance == pytest.approx(0.5)
 
-    def test_beats_random_feasible_directions(self):
-        rng = np.random.default_rng(8)
-        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        V = B @ B.conj().T + 0.5 * np.eye(3)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        l=st.integers(2, 8),
+        ridge=st.floats(1e-3, 1.0),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_beats_random_feasible_directions(self, l, ridge, scale, seed):
+        # random Hermitian positive-definite blocks: the weights sum to one
+        # and no feasible weight, a single candidate included, does better
+        rng = np.random.default_rng(seed)
+        B = draw_complex(rng, l, l)
+        V = scale * (B @ B.conj().T / l + ridge * np.eye(l))
         sol = optimal_damping(V)
-        w = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
-        w += (1.0 - w.sum(axis=1))[:, None] / 3.0  # project onto sum = 1
+        assert not sol.singular
+        assert abs(sol.zeta.sum() - 1.0) <= 1e-12
+        best = float(np.real(sol.zeta.conj() @ V @ sol.zeta))
+        assert best == pytest.approx(sol.variance, rel=1e-10)
+        w = draw_complex(rng, 64, l)
+        w += (1.0 - w.sum(axis=1))[:, None] / l  # project onto sum = 1
+        w = np.vstack([w, np.eye(l)])
         costs = np.einsum("ki,ij,kj->k", w.conj(), V, w).real
-        assert sol.variance <= costs.min() + 1e-10
-        assert sol.variance <= V.diagonal().real.min()
+        assert np.all(best <= costs * (1.0 + 1e-10))
 
     def test_singular_block_keeps_previous(self):
         V = np.ones((3, 3), dtype=complex)

@@ -13,7 +13,7 @@ from mamp import (
     scalar_mmse,
 )
 from mamp import denoisers
-from mamp.denoisers import sample_prior
+from mamp.denoisers import complex_normal, sample_prior
 
 from oracles import (
     bg_posterior_oracle,
@@ -178,6 +178,43 @@ class TestPosterior:
         assert np.array_equal(bits(out.extrinsic_mean), bits(ext_mean))
         assert np.array_equal(bits(ext), bits(ext_mean))
         assert out.extrinsic_var == v_ext == ext_var
+
+
+    @pytest.mark.parametrize("n", [1, denoisers.CHUNK, denoisers.CHUNK + 1])
+    @pytest.mark.parametrize("mu", [1.0, 0.1])
+    @pytest.mark.parametrize("over_r", [False, True], ids=["own", "over_r"])
+    def test_workspace_gives_the_bits_of_the_allocating_call(self, n, mu, over_r):
+        prior = PriorParams(mu=mu)
+        rng = np.random.default_rng(n)
+        v = 0.05
+        r = sample_prior(prior, n, rng) + complex_normal(rng, n, v)
+        ref = bg_mmse(r, v, prior)
+        assert ref.extrinsic_mean is not None
+        r_in = r.copy()
+        work = np.empty(n, dtype=complex), np.empty(n), (
+            r_in if over_r else np.empty(n, dtype=complex)
+        )
+        out = bg_mmse(r_in, v, prior, work)
+        assert out.posterior_mean is work[0] and out.extrinsic_mean is work[2]
+        assert np.array_equal(out.posterior_mean, ref.posterior_mean)
+        assert out.posterior_var == ref.posterior_var == float(np.mean(work[1]))
+        assert np.array_equal(out.extrinsic_mean, ref.extrinsic_mean)
+        assert out.extrinsic_var == ref.extrinsic_var
+        if not over_r:
+            assert np.array_equal(r_in, r)
+
+    def test_workspace_leaves_r_alone_when_the_posterior_does_not_improve(self):
+        prior = PriorParams(mu=0.5)
+        r = np.full(4, 3.16227j)
+        ref = bg_mmse(r, 1e-9, prior)
+        assert ref.extrinsic_mean is None
+        r_in = r.copy()
+        work = np.empty(4, dtype=complex), np.empty(4), r_in
+        out = bg_mmse(r_in, 1e-9, prior, work)
+        assert out.extrinsic_mean is None and out.extrinsic_var is None
+        assert np.array_equal(out.posterior_mean, ref.posterior_mean)
+        assert out.posterior_var == ref.posterior_var
+        assert np.array_equal(r_in, r)
 
 
 class TestExtrinsic:

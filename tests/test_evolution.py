@@ -1,5 +1,7 @@
 """Covariance evolution, correlated-noise sampling and fixed-point consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,30 @@ class TestCorrelatedNoiseSampler:
         resid = eta2 - sampler.history[:, 0]
         assert np.max(np.abs(resid)) < 1e-6
 
+    def test_clamped_variance_is_counted(self):
+        sampler = CorrelatedNoiseSampler(100, np.random.default_rng(4), rows=2)
+        # Schur complement of the first coordinate: -1e-12, within tol
+        V = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]], dtype=complex)
+        sampler.sample(V, 1)
+        assert sampler.clamped == 0
+        sampler.sample(V, 2)
+        assert sampler.clamped == 1
+        assert sampler.variances[1] == 0.0
+
+    def test_last_draw_goes_to_the_given_buffer(self):
+        n, T = 64, 5
+        idx = np.arange(T)
+        V = (0.5 ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
+        full = CorrelatedNoiseSampler(n, np.random.default_rng(9), rows=T)
+        last = np.empty(n, dtype=complex)
+        lean = CorrelatedNoiseSampler(n, np.random.default_rng(9), rows=T, last=last)
+        for t in range(1, T + 1):
+            a, b = full.sample(V, t), lean.sample(V, t)
+            assert np.array_equal(a, b)
+        assert np.shares_memory(b, last) and not b.flags.writeable
+        assert lean.history.shape == (n, T - 1)
+        assert np.array_equal(lean.history, full.history[:, : T - 1])
+
 
 class TestEvolutionRuns:
     def setup_method(self):
@@ -176,6 +202,40 @@ class TestEvolutionRuns:
         assert last.zeta.size == 0
         assert np.all(np.isnan(se.mse[2:]))
         assert se.v_hat == se.records[1].mse
+
+    def test_clamped_variances_reach_the_debug_dict(self, monkeypatch):
+        sample = CorrelatedNoiseSampler.sample
+
+        def clamping_sample(sampler, V_gamma, t):
+            if t == 2:
+                # the second coordinate's Schur complement becomes -1e-12
+                V_gamma = V_gamma.copy()
+                V_gamma[1, 1] = abs(V_gamma[1, 0]) ** 2 / V_gamma[0, 0].real - 1e-12
+            return sample(sampler, V_gamma, t)
+
+        se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 4, L=3,
+                            nle_mode="mc", n_mc=2_000, rng_seed=0)
+        assert se.debug["clamped_variances"] == 0
+        monkeypatch.setattr(CorrelatedNoiseSampler, "sample", clamping_sample)
+        se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 4, L=3,
+                            nle_mode="mc", n_mc=2_000, rng_seed=0)
+        assert se.debug["clamped_variances"] == 1
+
+    def test_monte_carlo_path_holds_only_what_a_later_step_reads(self):
+        # 2T - 1 history rows and 2.5 rows of work vectors at the peak; the
+        # chunk-sized scratch adds ~1.3 rows at this n_mc
+        T, n_mc = 10, 20_000
+        run = lambda n: run_bo_mamp_se(self.tab, self.prior, self.sigma2, T, L=3,
+                                       nle_mode="mc", n_mc=n, rng_seed=0)
+        run(200)  # the denoiser's lazy SciPy import is not the evolution's
+        tracemalloc.start()
+        try:
+            se = run(n_mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert se.status == "ok"
+        assert peak < (2 * T + 4) * 16 * n_mc
 
     def test_fixed_xi_reaches_same_fixed_point(self):
         tab = tables_from_singular_values(self.d, self.N, 200, M=self.M)

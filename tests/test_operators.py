@@ -206,6 +206,36 @@ class TestStructuredOperator:
             StructuredOperator(4, 8, np.ones(4), np.asarray(perm))
 
 
+class TestAdjointProperties:
+    """Both operators at random shapes, wide, square and tall (M > N)."""
+
+    @given(
+        kind=st.sampled_from(["structured", "dense"]),
+        M=st.integers(1, 48),
+        N=st.integers(1, 48),
+        kappa=st.floats(1.0, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_adjoint_and_gram_identities(self, kind, M, N, kappa, seed):
+        if kind == "structured":
+            d = make_geometric_singular_values(min(M, N), kappa, float(max(M, N)))
+            op = build_structured_operator(M, N, d, rng_seed=seed)
+        else:
+            op = build_iid_gaussian_operator(M, N, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        x, y = complex_normal(rng, N, 1.0), complex_normal(rng, M, 1.0)
+        Ax, AHy = op.apply(x), op.apply_adjoint(y)
+        norm = np.linalg.norm
+        # <Ax, y> = y^H A x and <x, A^H y> = (A^H y)^H x
+        gap = abs(np.vdot(y, Ax) - np.vdot(AHy, x))
+        assert gap <= 1e-13 * (norm(Ax) * norm(y) + norm(x) * norm(AHy))
+        gram, ref = op.apply_gram(y), op.apply(AHy)
+        assert gram.shape == (M,)
+        assert norm(gram - ref) <= 1e-13 * norm(ref)
+        assert np.array_equal(op.apply_gram(y, adjoint=AHy), gram)
+
+
 class TestSampleInstance:
     def test_snr_to_noise_variance(self):
         op = build_structured_operator(8, 16, np.ones(8), rng_seed=0)
