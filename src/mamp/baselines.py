@@ -107,13 +107,16 @@ def run_mf_oamp(
     instance: SystemInstance,
     prior: PriorParams,
     T: int,
-    profile: SpectralProfile,
+    spectrum: SpectralProfile,
 ) -> AlgorithmResult:
-    """Non-memory matched-filter OAMP: cheap linear step, shared denoiser."""
+    """Non-memory matched-filter OAMP: cheap linear step, shared denoiser.
+
+    Reads only the first two moments of the spectrum, lambda_1 and lambda_2.
+    """
     op = instance.operator
     sigma2 = instance.noise_var
-    lam1 = float(profile.moments[1])
-    lam2 = float(profile.moments[2])
+    lam1 = float(spectrum.moments[1])
+    lam2 = float(spectrum.moments[2])
 
     def le_step(x, v_phi, z):
         r = divide_in_place(op.apply_adjoint(z), lam1)

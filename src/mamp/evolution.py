@@ -39,7 +39,7 @@ from .denoisers import (
     sample_prior,
     scalar_mmse,
 )
-from .spectral import MomentTables
+from .spectral import MomentTables, SpectralProfile
 
 
 class NearSingularCovarianceError(RuntimeError):
@@ -257,11 +257,11 @@ def _phi_se(v_gamma: float, prior: PriorParams) -> tuple[float, float]:
     return m_hat, 1.0 / (1.0 / m_hat - 1.0 / v_gamma)
 
 
-def lmmse_gamma_se(v_phi: float, d: np.ndarray, N: int, sigma2: float) -> float:
-    """Eigenvalue-exact LMMSE transfer v_gamma = v_phi (1/eps - 1)."""
+def lmmse_gamma_se(v_phi: float, spectrum: SpectralProfile, sigma2: float) -> float:
+    """Eigenvalue-exact LMMSE transfer v_gamma = v_phi (1/eps - 1) on spectrum.eigs."""
     rho = sigma2 / v_phi
-    d_sq = np.asarray(d, dtype=float) ** 2
-    eps = float(np.sum(d_sq / (rho + d_sq))) / N
+    eigs = spectrum.eigs
+    eps = float(np.sum(eigs / (rho + eigs))) / spectrum.N
     return v_phi * (1.0 / eps - 1.0)
 
 
@@ -283,10 +283,12 @@ def _scalar_se(name: str, gamma_of, prior: PriorParams, T: int) -> AlgorithmResu
 
 
 def run_bo_oamp_se(
-    d: np.ndarray, N: int, prior: PriorParams, sigma2: float, T: int
+    spectrum: SpectralProfile, prior: PriorParams, sigma2: float, T: int
 ) -> AlgorithmResult:
     """Scalar evolution of LMMSE OAMP/VAMP from unit signal variance."""
-    return _scalar_se("se_oamp", lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, T)
+    return _scalar_se(
+        "se_oamp", lambda v: lmmse_gamma_se(v, spectrum, sigma2), prior, T
+    )
 
 
 def run_mf_oamp_se(
@@ -462,27 +464,25 @@ def oamp_fixed_point(
     eigenvalue-exact transfer of the same spectrum, which costs one pass
     over it at any v, where the series near v = 1 needs thousands of terms.
     """
-    if tables.eig_source is None:
+    spectrum = tables.spectrum
+    if spectrum.eigs is None:
         raise ValueError(
             "the series fixed point needs eigenvalue-built tables; "
             "estimate-built tables hold too few reliable weights"
         )
     gamma_of = lambda v: series_gamma_se(v, tables, sigma2, series_tol)[0]
-    d_sq, N, _ = tables.eig_source
-    d = np.sqrt(d_sq)
-    chain_of = lambda v: lmmse_gamma_se(v, d, N, sigma2)
+    chain_of = lambda v: lmmse_gamma_se(v, spectrum, sigma2)
     return _log_fixed_point(gamma_of, prior, sigma2 / tables.w0, tol, max_sweeps, chain_of)
 
 
 def bo_oamp_fixed_point_exact(
-    d: np.ndarray,
-    N: int,
+    spectrum: SpectralProfile,
     prior: PriorParams,
     sigma2: float,
     tol: float = 1e-13,
     max_sweeps: int = 200,
 ) -> tuple[float, float]:
-    """Fixed point of the eigenvalue-exact LMMSE evolution (oracle route)."""
-    gamma_of = lambda v: lmmse_gamma_se(v, d, N, sigma2)
-    w0 = float(np.sum(np.asarray(d, dtype=float) ** 2)) / N
+    """Fixed point of the eigenvalue-exact LMMSE evolution (oracle route); w0 = lambda_1."""
+    gamma_of = lambda v: lmmse_gamma_se(v, spectrum, sigma2)
+    w0 = float(spectrum.moments[1])
     return _log_fixed_point(gamma_of, prior, sigma2 / w0, tol, max_sweeps)

@@ -33,7 +33,7 @@ from .operators import (
     sample_instance,
 )
 from .spectral import (
-    SpectralProfile,
+    MomentTables,
     bound_extremal_eigenvalues,
     build_moment_tables,
     estimate_moments_power_recursion,
@@ -170,35 +170,33 @@ def _build_operator(config: ExperimentConfig, seed_index: int):
     )
 
 
-def _spectral_inputs(config: ExperimentConfig, operator):
-    """(profile, tables, d_all) for the configured moment mode.
+def _singular_values(config: ExperimentConfig, operator) -> np.ndarray:
+    """The min(M, N) largest square roots of the Gram eigenvalues, descending."""
+    d = np.sort(np.sqrt(np.clip(operator.gram_eigenvalues(), 0.0, None)))[::-1]
+    return d[: min(config.M, config.N)]
 
-    d_all holds the square roots of all M Gram eigenvalues in the operator's
-    order, or None when the estimated mode never computes them.
+
+def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
+    """The tables for the configured moment mode; they carry the run's spectrum.
+
+    The estimated mode never computes the Gram eigenvalues, so its spectrum
+    holds none.  The bounded mode forms lambda_2T for its trace bound only.
     """
     N, M, T = config.N, config.M, config.T
     if config.moment_mode == "estimated":
         profile = estimate_moments_power_recursion(
             operator, T, rng_seed=config.base_seed + 0x5EED
         )
-        tables = build_moment_tables(profile, T)
-        return profile, tables, None
-    d_all = np.sqrt(np.clip(operator.gram_eigenvalues(), 0.0, None))
-    d = np.sort(d_all)[::-1]
-    d = d[: min(M, N)]
-    profile = exact_moments_from_singular_values(d, N, T, M=M)
+        return build_moment_tables(profile, T)
+    d = _singular_values(config, operator)
+    extremes = None
     if config.moment_mode == "bounded":
-        _, lam_up = bound_extremal_eigenvalues(
-            float(profile.moments[2 * T]), 2 * T, N
-        )
-        tables = tables_from_singular_values(d, N, T, M=M, lambda_extremes=(0.0, lam_up))
-        profile = SpectralProfile(profile.moments, 0.0, lam_up, "bounded")
-    else:
-        tables = tables_from_singular_values(d, N, T, M=M)
-    return profile, tables, d_all
+        lambda_2T = exact_moments_from_singular_values(d, N, T, M=M).moments[2 * T]
+        extremes = bound_extremal_eigenvalues(float(lambda_2T), 2 * T, N)
+    return tables_from_singular_values(d, N, T, M=M, lambda_extremes=extremes)
 
 
-def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile):
+def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables):
     """Simulate every configured algorithm on one seed's operator and instance.
 
     Seed 0 runs on ref_op, the operator built for set-up; so does every seed
@@ -214,9 +212,8 @@ def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile
         # IID draws have per-realization spectra; structured operators share
         # the deterministic singular values, so only the first seed's tables
         # can be reused there.
-        needs_spectrum = {"bo_mamp", "mf_oamp"} & set(config.algorithms)
-        if needs_spectrum:
-            profile, tables, _ = _spectral_inputs(config, op)
+        if {"bo_mamp", "mf_oamp"} & set(config.algorithms):
+            tables = _spectral_inputs(config, op)
     prior = PriorParams(mu=config.mu)
     inst_seed = np.random.SeedSequence([config.base_seed + seed_index, 0x1A57])
     inst = sample_instance(op, prior, config.snr_db, np.random.default_rng(inst_seed))
@@ -229,7 +226,7 @@ def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables, profile
         elif algo == "bo_oamp":
             results[algo] = run_bo_oamp(inst, prior, config.T)
         elif algo == "mf_oamp":
-            results[algo] = run_mf_oamp(inst, prior, config.T, profile)
+            results[algo] = run_mf_oamp(inst, prior, config.T, tables.spectrum)
         elif algo == "amp":
             results[algo] = run_amp(inst, prior, config.T)
         # the report reads only records and statuses: drop the N-vector now
@@ -291,7 +288,7 @@ def _nan_columns(reduce, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fixed_point_entry(config: ExperimentConfig, tables, prior, ref_op) -> dict:
+def _fixed_point_entry(config: ExperimentConfig, tables, prior) -> dict:
     vg, vp = oamp_fixed_point(tables, prior, config.sigma2)
     # mse_db reports the posterior error at the fixed point, comparable with
     # the simulated curves; v_phi is the extrinsic variance matching the
@@ -303,10 +300,8 @@ def _fixed_point_entry(config: ExperimentConfig, tables, prior, ref_op) -> dict:
         "mmse": mmse_fp,
         "mse_db": float(_to_db(np.array([mmse_fp]))[0]),
     }
-    if ref_op.singular_values is not None:
-        vg_x, vp_x = bo_oamp_fixed_point_exact(
-            ref_op.singular_values, config.N, prior, config.sigma2
-        )
+    if tables.spectrum.eigs is not None:
+        vg_x, vp_x = bo_oamp_fixed_point_exact(tables.spectrum, prior, config.sigma2)
         entry["v_phi_eig"] = vp_x
         entry["v_gamma_eig"] = vg_x
     return entry
@@ -326,7 +321,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """
     t_start = time.time()
     ref_op = _build_operator(config, 0)
-    profile, tables, d_ref = _spectral_inputs(config, ref_op)
+    tables = _spectral_inputs(config, ref_op)
+    spectrum = tables.spectrum
     prior = PriorParams(mu=config.mu)
 
     results: dict[str, list[AlgorithmResult]] = {}
@@ -337,22 +333,23 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     fixed_point = None
     if "fixed_point" in config.algorithms:
         try:
-            fixed_point = _fixed_point_entry(config, tables, prior, ref_op)
+            fixed_point = _fixed_point_entry(config, tables, prior)
         except ValueError as exc:
             # estimate-built tables cannot feed the geometric series, and a
             # series that has not converged by max_terms is truncated; record
             # the failure instead of aborting the whole experiment
             fixed_point = {"error": str(exc)}
     if "se_oamp" in config.algorithms:
-        if d_ref is None:
-            d_ref = np.sqrt(np.clip(ref_op.gram_eigenvalues(), 0.0, None))
-        results["se_oamp"] = [
-            run_bo_oamp_se(d_ref, config.N, prior, config.sigma2, config.T)
-        ]
+        exact = spectrum
+        if exact.eigs is None:
+            exact = exact_moments_from_singular_values(
+                _singular_values(config, ref_op), config.N, 1, M=config.M
+            )
+        results["se_oamp"] = [run_bo_oamp_se(exact, prior, config.sigma2, config.T)]
     if "se_mf_oamp" in config.algorithms:
         results["se_mf_oamp"] = [
             run_mf_oamp_se(
-                float(profile.moments[1]), float(profile.moments[2]),
+                float(spectrum.moments[1]), float(spectrum.moments[2]),
                 prior, config.sigma2, config.T,
             )
         ]
@@ -367,8 +364,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
         def seed_task(k):
             if config.matrix_seed is not None:
-                return _run_seed(sim_cfg, k, held[0], tables, profile)
-            return _run_seed(sim_cfg, k, held.pop() if k == 0 else None, tables, profile)
+                return _run_seed(sim_cfg, k, held[0], tables)
+            return _run_seed(sim_cfg, k, held.pop() if k == 0 else None, tables)
 
         if config.threads > 1:
             # concurrent.futures loads here: only a threaded sweep needs it
@@ -432,7 +429,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         zeta=zeta,
         statuses=statuses,
         fixed_point=fixed_point,
-        spectral=profile.to_dict(),
+        spectral=spectrum.to_dict(),
         wall_clock_s=time.time() - t_start,
     )
 

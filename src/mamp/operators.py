@@ -36,8 +36,7 @@ def make_geometric_singular_values(J: int, kappa: float, energy: float) -> np.nd
         return np.full(J, np.sqrt(energy / J))
     dJ_sq = energy * (q - 1.0) / (q**J - 1.0)
     powers = np.arange(J - 1, -1, -1, dtype=float)
-    d_sq = dJ_sq * q**powers
-    return np.sqrt(d_sq)
+    return np.sqrt(dJ_sq * q**powers)
 
 
 class TransformOperator:

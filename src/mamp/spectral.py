@@ -5,7 +5,10 @@ moments lambda_t of the Gram spectrum, traces b_t of powers of the shifted
 matrix B = lambda_dagger I - A A^H, the filter weights w_t and the quadratic
 couplings wbar_{i,j}.  Raw traces grow like lambda_max**t, so the tables store
 them scaled by lambda_dagger**t; every downstream combination of weights and
-traces cancels the scaling exactly.
+traces cancels the scaling exactly.  The tables carry the `SpectralProfile`
+they were built on, the one spectrum a run reads: its eigenvalues feed the
+series extension and the eigenvalue-exact LMMSE transfer, and its first two
+moments the matched-filter baselines.
 
 Trace convention: lambda_0 = 1 = tr(I_N)/N, i.e. b_t is the N-sided trace of
 (lambda_dagger I - A^H A)**t.  The w_t and wbar tables are identical under the
@@ -14,8 +17,7 @@ M-sided convention.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import default_rng
@@ -84,12 +86,21 @@ def _power_sums(
 
 @dataclass
 class SpectralProfile:
-    """Moments lambda_t (t = 0..2T, lambda_0 = 1) and extremal eigenvalues."""
+    """The Gram spectrum of a run: moments, extremes and, when known, eigenvalues.
+
+    moments holds lambda_t (t = 0..order, lambda_0 = 1).  eigs holds the
+    N-sided eigenvalues d_k^2 of A^H A that can be nonzero, J = min(M, N) of
+    them (the other N - J are structural zeros), or None when the moments come
+    from probe estimates.  lambda_min and lambda_max are the exact extremes,
+    or bounds on them (provenance "bounded" or "estimated").
+    """
 
     moments: np.ndarray
     lambda_min: float
     lambda_max: float
     provenance: str  # exact | estimated | bounded
+    eigs: np.ndarray | None
+    N: int
 
     def __post_init__(self):
         self.moments = np.asarray(self.moments, dtype=float)
@@ -119,11 +130,13 @@ class SpectralProfile:
 def exact_moments_from_singular_values(
     d: np.ndarray, N: int, T: int, M: int | None = None
 ) -> SpectralProfile:
-    """Moments lambda_t = sum(d**(2t))/N for t <= 2T, with exact extremes.
+    """Spectrum of the singular values d, moments lambda_t = sum(d**(2t))/N, t <= 2T.
 
     M defaults to len(d) (square-or-wide Gram); when M exceeds the number of
     singular values, A A^H carries structural zero eigenvalues and
-    lambda_min = 0.
+    lambda_min = 0.  The moments grow like lambda_max**t and overflow at long
+    horizons: T = 1 gives lambda_0..lambda_2, all that an eigenvalue-built
+    run reads.
     """
     d = np.asarray(d, dtype=float)
     J = len(d)
@@ -138,7 +151,7 @@ def exact_moments_from_singular_values(
     moments[1:] = _power_sums(d_sq, d_sq, 2 * T)[1] / N
     lam_min = 0.0 if M > J else float(d_sq.min())
     lam_max = float(d_sq.max())
-    return SpectralProfile(moments, lam_min, lam_max, "exact")
+    return SpectralProfile(moments, lam_min, lam_max, "exact", d_sq, N)
 
 
 def _single_probe_moments(operator: TransformOperator, T: int, rng) -> np.ndarray:
@@ -180,7 +193,7 @@ def estimate_moments_power_recursion(
     moments /= n_probes
     tau = 2 * T
     _, lam_max_up = bound_extremal_eigenvalues(float(moments[tau]), tau, operator.N)
-    return SpectralProfile(moments, 0.0, lam_max_up, "estimated")
+    return SpectralProfile(moments, 0.0, lam_max_up, "estimated", None, operator.N)
 
 
 def bound_extremal_eigenvalues(
@@ -199,16 +212,26 @@ class MomentTables:
     b_scaled, w_scaled run over t = 0..2T+1; wbar_scaled is (T+1) x (T+1).
     Unscaled accessors reconstruct raw traces (may overflow for very large t,
     which is exactly what the scaled storage avoids in the algorithms).
+    spectrum is the spectrum they were built on; its extremes set ld.
     """
 
-    lambda_dagger: float
-    lambda_min: float
-    lambda_max: float
     b_scaled: np.ndarray
     w_scaled: np.ndarray
     wbar_scaled: np.ndarray
     T: int
-    eig_source: tuple | None = None  # (d_sq, N, zero_mass) when built from spectra
+    spectrum: SpectralProfile
+
+    @property
+    def lambda_min(self) -> float:
+        return self.spectrum.lambda_min
+
+    @property
+    def lambda_max(self) -> float:
+        return self.spectrum.lambda_max
+
+    @property
+    def lambda_dagger(self) -> float:
+        return self.spectrum.lambda_dagger
 
     @property
     def w0(self) -> float:
@@ -224,20 +247,20 @@ class MomentTables:
         """Rate q with |w'_s| <= w0 q**s for every s.
 
         w'_s = sum_k d_k^2 r_k**s / N with r_k = (ld - d_k^2)/ld, so q is the
-        largest |r_k| over the positive d_k^2 of eig_source (zero eigenvalues
+        largest |r_k| over the positive d_k^2 of spectrum.eigs (zero eigenvalues
         carry no weight; q = 0 when none is positive).  Extremes that enclose
         the spectrum give q <= rho_B / ld, and bounds give a much smaller q
         than that: with lambda_min = 0 assumed, rho_B / ld is exactly 1.
-        Estimate-built tables keep no spectrum and fall back to rho_B / ld.
+        Estimate-built tables keep no eigenvalues and fall back to rho_B / ld.
         """
-        if self.eig_source is None:
+        eigs = self.spectrum.eigs
+        if eigs is None:
             return self.rho_B / self.lambda_dagger
-        d_sq = self.eig_source[0]
-        d_sq = d_sq[d_sq > 0]
-        if not len(d_sq):
+        eigs = eigs[eigs > 0]
+        if not len(eigs):
             return 0.0
         ld = self.lambda_dagger
-        return float(np.max(np.abs((ld - d_sq) / ld)))
+        return float(np.max(np.abs((ld - eigs) / ld)))
 
     def b_at(self, t: int) -> float:
         return float(self.b_scaled[t] * self.lambda_dagger**t)
@@ -254,23 +277,23 @@ class MomentTables:
         Only the 1-D weight sequence is produced (no quadratic couplings).
         The fixed-point solver starts below v* and keeps its series within a
         few dozen terms; long extensions are needed only at v far above v*.
-        Extensions are cached on the instance and require eigenvalue-built
-        tables; estimate-built tables raise instead.
+        Extensions are cached on the instance and need the spectrum's
+        eigenvalues; tables built on estimated moments raise instead.
         """
         if n < len(self.w_scaled):
             return self.w_scaled[: n + 1]
         cached = getattr(self, "_w_ext", None)
         if cached is not None and n < len(cached):
             return cached[: n + 1]
-        if self.eig_source is None:
+        eigs = self.spectrum.eigs
+        if eigs is None:
             raise ValueError(
                 "series evaluation needs weights beyond the stored tables; "
                 "rebuild the tables from eigenvalues or enlarge the estimate"
             )
-        d_sq, N, _ = self.eig_source
-        ratio = (self.lambda_dagger - d_sq) / self.lambda_dagger
-        out = _power_sums(d_sq, ratio, n + 1)[1]
-        out /= N
+        ratio = (self.lambda_dagger - eigs) / self.lambda_dagger
+        out = _power_sums(eigs, ratio, n + 1)[1]
+        out /= self.spectrum.N
         self._w_ext = out
         return out
 
@@ -284,27 +307,6 @@ def _wbar_from_w(w_scaled: np.ndarray, lambda_dagger: float, T: int) -> np.ndarr
     return diag_part[sums] - np.outer(w_scaled[: T + 1], w_scaled[: T + 1])
 
 
-def _tables_from_spectrum(
-    d_sq: np.ndarray,
-    N: int,
-    zero_mass: int,
-    T: int,
-    lambda_dagger: float,
-    lambda_min: float,
-    lambda_max: float,
-) -> MomentTables:
-    ld = lambda_dagger
-    ratio = (ld - d_sq) / ld
-    plain, weighted = _power_sums(d_sq, ratio, 2 * T + 2)
-    b_scaled = (plain + zero_mass) / N
-    w_scaled = weighted / N
-    wbar_scaled = _wbar_from_w(w_scaled, ld, T)
-    return MomentTables(
-        ld, lambda_min, lambda_max, b_scaled, w_scaled, wbar_scaled, T,
-        eig_source=(d_sq, N, zero_mass),
-    )
-
-
 def tables_from_singular_values(
     d: np.ndarray,
     N: int,
@@ -314,22 +316,24 @@ def tables_from_singular_values(
 ) -> MomentTables:
     """Filter tables computed directly on the Gram spectrum (stable at any T).
 
-    lambda_extremes overrides the exact (lambda_min, lambda_max), e.g. with the
-    trace bounds when only approximate extremes are assumed known.
+    The tables carry the spectrum of d with moments up to lambda_2 only, so
+    no raw moment overflows at long horizons.  lambda_extremes overrides the
+    exact (lambda_min, lambda_max), e.g. with the trace bounds when only
+    approximate extremes are assumed known; the spectrum is then "bounded".
     """
-    d = np.asarray(d, dtype=float)
-    J = len(d)
-    if M is None:
-        M = J
-    d_sq = d**2
-    if lambda_extremes is None:
-        lam_min = 0.0 if M > J else float(d_sq.min())
-        lam_max = float(d_sq.max())
-    else:
+    spectrum = exact_moments_from_singular_values(d, N, 1, M=M)
+    if lambda_extremes is not None:
         lam_min, lam_max = lambda_extremes
-    ld = 0.5 * (lam_min + lam_max)
+        spectrum = replace(
+            spectrum, lambda_min=lam_min, lambda_max=lam_max, provenance="bounded"
+        )
+    eigs = spectrum.eigs
+    ld = spectrum.lambda_dagger
+    plain, weighted = _power_sums(eigs, (ld - eigs) / ld, 2 * T + 2)
     # N-sided trace: A^H A has N - J structural zeros.
-    return _tables_from_spectrum(d_sq, N, N - J, T, ld, lam_min, lam_max)
+    b_scaled = (plain + (N - len(eigs))) / N
+    w_scaled = weighted / N
+    return MomentTables(b_scaled, w_scaled, _wbar_from_w(w_scaled, ld, T), T, spectrum)
 
 
 def build_moment_tables(profile: SpectralProfile, T: int) -> MomentTables:
@@ -369,14 +373,4 @@ def build_moment_tables(profile: SpectralProfile, T: int) -> MomentTables:
     # trailing zero pads sit beyond every index the recursions consume
     w_scaled = np.append(w_scaled, np.zeros(2 * T + 2 - len(w_scaled)))
     b_scaled = np.append(b_scaled, np.zeros(2 * T + 2 - len(b_scaled)))
-    wbar_scaled = _wbar_from_w(w_scaled, ld, T)
-    return MomentTables(
-        ld,
-        profile.lambda_min,
-        profile.lambda_max,
-        b_scaled,
-        w_scaled,
-        wbar_scaled,
-        T,
-        eig_source=None,
-    )
+    return MomentTables(b_scaled, w_scaled, _wbar_from_w(w_scaled, ld, T), T, profile)

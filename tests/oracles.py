@@ -45,18 +45,24 @@ def bg_posterior_oracle(r_abs: float, v: float, mu: float) -> tuple[float, float
     # keeps all integrands O(1) for arbitrarily large |r|
     log_common = -r_abs**2 / (vx + v)
 
+    # With z = 2 rho |r| / v the radial weight's exponent, -a rho^2 + z -
+    # r^2/v - log_common, is -a (rho - rho_peak)^2 with rho_peak = |r| / (v a):
+    # a peak of width ~1/sqrt(a), ~1e-2 at v = 1e-4.  Written as a square it
+    # does not cancel terms of size r^2/v, and 40 widths on either side of
+    # the peak leave out less than e^-1600 of it.
     rho_peak = r_abs / (v * a)
     width = 1.0 / np.sqrt(a)
+    rho_lo = max(0.0, rho_peak - 40.0 * width)
     rho_hi = rho_peak + 40.0 * width
 
     def _radial(power):
         def f(rho):
             z = 2.0 * rho * r_abs / v
-            log_w = -a * rho**2 + z - r_abs**2 / v - log_common
+            log_w = -a * (rho - rho_peak) ** 2
             return rho**power * np.exp(log_w) * ive(0 if power != 2 else 1, z)
 
         val, _ = integrate.quad(
-            f, 0.0, rho_hi, points=[rho_peak], epsabs=1e-14, epsrel=1e-12, limit=400
+            f, rho_lo, rho_hi, points=[rho_peak], epsabs=1e-14, epsrel=1e-12, limit=400
         )
         return val
 

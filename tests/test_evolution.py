@@ -10,6 +10,7 @@ from mamp import (
     NearSingularCovarianceError,
     PriorParams,
     bo_oamp_fixed_point_exact,
+    exact_moments_from_singular_values,
     make_geometric_singular_values,
     oamp_fixed_point,
     run_bo_mamp_se,
@@ -248,15 +249,17 @@ class TestEvolutionRuns:
 
 class TestScalarEvolutions:
     def test_bo_oamp_evolution_decreases(self):
-        d = make_geometric_singular_values(512, 10.0, 1024.0)
-        se = run_bo_oamp_se(d, 1024, PriorParams(mu=0.1), 1e-3, 20)
+        spectrum = exact_moments_from_singular_values(
+            make_geometric_singular_values(512, 10.0, 1024.0), 1024, 1
+        )
+        se = run_bo_oamp_se(spectrum, PriorParams(mu=0.1), 1e-3, 20)
         v_phi = se.trajectory("v_phi_bar")
         assert np.all(np.diff(v_phi[np.isfinite(v_phi)]) < 0)
 
     def test_mf_oamp_evolution_matches_lmmse_for_flat_spectrum(self):
-        d = np.full(512, np.sqrt(2.0))
+        spectrum = exact_moments_from_singular_values(np.full(512, np.sqrt(2.0)), 1024, 1)
         se_mf = run_mf_oamp_se(1.0, 2.0, PriorParams(mu=0.1), 1e-3, 15)
-        se_bo = run_bo_oamp_se(d, 1024, PriorParams(mu=0.1), 1e-3, 15)
+        se_bo = run_bo_oamp_se(spectrum, PriorParams(mu=0.1), 1e-3, 15)
         np.testing.assert_allclose(se_mf.mse, se_bo.mse, rtol=1e-9)
 
 
@@ -276,7 +279,7 @@ class TestFixedPoint:
 
         for v in (1.0, 0.1, 0.01):
             v_series, _ = series_gamma_se(v, tab, sigma2)
-            v_eig = lmmse_gamma_se(v, d, 512, sigma2)
+            v_eig = lmmse_gamma_se(v, tab.spectrum, sigma2)
             assert v_series == pytest.approx(v_eig, rel=1e-9)
 
     def test_series_transfer_equals_eigenvalue_transfer_with_bounded_extremes(self):
@@ -293,7 +296,7 @@ class TestFixedPoint:
         sigma2 = 1e-2
         for v in (1.0, 0.1, 0.01):
             v_series, _ = series_gamma_se(v, tab, sigma2)
-            v_eig = lmmse_gamma_se(v, d, 512, sigma2)
+            v_eig = lmmse_gamma_se(v, tab.spectrum, sigma2)
             assert v_series == pytest.approx(v_eig, rel=1e-9)
 
     def test_series_transfer_keeps_relative_accuracy_at_small_variances(self):
@@ -305,7 +308,7 @@ class TestFixedPoint:
         tab = tables_from_singular_values(d, 1024, 30, M=1024)
         for v in (5.6e-6, 1e-3, 1.0):
             v_series, _ = series_gamma_se(v, tab, 1e-4)
-            assert v_series == pytest.approx(lmmse_gamma_se(v, d, 1024, 1e-4), rel=1e-11)
+            assert v_series == pytest.approx(lmmse_gamma_se(v, tab.spectrum, 1e-4), rel=1e-11)
 
     @pytest.mark.parametrize("mode", ["bounded", "exact"])
     def test_fixed_point_series_lengths_on_the_paper_config(self, monkeypatch, mode):
@@ -326,7 +329,7 @@ class TestFixedPoint:
 
         ini = Path(__file__).resolve().parents[1] / "configs" / "illconditioned_damping.ini"
         config = replace(harness.ExperimentConfig.from_file(str(ini)), moment_mode=mode)
-        _, tab, _ = harness._spectral_inputs(config, harness._build_operator(config, 0))
+        tab = harness._spectral_inputs(config, harness._build_operator(config, 0))
         monkeypatch.setattr(MomentTables, "w_scaled_extended", recording_extend)
         oamp_fixed_point(tab, PriorParams(mu=config.mu), config.sigma2)
         # one request per series evaluation; starting below v* keeps every
@@ -344,7 +347,7 @@ class TestFixedPoint:
             tab = tables_from_singular_values(d, N, 50, M=M)
             sigma2 = 10 ** (-snr / 10)
             _, vp = oamp_fixed_point(tab, prior, sigma2)
-            _, vp_eig = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
+            _, vp_eig = bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2)
             assert vp == pytest.approx(vp_eig, rel=1e-8)
 
     def test_both_routes_run_the_safeguarded_secant_bit_for_bit(self):
@@ -403,12 +406,12 @@ class TestFixedPoint:
             M = int(delta * N)
             d = make_geometric_singular_values(M, kappa, float(N))
             tab = tables_from_singular_values(d, N, 50, M=M)
-            exact = lambda v: lmmse_gamma_se(v, d, N, sigma2)
+            exact = lambda v: lmmse_gamma_se(v, tab.spectrum, sigma2)
             assert oamp_fixed_point(tab, prior, sigma2) == solve(
                 lambda v: series_gamma_se(v, tab, sigma2)[0], exact, tab.w0, prior, sigma2
             )
             w0 = float(np.sum(d**2)) / N
-            assert bo_oamp_fixed_point_exact(d, N, prior, sigma2) == solve(
+            assert bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2) == solve(
                 exact, exact, w0, prior, sigma2
             )
 
@@ -426,11 +429,11 @@ class TestFixedPoint:
         tab = tables_from_singular_values(d, N, 200, M=M)
         for snr in (50.0, 60.0):
             sigma2 = 10 ** (-snr / 10)
-            _, v_oracle = relaxed_fixed_point(lambda v: lmmse_gamma_se(v, d, N, sigma2), prior, 1e-12)
-            v_tail = run_bo_oamp_se(d, N, prior, sigma2, 300).trajectory("v_phi_bar")[-1]
+            _, v_oracle = relaxed_fixed_point(lambda v: lmmse_gamma_se(v, tab.spectrum, sigma2), prior, 1e-12)
+            v_tail = run_bo_oamp_se(tab.spectrum, prior, sigma2, 300).trajectory("v_phi_bar")[-1]
             assert v_oracle > 0.5
             _, v_series = oamp_fixed_point(tab, prior, sigma2)
-            _, v_exact = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
+            _, v_exact = bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2)
             for v in (v_series, v_exact):
                 assert v == pytest.approx(v_oracle, rel=1e-10)
                 assert v == pytest.approx(v_tail, rel=1e-12)
@@ -447,11 +450,11 @@ class TestFixedPoint:
         d = make_geometric_singular_values(M, 100.0, float(N))
         tab = tables_from_singular_values(d, N, 30, M=M)
         _, v_series = oamp_fixed_point(tab, prior, sigma2, max_sweeps=40)
-        _, v_exact = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
+        _, v_exact = bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2)
         assert v_exact > 0.5
         assert v_series == pytest.approx(v_exact, rel=1e-9)
         assert series_gamma_se(v_exact, tab, sigma2)[0] == pytest.approx(
-            lmmse_gamma_se(v_exact, d, N, sigma2), rel=1e-9
+            lmmse_gamma_se(v_exact, tab.spectrum, sigma2), rel=1e-9
         )
 
     def test_no_more_work_than_the_relaxed_iteration_on_the_grid(self, monkeypatch):
@@ -490,14 +493,14 @@ class TestFixedPoint:
             d = make_geometric_singular_values(min(M, N), kappa, float(N))
             tab = tables_from_singular_values(d, N, 200, M=M)
             series = lambda v: series_gamma_se(v, tab, sigma2)[0]
-            exact = lambda v: lmmse_gamma_se(v, d, N, sigma2)
+            exact = lambda v: lmmse_gamma_se(v, tab.spectrum, sigma2)
             try:
                 (_, v_old), n_old, len_old = run(lambda: relaxed_fixed_point(series, prior, 1e-10))
             except ValueError:
                 continue  # the series at v = 1 needs more than max_terms
             _, v_old_x = relaxed_fixed_point(exact, prior, 1e-12)
             (_, v_new), n_new, len_new = run(lambda: oamp_fixed_point(tab, prior, sigma2))
-            _, v_new_x = bo_oamp_fixed_point_exact(d, N, prior, sigma2)
+            _, v_new_x = bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2)
             gap_old = abs(v_old - v_old_x) / v_old_x
             gap_new = abs(v_new - v_new_x) / v_new_x
             if (

@@ -194,7 +194,7 @@ class TestRunExperiment:
             built.setdefault(seed_index, weakref.ref(op))
             return op
 
-        def gated_run_seed(config, seed_index, ref_op, tables, profile):
+        def gated_run_seed(config, seed_index, ref_op, tables):
             if seed_index == 1:
                 # hold this worker so that seed 2 can only start on the other
                 # one, after seed 0's task has ended
@@ -203,7 +203,7 @@ class TestRunExperiment:
                 gc.collect()
                 released.append(built[0]() is None)
                 seed2_started.set()
-            return run_seed(config, seed_index, ref_op, tables, profile)
+            return run_seed(config, seed_index, ref_op, tables)
 
         monkeypatch.setattr(harness, "_build_operator", recording_build)
         monkeypatch.setattr(harness, "_run_seed", gated_run_seed)
@@ -279,6 +279,21 @@ class TestRunExperiment:
         mean, std = report.mse_db_mean["amp"], report.mse_db_std["amp"]
         assert np.isfinite(mean[0]) and np.isfinite(std[0])
         assert np.isnan(mean[-1]) and np.isnan(std[-1])
+
+    def test_long_horizon_exact_run_forms_no_overflowing_moment(self):
+        # T = 200 at lambda_max ~ 21: the raw moment lambda_400 overflows, and
+        # exact-mode runs read none past lambda_2
+        cfg = ExperimentConfig(
+            algorithms=("se_mamp",), N=128, delta=4.0, kappa=10.0, mu=0.3,
+            snr_db=15.0, T=200, n_seeds=0, se_nle_mode="deterministic",
+            moment_mode="exact",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_experiment(cfg)
+        assert report.statuses["se_mamp"] == "ok"
+        assert report.spectral["moments"][0] == 1.0
+        assert len(report.spectral["moments"]) == 3
 
     def test_nan_columns_equal_the_nan_reductions(self):
         # seeds stopped at different iterations: columns with a value reduce

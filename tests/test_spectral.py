@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamp import (
+    PriorParams,
+    bo_oamp_fixed_point_exact,
     bound_extremal_eigenvalues,
     build_moment_tables,
     build_structured_operator,
@@ -14,6 +16,7 @@ from mamp import (
     make_geometric_singular_values,
     tables_from_singular_values,
 )
+from mamp.evolution import lmmse_gamma_se
 from mamp.spectral import BINOMIAL_CANCELLATION_THRESHOLD, SpectralProfile
 
 
@@ -176,7 +179,9 @@ class TestMomentTables:
             build_moment_tables(prof, 5)
 
     def test_nonfinite_moments_raise(self):
-        prof = SpectralProfile(np.array([1.0, 1.0, np.inf, 1.0, 1.0]), 0.0, 2.0, "estimated")
+        prof = SpectralProfile(
+            np.array([1.0, 1.0, np.inf, 1.0, 1.0]), 0.0, 2.0, "estimated", None, 4
+        )
         with pytest.raises(FloatingPointError):
             build_moment_tables(prof, 2)
 
@@ -306,3 +311,50 @@ class TestWeightDecay:
         prof = estimate_moments_power_recursion(op, 3, rng_seed=0, n_probes=2)
         tab = build_moment_tables(prof, 3)
         assert tab.weight_decay == tab.rho_B / tab.lambda_dagger
+
+
+class TestOneSpectrum:
+    """The tables' spectrum keeps the bits of the singular-value arrays it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        J=st.integers(1, 300),
+        extra=st.integers(0, 300),
+        wide=st.booleans(),
+        kappa=st.floats(1.0, 100.0),
+        T=st.integers(1, 40),
+        v=st.floats(1e-6, 1.0),
+        sigma2=st.floats(1e-6, 1.0),
+    )
+    def test_w0_and_lmmse_transfer_keep_their_bits(self, J, extra, wide, kappa, T, v, sigma2):
+        # wide: M = J <= N; otherwise N = J < M and A A^H has M - N zeros
+        M, N = (J, J + extra) if wide else (J + extra, J)
+        d = make_geometric_singular_values(J, kappa, float(max(M, N)))
+        tab = tables_from_singular_values(d, N, T, M=M)
+        assert tab.w0 == tab.spectrum.moments[1]
+        # the transfer as it read (d, N) before the tables carried the spectrum
+        eps = float(np.sum(d**2 / (sigma2 / v + d**2))) / N
+        assert lmmse_gamma_se(v, tab.spectrum, sigma2) == v * (1.0 / eps - 1.0)
+
+    @pytest.mark.parametrize(
+        "N, M, d, mu, sigma2, want",
+        [
+            (512, 256, ("geometric", 10.0), 0.1, 1e-3,
+             (0.0015063842767148688, 0.00016908784290247262)),
+            (256, 1024, ("geometric", 100.0), 0.3, 10**-1.5,
+             (0.03809139063129539, 0.02030986117585642)),
+            (300, 300, ("uniform", 7), 0.05, 1e-4,
+             (3.2936971245205834e-05, 1.7339240468848231e-06)),
+        ],
+    )
+    def test_exact_fixed_point_keeps_its_bits(self, N, M, d, mu, sigma2, want):
+        # (v_gamma, v_phi) that bo_oamp_fixed_point_exact(d, N, ...) returned
+        # when it took the singular values and N
+        kind, param = d
+        J = min(M, N)
+        if kind == "geometric":
+            d = make_geometric_singular_values(J, param, float(max(M, N)))
+        else:
+            d = np.random.default_rng(param).uniform(0.1, 3.0, J)
+        spectrum = tables_from_singular_values(d, N, 1, M=M).spectrum
+        assert bo_oamp_fixed_point_exact(spectrum, PriorParams(mu=mu), sigma2) == want
