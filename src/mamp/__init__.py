@@ -7,7 +7,6 @@ from .core import (
     DegenerateNormalizationError,
     InvalidLedgerError,
     IterationRecord,
-    MampConfig,
     estimate_phi_covariance,
     gamma_covariance_row,
     memory_le_step,

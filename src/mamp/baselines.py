@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    EPS_FLOOR,
     AlgorithmResult,
     IterationRecord,
     divide_in_place,
@@ -22,6 +23,24 @@ from .core import (
 from .denoisers import PriorParams, bg_mmse
 from .operators import SystemInstance
 from .spectral import SpectralProfile
+
+
+def lmmse_transfer(
+    v_phi: float, eigs: np.ndarray, N: int, sigma2: float
+) -> tuple[float, float]:
+    """LMMSE transfer (v_gamma, eps) on the N-sided Gram eigenvalues eigs.
+
+    eps = sum_k eigs_k / (rho + eigs_k) / N with rho = sigma^2 / v_phi, and
+    v_gamma = v_phi (1/eps - 1).
+    """
+    rho = sigma2 / v_phi
+    eps = float(np.sum(eigs / (rho + eigs))) / N
+    return v_phi * (1.0 / eps - 1.0), eps
+
+
+def mf_transfer(v_phi: float, lambda1: float, lambda2: float, sigma2: float) -> float:
+    """Matched-filter output variance at input level v_phi from lambda_1, lambda_2."""
+    return (sigma2 * lambda1 + v_phi * (lambda2 - lambda1**2)) / lambda1**2
 
 
 def lmmse_le(
@@ -41,16 +60,15 @@ def lmmse_le(
     if d is None:
         raise ValueError("LMMSE step needs the operator's singular values")
     sigma2 = instance.noise_var
-    rho = sigma2 / v_phi
     d_sq = d**2
-    eps = float(np.sum(d_sq / (rho + d_sq))) / op.N
+    v_gamma, eps = lmmse_transfer(v_phi, d_sq, op.N, sigma2)
     if z is None:
         z = residual(instance.y, op, x_t)
+    rho = sigma2 / v_phi
     scale = np.full(op.M, 1.0 / rho)
     scale[: len(d)] = 1.0 / (rho + d_sq)  # entries beyond J are killed by A^H
     r = divide_in_place(op.apply_adjoint(scale * z), eps)
     r += x_t
-    v_gamma = v_phi * (1.0 / eps - 1.0)
     return r, v_gamma
 
 
@@ -61,12 +79,10 @@ def _run_oamp(
     """OAMP loop shared by the baselines: le_step(x, v_phi, z) -> (r, v_gamma).
 
     The input error level v_phi is the residual-energy estimate with trace
-    normalizer lambda1, floored at 1e-12 of its first value.
+    normalizer lambda1, floored at EPS_FLOOR of its first value.
     """
-    op = instance.operator
-    N = op.N
-    delta = op.delta
-    sigma2 = instance.noise_var
+    op, sigma2 = instance.operator, instance.noise_var
+    N, delta = op.N, op.delta
     x = np.zeros(N, dtype=complex)
     z = instance.y  # y - A 0
     v_phi = residual_error_estimate(z, N, sigma2, delta, lambda1)
@@ -85,7 +101,7 @@ def _run_oamp(
         x = out.extrinsic_mean
         z = residual(instance.y, op, x)
         v_phi = residual_error_estimate(z, N, sigma2, delta, lambda1)
-        v_phi = max(v_phi, 1e-12 * records[0].v_phi_bar)
+        v_phi = max(v_phi, EPS_FLOOR * records[0].v_phi_bar)
     return AlgorithmResult(name, T, records, x_hat, float(v_hat), status)
 
 
@@ -115,13 +131,12 @@ def run_mf_oamp(
     """
     op = instance.operator
     sigma2 = instance.noise_var
-    lam1 = float(spectrum.moments[1])
-    lam2 = float(spectrum.moments[2])
+    lam1, lam2 = float(spectrum.moments[1]), float(spectrum.moments[2])
 
     def le_step(x, v_phi, z):
         r = divide_in_place(op.apply_adjoint(z), lam1)
         np.add(x, r, out=r)
-        return r, (sigma2 * lam1 + v_phi * (lam2 - lam1**2)) / lam1**2
+        return r, mf_transfer(v_phi, lam1, lam2, sigma2)
 
     return _run_oamp("mf_oamp", instance, prior, T, lam1, le_step)
 

@@ -42,6 +42,19 @@ def optimize_theta(lambda_dagger: float, rho_t: float) -> float:
     return 1.0 / (lambda_dagger + rho_t)
 
 
+def output_covariance(
+    V_phi: np.ndarray, lags_a: np.ndarray, lags_b: np.ndarray, tables: MomentTables,
+    sigma2: float,
+) -> np.ndarray:
+    """Output-covariance kernel sigma^2 w'_{i+j} + V_phi wbar'_{i,j} at lags (i, j).
+
+    Entry (k, l) couples the estimates at lags lags_a[k] and lags_b[l], whose
+    error covariance is V_phi[k, l], in the covariance of two filter outputs.
+    """
+    noise = sigma2 * tables.w_scaled[lags_a[:, None] + lags_b[None, :]]
+    return noise + V_phi * tables.wbar_scaled[np.ix_(lags_a, lags_b)]
+
+
 def xi_cost_coefficients(
     scaled_prev: np.ndarray,
     V_phi: np.ndarray,
@@ -57,23 +70,18 @@ def xi_cost_coefficients(
     i = 1..t-1; V_phi is the t x t estimate-error covariance block (its row t
     is consumed for the cross terms).
     """
-    w = tables.w_scaled
-    wb = tables.wbar_scaled
-    w0 = tables.w0
     t = len(scaled_prev) + 1
-    c1 = sigma2 * w0 + V_phi[t - 1, t - 1].real * wb[0, 0]
+    lags = np.arange(t - 1, -1, -1)  # t - i for i = 1..t
+    K = output_covariance(V_phi[:t, :t], lags, lags, tables, sigma2)
+    c1 = float(K[t - 1, t - 1].real)
     if t == 1:
-        return 0.0, float(c1), 0.0, 0.0
+        return 0.0, c1, 0.0, 0.0
     a = np.asarray(scaled_prev, dtype=float)
-    lags = np.arange(t - 1, 0, -1)  # t - i for i = 1..t-1
-    c0 = float(a @ w[lags]) / w0
-    cross = sigma2 * w[lags] + (V_phi[t - 1, : t - 1] * wb[0, lags]).real
-    c2 = -float(a @ cross)
-    quad = sigma2 * w[lags[:, None] + lags[None, :]] + (
-        V_phi[: t - 1, : t - 1] * wb[np.ix_(lags, lags)]
-    ).real
-    c3 = float(a @ quad @ a)
-    return c0, float(c1), c2, c3
+    c0 = float(a @ tables.w_scaled[lags[:-1]]) / tables.w0
+    # contiguous real parts: a strided view would change the summation order
+    c2 = -float(a @ K[t - 1, : t - 1].real.copy())
+    c3 = float(a @ K[: t - 1, : t - 1].real.copy() @ a)
+    return c0, c1, c2, c3
 
 
 def optimize_xi(
@@ -201,17 +209,14 @@ def gamma_covariance_row(
     term by term.
     """
     t = len(weights_history)
-    w = tables.w_scaled
-    wb = tables.wbar_scaled
     a_t = weights_history[t - 1]
     lag_t = t - np.arange(1, t + 1)
     row = np.empty(t, dtype=complex)
     for tp in range(1, t + 1):
         a_p = weights_history[tp - 1]
         lag_p = tp - np.arange(1, tp + 1)
-        noise_part = sigma2 * w[lag_t[:, None] + lag_p[None, :]]
-        error_part = V_phi[:t, :tp] * wb[np.ix_(lag_t, lag_p)]
-        val = a_t.astype(complex) @ (noise_part + error_part) @ a_p
+        K = output_covariance(V_phi[:t, :tp], lag_t, lag_p, tables, sigma2)
+        val = a_t.astype(complex) @ K @ a_p
         row[tp - 1] = val / (eps_history[t - 1] * eps_history[tp - 1])
     return row
 
@@ -449,16 +454,9 @@ class AlgorithmResult:
         return bool(np.any(v > 10.0 * running_min))
 
 
-@dataclass
-class MampConfig:
-    tables: MomentTables
-    T: int
-    L: int = 3
-    collect_debug: bool = False
-
-
 def run_bo_mamp(
-    instance: SystemInstance, prior: PriorParams, config: MampConfig
+    instance: SystemInstance, prior: PriorParams, tables: MomentTables, T: int,
+    L: int = 3, collect_debug: bool = False,
 ) -> AlgorithmResult:
     """Full damped long-memory matched-filter recovery on one instance.
 
@@ -466,17 +464,12 @@ def run_bo_mamp(
     post-damping ledger diagonal, the posterior variance, and the true MSE of
     the posterior estimate when the instance carries its ground truth.
     """
-    op = instance.operator
-    y = instance.y
-    N, M = op.N, op.M
-    delta = op.delta
-    sigma2 = instance.noise_var
-    tab = config.tables
-    T, L = config.T, config.L
-    if tab.T < T:
-        raise ValueError(f"moment tables sized for T={tab.T}, need {T}")
-    ld = tab.lambda_dagger
-    w0 = tab.w0
+    op, y, sigma2 = instance.operator, instance.y, instance.noise_var
+    N, M, delta = op.N, op.M, op.delta
+    if tables.T < T:
+        raise ValueError(f"moment tables sized for T={tables.T}, need {T}")
+    ld = tables.lambda_dagger
+    w0 = tables.w0
 
     X = np.zeros((T + 1, N), dtype=complex)  # damped estimates, x_1 = 0
     Z = np.zeros((T + 1, M), dtype=complex)  # damped residuals, z_1 = y
@@ -495,10 +488,10 @@ def run_bo_mamp(
     x_hat, v_hat = None, np.inf
     best = (np.inf, None, np.inf)
     floor_hit = False
-    r_history = [] if config.collect_debug else None
+    r_history = [] if collect_debug else None
 
     for t in range(1, T + 1):
-        theta, xi, scaled, p, eps, v_gamma = memory_weights(V, scaled, t, tab, sigma2)
+        theta, xi, scaled, p, eps, v_gamma = memory_weights(V, scaled, t, tables, sigma2)
         # a vanished or non-finite eps gives a nan v_gamma, so memory_le_step's
         # guard never fires here
         if not np.isfinite(v_gamma) or v_gamma <= 0:
@@ -515,12 +508,10 @@ def run_bo_mamp(
         if out.posterior_var < best[0]:
             best = (out.posterior_var, out.posterior_mean, out.posterior_var)
         x_hat, v_hat = out.posterior_mean, out.posterior_var
+        # an early stop records the input level; the damping below replaces it
+        rec = IterationRecord(t, v_gamma, V[t - 1, t - 1].real, v_hat, mse, theta, xi)
+        records.append(rec)
         if out.extrinsic_mean is None:
-            records.append(
-                IterationRecord(
-                    t, v_gamma, V[t - 1, t - 1].real, out.posterior_var, mse, theta, xi
-                )
-            )
             status = "early_stop_nle"
             break
         x_new = out.extrinsic_mean
@@ -531,12 +522,8 @@ def run_bo_mamp(
             diag = v_floor
             floor_hit = True
         sol = ledger.damp(t, row, diag, [(X, x_new), (Z, z_new)])
-        records.append(
-            IterationRecord(
-                t, v_gamma, V[t, t].real, out.posterior_var, mse, theta, xi,
-                sol.zeta.copy(), sol.singular,
-            )
-        )
+        rec.v_phi_bar = V[t, t].real
+        rec.zeta, rec.trivial = sol.zeta.copy(), sol.singular
         # the new candidate now lives in X and Z (or was dropped): free it
         # before the next iteration's denoiser call allocates
         del out, x_new, z_new
@@ -549,12 +536,6 @@ def run_bo_mamp(
         "v_init": V[0, 0].real,
         "noise_floor_reached": floor_hit,
     }
-    if config.collect_debug:
-        debug.update(
-            {
-                "X": X,
-                "Z": Z,
-                "r_history": r_history,
-            }
-        )
+    if collect_debug:
+        debug.update(X=X, Z=Z, r_history=r_history)
     return AlgorithmResult("bo_mamp", T, records, x_hat, float(v_hat), status, debug)

@@ -162,14 +162,21 @@ def bg_mmse(r: np.ndarray, v: float, prior: PriorParams, out=None) -> DenoiserOu
     mean, var = _posterior_moments(r, v, prior, scratch, mean, var)
     v_hat = float(np.mean(var))
     del var  # without a workspace, freed before the extrinsic pass allocates
-    if v_hat < v:
-        ext_mean, ext_var = _extrinsic_combine(r, v, mean, v_hat, scratch, ext)
-    else:
-        ext_mean, ext_var = None, None
-    return DenoiserOutput(mean, v_hat, ext_mean, ext_var)
+    v_ext = extrinsic_variance(v_hat, v)
+    ext_mean = None
+    if v_ext is not None:
+        ext_mean = _extrinsic_combine(r, v, mean, v_hat, v_ext, scratch, ext)
+    return DenoiserOutput(mean, v_hat, ext_mean, v_ext)
 
 
-def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch, mean=None):
+def extrinsic_variance(v_post: float, v_in: float) -> float | None:
+    """Extrinsic variance 1 / (1/v_post - 1/v_in); None unless v_post < v_in."""
+    if not v_post < v_in:
+        return None
+    return 1.0 / (1.0 / v_post - 1.0 / v_in)
+
+
+def _extrinsic_combine(r, v_gamma, x_hat, v_hat, v_ext, scratch, mean=None):
     """v_ext (x_hat / v_hat - r / v_gamma), chunk by chunk, into mean.
 
     mean is allocated when not given.  Each chunk of r is scaled into scratch
@@ -177,7 +184,6 @@ def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch, mean=None):
     complex array by a real scalar by multiplying both parts by the
     reciprocal, so the float-view products below give the same bits.
     """
-    v_ext = 1.0 / (1.0 / v_hat - 1.0 / v_gamma)
     if mean is None:
         mean = np.empty_like(x_hat)
     r_flat, x_flat, m_flat = r.reshape(-1), x_hat.reshape(-1), mean.reshape(-1)
@@ -188,7 +194,7 @@ def _extrinsic_combine(r, v_gamma, x_hat, v_hat, scratch, mean=None):
         np.multiply(x_flat[sl].view(float), 1.0 / v_hat, out=mb)
         mb -= r_scaled
         mb *= v_ext
-    return mean, v_ext
+    return mean
 
 
 # Fixed rule of scalar_mmse: 24-node Gauss-Legendre panels, one below the

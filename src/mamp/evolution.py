@@ -9,10 +9,11 @@ recursion, whose damped errors the ledger damps alongside) or the scalar MMSE
 curve, exploiting the banded structure that optimal damping enforces on the
 estimate-error covariance matrix.  Both converge to the analytic LMMSE fixed
 point, which is also computed directly from a geometric operator series.  The
-scalar OAMP evolutions share one loop and differ only in their v_gamma map.
-Every evolution returns the simulations' result type, `core.AlgorithmResult`,
-with one `IterationRecord` per iteration reached and its predicted posterior
-MSE as the record's mse, so simulations and evolutions are read alike.
+scalar OAMP evolutions share one loop and differ only in their v_gamma map,
+the transfer their simulation calls.  Every evolution returns the
+simulations' result type, `core.AlgorithmResult`, with one `IterationRecord`
+per iteration reached and its predicted posterior MSE as the record's mse, so
+simulations and evolutions are read alike.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import numpy as np
 from numpy.random import default_rng
 
+from .baselines import lmmse_transfer, mf_transfer
 from .core import (
     EPS_FLOOR,
     AlgorithmResult,
@@ -36,6 +38,7 @@ from .denoisers import (
     PriorParams,
     bg_mmse,
     complex_normal,
+    extrinsic_variance,
     sample_prior,
     scalar_mmse,
 )
@@ -233,10 +236,10 @@ def run_bo_mamp_se(
         else:
             m_hat = scalar_mmse(vg_diag, prior)
             rec.v_hat = rec.mse = m_hat
-            if m_hat >= vg_diag:
+            m = extrinsic_variance(m_hat, vg_diag)
+            if m is None:
                 status = "early_stop_nle"
                 break
-            m = 1.0 / (1.0 / m_hat - 1.0 / vg_diag)
             row = np.full(t, m, dtype=complex)
             diag = m
         diag = max(diag, EPS_FLOOR)
@@ -252,17 +255,15 @@ def run_bo_mamp_se(
 def _phi_se(v_gamma: float, prior: PriorParams) -> tuple[float, float]:
     """(posterior mmse, extrinsic variance) of the scalar denoiser map."""
     m_hat = scalar_mmse(v_gamma, prior)
-    if m_hat >= v_gamma:
+    v_ext = extrinsic_variance(m_hat, v_gamma)
+    if v_ext is None:
         raise NonImprovingNLEError(f"mmse {m_hat:.3e} >= {v_gamma:.3e}")
-    return m_hat, 1.0 / (1.0 / m_hat - 1.0 / v_gamma)
+    return m_hat, v_ext
 
 
 def lmmse_gamma_se(v_phi: float, spectrum: SpectralProfile, sigma2: float) -> float:
     """Eigenvalue-exact LMMSE transfer v_gamma = v_phi (1/eps - 1) on spectrum.eigs."""
-    rho = sigma2 / v_phi
-    eigs = spectrum.eigs
-    eps = float(np.sum(eigs / (rho + eigs))) / spectrum.N
-    return v_phi * (1.0 / eps - 1.0)
+    return lmmse_transfer(v_phi, spectrum.eigs, spectrum.N, sigma2)[0]
 
 
 def _scalar_se(name: str, gamma_of, prior: PriorParams, T: int) -> AlgorithmResult:
@@ -292,14 +293,12 @@ def run_bo_oamp_se(
 
 
 def run_mf_oamp_se(
-    lambda1: float, lambda2: float, prior: PriorParams, sigma2: float, T: int
+    spectrum: SpectralProfile, prior: PriorParams, sigma2: float, T: int
 ) -> AlgorithmResult:
     """Scalar evolution of matched-filter OAMP via first/second spectral moments."""
+    lam1, lam2 = float(spectrum.moments[1]), float(spectrum.moments[2])
     return _scalar_se(
-        "se_mf_oamp",
-        lambda v: (sigma2 * lambda1 + v * (lambda2 - lambda1**2)) / lambda1**2,
-        prior,
-        T,
+        "se_mf_oamp", lambda v: mf_transfer(v, lam1, lam2, sigma2), prior, T
     )
 
 

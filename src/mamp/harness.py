@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import run_amp, run_bo_oamp, run_mf_oamp
-from .core import AlgorithmResult, MampConfig, run_bo_mamp
+from .core import AlgorithmResult, run_bo_mamp
 from .denoisers import PriorParams, scalar_mmse
 from .evolution import (
     bo_oamp_fixed_point_exact,
@@ -180,7 +181,8 @@ def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
     """The tables for the configured moment mode; they carry the run's spectrum.
 
     The estimated mode never computes the Gram eigenvalues, so its spectrum
-    holds none.  The bounded mode forms lambda_2T for its trace bound only.
+    holds none.  The bounded mode's trace bound on lambda_max sums powers of
+    d_k^2 / m, m the power of two above max d_k^2: each is at most 1.
     """
     N, M, T = config.N, config.M, config.T
     if config.moment_mode == "estimated":
@@ -191,8 +193,11 @@ def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
     d = _singular_values(config, operator)
     extremes = None
     if config.moment_mode == "bounded":
-        lambda_2T = exact_moments_from_singular_values(d, N, T, M=M).moments[2 * T]
-        extremes = bound_extremal_eigenvalues(float(lambda_2T), 2 * T, N)
+        d_sq = d**2
+        m = math.ldexp(1.0, math.frexp(float(d_sq.max()))[1])
+        scaled_sum = float(np.sum((d_sq / m) ** (2 * T)))
+        lo, hi = bound_extremal_eigenvalues(scaled_sum, 2 * T, 1)
+        extremes = (lo, m * hi)
     return tables_from_singular_values(d, N, T, M=M, lambda_extremes=extremes)
 
 
@@ -220,9 +225,7 @@ def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables):
     results: dict[str, AlgorithmResult] = {}
     for algo in config.algorithms:
         if algo == "bo_mamp":
-            results[algo] = run_bo_mamp(
-                inst, prior, MampConfig(tables=tables, T=config.T, L=config.L)
-            )
+            results[algo] = run_bo_mamp(inst, prior, tables, config.T, config.L)
         elif algo == "bo_oamp":
             results[algo] = run_bo_oamp(inst, prior, config.T)
         elif algo == "mf_oamp":
@@ -347,12 +350,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             )
         results["se_oamp"] = [run_bo_oamp_se(exact, prior, config.sigma2, config.T)]
     if "se_mf_oamp" in config.algorithms:
-        results["se_mf_oamp"] = [
-            run_mf_oamp_se(
-                float(spectrum.moments[1]), float(spectrum.moments[2]),
-                prior, config.sigma2, config.T,
-            )
-        ]
+        se_mf = run_mf_oamp_se(spectrum, prior, config.sigma2, config.T)
+        results["se_mf_oamp"] = [se_mf]
 
     # only seed 0's task takes the set-up operator, so it is released when
     # that task ends; one that matrix_seed pins, or that no seed ran on, is

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mamp import (
-    MampConfig,
     PriorParams,
     bg_mmse,
     bo_oamp_fixed_point_exact,
@@ -68,12 +67,12 @@ def reference_runs():
             (
                 inst,
                 run_bo_mamp(
-                    inst, prior, MampConfig(tables=tab, T=T, L=3, collect_debug=True)
+                    inst, prior, tab, T, 3, collect_debug=True
                 ),
             )
         )
     inst0 = runs_l3[0][0]
-    run_l1 = run_bo_mamp(inst0, prior, MampConfig(tables=tab, T=T, L=1))
+    run_l1 = run_bo_mamp(inst0, prior, tab, T, 1)
     # 4e5 samples push the evolution's own Monte-Carlo noise well below the
     # finite-size deviation of the ten-seed simulation mean (~0.37 dB at the
     # transient knee), so the 0.5 dB check does not ride on the sampler seed
@@ -95,7 +94,7 @@ class TestAcceptance:
         tab = tables_from_singular_values(d, N, T, M=M)
         # no damping window: the flat-spectrum run needs none and the
         # comparison target has none
-        res_m = run_bo_mamp(inst, prior, MampConfig(tables=tab, T=T, L=1))
+        res_m = run_bo_mamp(inst, prior, tab, T, 1)
         res_o = run_bo_oamp(inst, prior, T)
         rel = np.abs(res_m.mse - res_o.mse) / res_o.mse
         ok = bool(np.all(rel <= 1e-10))
@@ -331,7 +330,7 @@ class TestAcceptance:
                 op = build_structured_operator(M, N, d, rng_seed=3000 + seed)
                 inst = sample_instance(op, prior, snr_db=snr, rng_seed=4000 + seed)
                 res = run_bo_mamp(
-                    inst, prior, MampConfig(tables=tab, T=T, L=3, collect_debug=True)
+                    inst, prior, tab, T, 3, collect_debug=True
                 )
                 X = res.debug["X"]
                 V = res.debug["ledger"]
@@ -368,7 +367,7 @@ class TestAcceptance:
         eigs = np.sort(np.clip(op.gram_eigenvalues(), 0.0, None))[::-1]
         tab = tables_from_singular_values(np.sqrt(eigs), N, T, M=M)
         res_amp = run_amp(inst, prior, T)
-        res_mamp = run_bo_mamp(inst, prior, MampConfig(tables=tab, T=T, L=3))
+        res_mamp = run_bo_mamp(inst, prior, tab, T, 3)
         gap_iid = abs(_db(res_amp.mse[-1]) - _db(res_mamp.mse[-1]))
         ok_iid = gap_iid <= 1.0
 
@@ -377,7 +376,7 @@ class TestAcceptance:
         inst_s = sample_instance(op_s, prior, snr_db=snr, rng_seed=3)
         tab_s = tables_from_singular_values(d, N, T, M=M)
         res_amp_s = run_amp(inst_s, prior, T)
-        res_mamp_s = run_bo_mamp(inst_s, prior, MampConfig(tables=tab_s, T=T, L=3))
+        res_mamp_s = run_bo_mamp(inst_s, prior, tab_s, T, 3)
         amp_final = res_amp_s.mse[np.isfinite(res_amp_s.mse)]
         deficit = (
             _db(amp_final[-1]) - _db(res_mamp_s.mse[-1]) if len(amp_final) else np.inf
@@ -413,7 +412,7 @@ class TestAcceptance:
         ok_op = worst_op <= 1e-10
 
         res = run_bo_mamp(
-            inst, prior, MampConfig(tables=tab, T=T, L=3, collect_debug=True)
+            inst, prior, tab, T, 3, collect_debug=True
         )
         powers, W, w = dense_memory_filter_terms(A, tab.lambda_dagger, T + 1)
         thetas = res.trajectory("theta")

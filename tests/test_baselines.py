@@ -5,7 +5,6 @@ import pytest
 
 from mamp import (
     DenseOperator,
-    MampConfig,
     PriorParams,
     build_iid_gaussian_operator,
     build_structured_operator,
@@ -102,7 +101,7 @@ class TestMfOamp:
         prof = exact_moments_from_singular_values(d, 2048, 30, M=1024)
         tab = tables_from_singular_values(d, 2048, 30, M=1024)
         res_mf = run_mf_oamp(inst, prior, 30, prof)
-        res_mamp = run_bo_mamp(inst, prior, MampConfig(tables=tab, T=30, L=3))
+        res_mamp = run_bo_mamp(inst, prior, tab, 30, 3)
         assert res_mf.mse[-1] > res_mamp.mse[-1]
 
     def test_unitary_case_converges_after_one_application(self):
@@ -183,7 +182,7 @@ class TestTransformCounts:
         op.transforms = 0
         if algo == "bo_mamp":
             tables = tables_from_singular_values(d, op.N, self.T, M=op.M)
-            res = run_bo_mamp(inst, prior, MampConfig(tables=tables, T=self.T, L=3))
+            res = run_bo_mamp(inst, prior, tables, self.T, 3)
         elif algo == "bo_oamp":
             res = run_bo_oamp(inst, prior, self.T)
         else:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mamp import (
     DegenerateNormalizationError,
     InvalidLedgerError,
-    MampConfig,
     PriorParams,
     build_structured_operator,
     gamma_covariance_row,
@@ -42,7 +41,7 @@ def small_problem(M=16, N=32, kappa=6.0, snr_db=20.0, mu=0.25, seed=0, T=6, L=3)
     prior = PriorParams(mu=mu)
     inst = sample_instance(op, prior, snr_db=snr_db, rng_seed=seed + 100)
     tab = tables_from_singular_values(d, N, T, M=M)
-    return inst, prior, tab, MampConfig(tables=tab, T=T, L=L, collect_debug=True)
+    return inst, prior, tab, dict(T=T, L=L, collect_debug=True)
 
 
 class TestTheta:
@@ -350,7 +349,7 @@ class TestCovarianceEstimate:
         prior = PriorParams(mu=0.1)
         inst = sample_instance(op, prior, snr_db=30.0, rng_seed=1)
         tab = tables_from_singular_values(d, N, 8, M=M)
-        res = run_bo_mamp(inst, prior, MampConfig(tables=tab, T=8, L=3, collect_debug=True))
+        res = run_bo_mamp(inst, prior, tab, 8, 3, collect_debug=True)
         X = res.debug["X"]
         V = res.debug["ledger"]
         for t in (3, 5, 7):
@@ -362,7 +361,7 @@ class TestCovarianceEstimate:
 class TestMemoryLEStep:
     def test_identical_eigenvalues_collapse_to_matched_filter(self):
         inst, prior, tab, cfg = small_problem(M=32, N=64, kappa=1.0, T=4, L=1)
-        res = run_bo_mamp(inst, prior, cfg)
+        res = run_bo_mamp(inst, prior, tab, **cfg)
         X = res.debug["X"]
         rs = res.debug["r_history"]
         op = inst.operator
@@ -373,14 +372,14 @@ class TestMemoryLEStep:
 
     def test_first_iteration_is_scaled_matched_filter(self):
         inst, prior, tab, cfg = small_problem()
-        res = run_bo_mamp(inst, prior, cfg)
+        res = run_bo_mamp(inst, prior, tab, **cfg)
         expected = inst.operator.apply_adjoint(inst.y) / tab.w0
         np.testing.assert_allclose(res.debug["r_history"][0], expected, rtol=1e-10)
 
     def test_expanded_filter_matches_recursion(self):
         """Dense polynomial expansion of the memory filter reproduces r_t."""
         inst, prior, tab, cfg = small_problem(M=24, N=48, T=3, seed=6)
-        res = run_bo_mamp(inst, prior, cfg)
+        res = run_bo_mamp(inst, prior, tab, **cfg)
         A = inst.operator.dense()
         _, W, w = dense_memory_filter_terms(A, tab.lambda_dagger, 4)
         powers, _, _ = dense_memory_filter_terms(A, tab.lambda_dagger, 4)
@@ -493,7 +492,7 @@ class TestFullRun:
         prior = PriorParams(mu=0.1)
         inst = sample_instance(op, prior, snr_db=0.0, rng_seed=3)
         tab = tables_from_singular_values(d, N, 15, M=M)
-        res = run_bo_mamp(inst, prior, MampConfig(tables=tab, T=15, L=3))
+        res = run_bo_mamp(inst, prior, tab, 15, 3)
         v_hat = res.trajectory("v_hat")
         assert np.nanmax(v_hat) <= 1.0
         ledger = np.concatenate([[res.debug["v_init"]], res.trajectory("v_phi_bar")])
@@ -512,7 +511,7 @@ class TestFullRun:
         prior = PriorParams(mu=0.1)
         inst = sample_instance(op, prior, snr_db=30.0, rng_seed=1)
         tab = tables_from_singular_values(d, N, 30, M=M)
-        res_m = run_bo_mamp(inst, prior, MampConfig(tables=tab, T=30, L=3))
+        res_m = run_bo_mamp(inst, prior, tab, 30, 3)
         res_o = run_bo_oamp(inst, prior, 30)
         gap = abs(10 * np.log10(res_m.mse[-1]) - 10 * np.log10(res_o.mse[-1]))
         assert gap < 0.5
@@ -520,12 +519,12 @@ class TestFullRun:
     def test_tables_too_small_raise(self):
         inst, prior, tab, _ = small_problem(T=4)
         with pytest.raises(ValueError):
-            run_bo_mamp(inst, prior, MampConfig(tables=tab, T=10, L=3))
+            run_bo_mamp(inst, prior, tab, 10, 3)
 
     def test_records_have_expected_shape(self):
         inst, prior, tab, cfg = small_problem()
-        res = run_bo_mamp(inst, prior, cfg)
-        assert len(res.records) == cfg.T
-        assert res.mse.shape == (cfg.T,)
+        res = run_bo_mamp(inst, prior, tab, **cfg)
+        assert len(res.records) == cfg["T"]
+        assert res.mse.shape == (cfg["T"],)
         assert res.status == "ok"
         assert np.all(np.isfinite(res.mse))

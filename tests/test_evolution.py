@@ -258,7 +258,7 @@ class TestScalarEvolutions:
 
     def test_mf_oamp_evolution_matches_lmmse_for_flat_spectrum(self):
         spectrum = exact_moments_from_singular_values(np.full(512, np.sqrt(2.0)), 1024, 1)
-        se_mf = run_mf_oamp_se(1.0, 2.0, PriorParams(mu=0.1), 1e-3, 15)
+        se_mf = run_mf_oamp_se(spectrum, PriorParams(mu=0.1), 1e-3, 15)
         se_bo = run_bo_oamp_se(spectrum, PriorParams(mu=0.1), 1e-3, 15)
         np.testing.assert_allclose(se_mf.mse, se_bo.mse, rtol=1e-9)
 

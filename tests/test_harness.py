@@ -4,6 +4,7 @@ import csv
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -295,6 +296,23 @@ class TestRunExperiment:
         assert report.spectral["moments"][0] == 1.0
         assert len(report.spectral["moments"]) == 3
 
+    def test_long_horizon_bounded_run_keeps_its_trace_bound_finite(self):
+        # the same system in bounded mode: the trace bound on lambda_max runs
+        # on powers of d^2 / max d^2, where lambda_400 would overflow
+        cfg = ExperimentConfig(
+            algorithms=("bo_mamp", "fixed_point"), N=128, delta=4.0, kappa=10.0,
+            mu=0.3, snr_db=15.0, T=200, n_seeds=1, moment_mode="bounded",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_experiment(cfg)
+        assert report.statuses["bo_mamp"] == ["ok"]
+        assert report.spectral["provenance"] == "bounded"
+        assert np.isfinite(report.spectral["lambda_max"])
+        fp = report.fixed_point
+        assert "error" not in fp
+        assert fp["v_phi"] == pytest.approx(fp["v_phi_eig"], rel=1e-12)
+
     def test_nan_columns_equal_the_nan_reductions(self):
         # seeds stopped at different iterations: columns with a value reduce
         # bit for bit as np.nanmean / np.nanstd do, the rest stay NaN
@@ -461,3 +479,19 @@ class TestShippedConfigPins:
                 rtol, atol = GOLDEN_TOL[col]
                 both_nan = math.isnan(a) and math.isnan(b)
                 assert both_nan or abs(a - b) <= atol + rtol * abs(b), where
+
+    def test_bounded_fixed_point_matches_recorded(self, capsys):
+        """The benchmark's bounded_fixed_point output, under its 2e-9 relative rule."""
+        cfg = str(REPO / "configs" / "illconditioned_damping.ini")
+        argv = ["fixed-point", cfg, "--moment-mode", "bounded", "--seed", "0"]
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        want = (REPO / "perfbench" / "golden" / "bounded_fixed_point.txt").read_text()
+        patterns = {
+            "v_gamma": r"v_gamma\* = (\S+)",
+            "v_phi": r"v_phi\*\s+= (\S+)",
+            "mmse": r"posterior mse at fixed point: (\S+)",
+        }
+        for key, pattern in patterns.items():
+            a, b = (float(re.search(pattern, text).group(1)) for text in (got, want))
+            assert math.isclose(a, b, rel_tol=2e-9), (key, a, b)
