@@ -44,16 +44,14 @@ def mf_transfer(v_phi: float, lambda1: float, lambda2: float, sigma2: float) -> 
 
 
 def lmmse_le(
-    x_t: np.ndarray, v_phi: float, instance: SystemInstance,
-    z: np.ndarray | None = None,
+    x_t: np.ndarray, v_phi: float, instance: SystemInstance, z: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Spectral-domain LMMSE linear step with divergence-free scaling.
 
     Applies the per-mode gain d_i / (rho + d_i^2) with rho = sigma^2 / v_phi,
     then rescales by the trace normalizer so the output is an unbiased
     pseudo-observation of x with variance v_phi (1/eps - 1).  z is the
-    residual y - A x_t when the caller already holds it; otherwise it is
-    formed here.
+    residual y - A x_t.
     """
     op = instance.operator
     d = op.singular_values
@@ -62,8 +60,6 @@ def lmmse_le(
     sigma2 = instance.noise_var
     d_sq = d**2
     v_gamma, eps = lmmse_transfer(v_phi, d_sq, op.N, sigma2)
-    if z is None:
-        z = residual(instance.y, op, x_t)
     rho = sigma2 / v_phi
     scale = np.full(op.M, 1.0 / rho)
     scale[: len(d)] = 1.0 / (rho + d_sq)  # entries beyond J are killed by A^H

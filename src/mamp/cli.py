@@ -109,33 +109,31 @@ def _cmd_compare(args) -> int:
     fp = report.fixed_point
     if fp is None or "error" in fp:
         failures.append(f"fixed point unavailable: {(fp or {}).get('error')}")
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 1
-    long_run = run_experiment(
-        replace(
-            config,
-            algorithms=("se_mamp",),
-            n_seeds=0,
-            se_nle_mode="deterministic",
-            T=max(config.T, 200),
+    else:
+        long_run = run_experiment(
+            replace(
+                config,
+                algorithms=("se_mamp",),
+                n_seeds=0,
+                se_nle_mode="deterministic",
+                T=max(config.T, 200),
+            )
         )
-    )
-    # the ledger diagonal (extrinsic variance) is the quantity sharing the
-    # fixed point v_phi*; mse curves report the posterior error instead
-    se_final = 10 ** (long_run.mse_db_mean["se_mamp"][-1] / 10.0)
-    fp_mmse = fp["mmse"]
-    rel_fp = abs(se_final - fp_mmse) / fp_mmse
-    print(f"evolution tail vs fixed point: relative gap {rel_fp:.3e} "
-          f"(tolerance {FP_RTOL})")
-    if not rel_fp <= FP_RTOL:
-        failures.append(f"evolution/fixed-point gap {rel_fp:.3e}")
-    if "v_phi_eig" in fp:
-        rel_x = abs(fp["v_phi"] - fp["v_phi_eig"]) / fp["v_phi_eig"]
-        print(f"fixed point vs eigenvalue-exact: relative gap {rel_x:.3e} "
-              f"(tolerance {FP_CROSS_RTOL})")
-        if not rel_x <= FP_CROSS_RTOL:
-            failures.append(f"fixed-point cross-check gap {rel_x:.3e}")
+        # the ledger diagonal (extrinsic variance) is the quantity sharing the
+        # fixed point v_phi*; mse curves report the posterior error instead
+        se_final = 10 ** (long_run.mse_db_mean["se_mamp"][-1] / 10.0)
+        fp_mmse = fp["mmse"]
+        rel_fp = abs(se_final - fp_mmse) / fp_mmse
+        print(f"evolution tail vs fixed point: relative gap {rel_fp:.3e} "
+              f"(tolerance {FP_RTOL})")
+        if not rel_fp <= FP_RTOL:
+            failures.append(f"evolution/fixed-point gap {rel_fp:.3e}")
+        if "v_phi_eig" in fp:
+            rel_x = abs(fp["v_phi"] - fp["v_phi_eig"]) / fp["v_phi_eig"]
+            print(f"fixed point vs eigenvalue-exact: relative gap {rel_x:.3e} "
+                  f"(tolerance {FP_CROSS_RTOL})")
+            if not rel_x <= FP_CROSS_RTOL:
+                failures.append(f"fixed-point cross-check gap {rel_x:.3e}")
 
     if failures:
         for f in failures:

@@ -428,7 +428,7 @@ class AlgorithmResult:
     records: list[IterationRecord]
     x_hat: np.ndarray | None
     v_hat: float
-    status: str  # ok | diverged | early_stop_nle | degenerate
+    status: str  # ok | diverged | early_stop_nle | degenerate | unstable_covariance
     debug: dict = field(default_factory=dict)
 
     def trajectory(self, attr: str) -> np.ndarray:

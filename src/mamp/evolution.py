@@ -49,15 +49,20 @@ class NearSingularCovarianceError(RuntimeError):
     """The tracked noise covariance lost positive definiteness."""
 
 
+# Relative size of a negative conditional variance the sampler clamps to zero.
+_CLAMP_TOL = 1e-10
+
+
 class CorrelatedNoiseSampler:
     """Draws the per-iteration Gaussian noise batch consistent with V_gamma.
 
     Each new coordinate is generated conditionally on the stored history, so
     the running batch always realizes the tracked covariance even when a fresh
-    joint factorization would be numerically indefinite.  Small negative
-    conditional variances (within tolerance) are clamped to zero and counted
-    in `clamped`; larger ones raise NearSingularCovarianceError.  `variances`
-    lists the conditional variance each draw used, after the clamp.
+    joint factorization would be numerically indefinite.  Negative
+    conditional variances down to -_CLAMP_TOL max(V_gamma[t, t], 1) are
+    clamped to zero and counted in `clamped`; lower ones raise
+    NearSingularCovarianceError.  `variances` lists the conditional variance
+    each draw used, after the clamp.
 
     Layout: coordinate t is stored as row t - 1 of a row-major (rows, n_mc)
     complex buffer, so a draw writes one contiguous row in place (conditional
@@ -69,10 +74,9 @@ class CorrelatedNoiseSampler:
     (n_mc, t) transposed view of the stored rows drawn so far.
     """
 
-    def __init__(self, n_mc: int, rng, rows: int, tol: float = 1e-10, last=None):
+    def __init__(self, n_mc: int, rng, rows: int, last=None):
         self.n = n_mc
         self.rng = rng
-        self.tol = tol
         self._rows = np.empty((rows - (last is not None), n_mc), dtype=complex)
         self._last = last
         self._t = 0
@@ -103,7 +107,7 @@ class CorrelatedNoiseSampler:
             v_g = V_gamma[t - 1, t - 1].real - float(
                 np.real(V_gamma[t - 1, : t - 1] @ alpha)
             )
-            tol = self.tol * max(V_gamma[t - 1, t - 1].real, 1.0)
+            tol = _CLAMP_TOL * max(V_gamma[t - 1, t - 1].real, 1.0)
             if v_g < -tol:
                 raise NearSingularCovarianceError(
                     f"conditional variance {v_g:.3e} at iteration {t}"
@@ -302,14 +306,18 @@ def run_mf_oamp_se(
     )
 
 
+# Relative tail bound at which the geometric series stops.
+_SERIES_TOL = 1e-12
+# Width, in log v, of the step or bracket at which a fixed-point search stops.
+_ROOT_TOL = 1e-13
+# Points a fixed-point search may evaluate before it gives up.
+_MAX_SWEEPS = 200
+
+
 def series_gamma_se(
-    v_phi: float,
-    tables: MomentTables,
-    sigma2: float,
-    series_tol: float = 1e-12,
-    max_terms: int = 1 << 20,
-) -> tuple[float, float]:
-    """Matched-filter limit transfer via the geometric operator series.
+    v_phi: float, tables: MomentTables, sigma2: float, max_terms: int = 1 << 20
+) -> float:
+    """Matched-filter limit transfer v_gamma via the geometric operator series.
 
     Evaluates eps* = theta sum_i (theta ld)^i w'_i and the double series for
     the output variance, grouped by total lag (the couplings split into a
@@ -317,12 +325,12 @@ def series_gamma_se(
     |w'_s| <= w0 q^s and |w'_s - w'_{s+1}| <= 2 w0 q^s, so the lag-s term is
     at most (s+1) (x q)^s times the lag-0 bound theta^2 (sigma^2 w0 +
     v_phi (2 ld w0 + w0^2)); the length doubles from 8 until that relative
-    bound at the last lag drops below series_tol, and is cut back to the
+    bound at the last lag drops below _SERIES_TOL, and is cut back to the
     stored weights when the bound holds there.  A relative bound keeps
     the result's relative accuracy at small sigma^2 and v_phi, where an
     absolute one would not.  The tables are extended on demand, which
     requires eigenvalue-built tables.  Raises ValueError when the bound is
-    still at or above series_tol once max_terms terms are reached.
+    still at or above _SERIES_TOL once max_terms terms are reached.
     """
     ld = tables.lambda_dagger
     rho = sigma2 / v_phi
@@ -336,16 +344,16 @@ def series_gamma_se(
         return (s_idx + 1) * contraction**s_idx
 
     n_terms = 8
-    while _tail_bound(n_terms - 1) >= series_tol:
+    while _tail_bound(n_terms - 1) >= _SERIES_TOL:
         if n_terms >= max_terms:
             raise ValueError(
                 f"series truncated: tail bound {_tail_bound(n_terms - 1):.3e} >= "
-                f"series_tol {series_tol:.1e} at max_terms = {max_terms}"
+                f"tolerance {_SERIES_TOL:.1e} at max_terms = {max_terms}"
             )
         n_terms *= 2
     # the stored weights cost nothing to read: stop there when they suffice
     stored = len(tables.w_scaled) - 1
-    if stored < n_terms and _tail_bound(stored - 1) < series_tol:
+    if stored < n_terms and _tail_bound(stored - 1) < _SERIES_TOL:
         n_terms = stored
     w = tables.w_scaled_extended(n_terms)
     # the three lag sums as one (3, n) product with x**s: back-to-back dots
@@ -356,8 +364,7 @@ def series_gamma_se(
     eps_star = theta * float(w_sum)
     sig_part = sigma2 * float(sig_sum)
     wbar_part = v_phi * ld * float(wbar_sum)
-    v_gamma = theta**2 * (sig_part + wbar_part) / eps_star**2 - v_phi
-    return float(v_gamma), float(eps_star)
+    return float(theta**2 * (sig_part + wbar_part) / eps_star**2 - v_phi)
 
 
 # Width, in log v, of the band above the root found from below that the
@@ -365,7 +372,7 @@ def series_gamma_se(
 _UNIQUENESS_BAND = 0.05
 
 
-def _secant_root(gamma_of, prior, u, below, above, tol, max_sweeps):
+def _secant_root(gamma_of, prior, u, below, above, max_sweeps):
     """Root of g(u) = log phi_se(gamma_of(e**u)) - u in (below, above].
 
     Points with g > 0 move `below` up and points with g <= 0 move `above`
@@ -373,8 +380,8 @@ def _secant_root(gamma_of, prior, u, below, above, tol, max_sweeps):
     through the last two points.  A step that is not finite or leaves the
     bracket is replaced by the Picard step, or by bisection of the bracket
     when that leaves it too.  Stops once the secant (or first) step or the
-    bracket is below tol and returns (gamma_of(e**u), u) at the last point
-    evaluated; raises ValueError after max_sweeps points.
+    bracket is below _ROOT_TOL and returns (gamma_of(e**u), u) at the last
+    point evaluated; raises ValueError after max_sweeps points.
     """
     prev = None
     for _ in range(max_sweeps):
@@ -387,7 +394,7 @@ def _secant_root(gamma_of, prior, u, below, above, tol, max_sweeps):
         step = g
         if prev is not None and prev[1] != g:
             step = g * (u - prev[0]) / (prev[1] - g)
-        if abs(step) < tol or above - below < tol:
+        if abs(step) < _ROOT_TOL or above - below < _ROOT_TOL:
             return float(v_gamma), u
         if not below < u + step < above:
             step = g if below < u + g < above else 0.5 * (below + above) - u
@@ -396,14 +403,15 @@ def _secant_root(gamma_of, prior, u, below, above, tol, max_sweeps):
     raise ValueError(f"fixed point not reached in {max_sweeps} sweeps")
 
 
-def _log_fixed_point(gamma_of, prior, gamma_floor, tol, max_sweeps, chain_of=None):
+def _log_fixed_point(gamma_of, spectrum, prior, sigma2, max_sweeps):
     """Largest fixed point of v -> phi_se(gamma_of(v)), the one reached from v = 1.
 
-    The map F(v) = phi_se(gamma(v)) rises with v, and every fixed point lies
+    gamma_of is a transfer equal to the eigenvalue-exact one on spectrum.  The
+    map F(v) = phi_se(gamma(v)) rises with v, and every fixed point lies
     at or below v = 1 (the MMSE denoiser's extrinsic variance is at most the
-    unit prior variance).  Both transfer maps tend to gamma_floor = sigma2 /
-    w0 as v -> 0 (w0 = sum d_k^2 / N), so u = log phi_se(gamma_floor) lies
-    below every fixed point (when phi_se refuses that level the start is
+    unit prior variance).  Both transfer maps tend to the floor sigma2 /
+    lambda_1 as v -> 0 (lambda_1 = sum d_k^2 / N), so u = log phi_se(floor)
+    lies below every fixed point (when phi_se refuses that level the start is
     v = 1).  From there `_secant_root` finds a root r cheaply, with short
     series; it is the smallest root when there are several.
 
@@ -415,21 +423,22 @@ def _log_fixed_point(gamma_of, prior, gamma_floor, tol, max_sweeps, chain_of=Non
     a larger fixed point: the secant through its last two points predicts
     its limit p, and a point c below p (p's mirror of the next chain point)
     where g > 0 brackets that fixed point in (c, next chain point], where
-    `_secant_root` solves again.  The chain runs on chain_of (default
-    gamma_of), a cheap map equal to gamma_of, so the series is never summed
-    near v = 1, where it is long.  Returns (gamma_of(v*), v*); raises
-    ValueError when a search does not end within max_sweeps points.
+    `_secant_root` solves again.  The chain runs on the eigenvalue-exact
+    transfer, which costs one pass over the spectrum at any v, so a series
+    is never summed near v = 1, where it is long.  Returns (gamma_of(v*),
+    v*); raises ValueError when a search does not end within max_sweeps
+    points.
     """
-    chain_of = chain_of or gamma_of
 
     def chain_g(u):
-        return math.log(_phi_se(chain_of(math.exp(u)), prior)[1]) - u
+        v_gamma = lmmse_gamma_se(math.exp(u), spectrum, sigma2)
+        return math.log(_phi_se(v_gamma, prior)[1]) - u
 
     try:
-        u = math.log(_phi_se(gamma_floor, prior)[1])
+        u = math.log(_phi_se(sigma2 / float(spectrum.moments[1]), prior)[1])
     except NonImprovingNLEError:
         u = 0.0
-    v_gamma, root = _secant_root(gamma_of, prior, u, -math.inf, 0.0, tol, max_sweeps)
+    v_gamma, root = _secant_root(gamma_of, prior, u, -math.inf, 0.0, max_sweeps)
     top, prev = 0.0, None
     for _ in range(max_sweeps):
         if top <= root + _UNIQUENESS_BAND:
@@ -440,7 +449,7 @@ def _log_fixed_point(gamma_of, prior, gamma_floor, tol, max_sweeps, chain_of=Non
             c = 2.0 * limit - (top + step)
             if root + _UNIQUENESS_BAND < c < top + step and chain_g(c) > 0:
                 v_gamma, root = _secant_root(
-                    gamma_of, prior, c, c, top + step, tol, max_sweeps
+                    gamma_of, prior, c, c, top + step, max_sweeps
                 )
         prev = top, step
         top += step
@@ -451,9 +460,7 @@ def oamp_fixed_point(
     tables: MomentTables,
     prior: PriorParams,
     sigma2: float,
-    series_tol: float = 1e-12,
-    tol: float = 1e-13,
-    max_sweeps: int = 200,
+    max_sweeps: int = _MAX_SWEEPS,
 ) -> tuple[float, float]:
     """Shared fixed point (v_gamma*, v_phi*) of the LMMSE and long-memory maps.
 
@@ -469,19 +476,13 @@ def oamp_fixed_point(
             "the series fixed point needs eigenvalue-built tables; "
             "estimate-built tables hold too few reliable weights"
         )
-    gamma_of = lambda v: series_gamma_se(v, tables, sigma2, series_tol)[0]
-    chain_of = lambda v: lmmse_gamma_se(v, spectrum, sigma2)
-    return _log_fixed_point(gamma_of, prior, sigma2 / tables.w0, tol, max_sweeps, chain_of)
+    gamma_of = lambda v: series_gamma_se(v, tables, sigma2)
+    return _log_fixed_point(gamma_of, spectrum, prior, sigma2, max_sweeps)
 
 
 def bo_oamp_fixed_point_exact(
-    spectrum: SpectralProfile,
-    prior: PriorParams,
-    sigma2: float,
-    tol: float = 1e-13,
-    max_sweeps: int = 200,
+    spectrum: SpectralProfile, prior: PriorParams, sigma2: float
 ) -> tuple[float, float]:
-    """Fixed point of the eigenvalue-exact LMMSE evolution (oracle route); w0 = lambda_1."""
+    """Fixed point of the eigenvalue-exact LMMSE evolution (oracle route)."""
     gamma_of = lambda v: lmmse_gamma_se(v, spectrum, sigma2)
-    w0 = float(spectrum.moments[1])
-    return _log_fixed_point(gamma_of, prior, sigma2 / w0, tol, max_sweeps)
+    return _log_fixed_point(gamma_of, spectrum, prior, sigma2, _MAX_SWEEPS)

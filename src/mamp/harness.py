@@ -12,7 +12,7 @@ import configparser
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -59,6 +59,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
 
 
+# how a config file's value is read, by the first word of its field's type
+_PARSERS = {
+    "tuple": lambda raw: tuple(a.strip() for a in raw.split(",") if a.strip()),
+    "int": int,
+    "float": float,
+    "str": str.strip,
+}
+
+
 @dataclass
 class ExperimentConfig:
     algorithms: tuple = ("bo_mamp", "bo_oamp", "se_mamp", "fixed_point")
@@ -91,8 +100,12 @@ class ExperimentConfig:
             raise ConfigError(f"N: must be >= 2, got {self.N}")
         if self.M is None and self.delta is None:
             raise ConfigError("M/delta: provide one of M or delta")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ConfigError(f"delta: must be positive and finite, got {self.delta}")
         if self.M is None:
             self.M = int(round(self.delta * self.N))
+        if self.M < 1:
+            raise ConfigError(f"M: must be >= 1, got {self.M}")
         implied = self.M / self.N
         if self.delta is None:
             self.delta = implied
@@ -100,10 +113,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"delta: inconsistent with M/N ({self.delta} vs {implied})"
             )
-        if self.kappa < 1:
-            raise ConfigError(f"kappa: must be >= 1, got {self.kappa}")
+        if not 1 <= self.kappa < math.inf:
+            raise ConfigError(f"kappa: must be >= 1 and finite, got {self.kappa}")
         if not 0 < self.mu <= 1:
             raise ConfigError(f"mu: must be in (0, 1], got {self.mu}")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db: must be finite, got {self.snr_db}")
         if self.T < 1:
             raise ConfigError(f"T: must be >= 1, got {self.T}")
         if self.L < 1:
@@ -112,8 +127,14 @@ class ExperimentConfig:
             raise ConfigError(f"n_seeds: must be >= 0, got {self.n_seeds}")
         if self.matrix_model not in ("structured", "iid"):
             raise ConfigError(f"matrix_model: unknown model {self.matrix_model!r}")
+        if self.matrix_model == "iid" and "bo_oamp" in self.algorithms:
+            raise ConfigError(
+                "matrix_model: iid keeps no singular values, which bo_oamp needs"
+            )
         if self.moment_mode not in ("exact", "estimated", "bounded"):
             raise ConfigError(f"moment_mode: unknown mode {self.moment_mode!r}")
+        if self.n_mc < 1:
+            raise ConfigError(f"n_mc: must be >= 1, got {self.n_mc}")
         if self.se_nle_mode not in ("mc", "deterministic"):
             raise ConfigError(f"se_nle_mode: unknown mode {self.se_nle_mode!r}")
         if self.threads < 1:
@@ -134,20 +155,13 @@ class ExperimentConfig:
         sections = [s for s in ("experiment", "output", "compare") if parser.has_section(s)]
         if not sections:
             raise ConfigError("config needs an [experiment] section")
-        ints = {"N", "M", "T", "L", "n_seeds", "base_seed", "matrix_seed", "n_mc", "threads"}
-        floats = {"delta", "kappa", "mu", "snr_db", "compare_se_tol_db"}
+        # annotations are strings here: "int", "float | None", ...
+        kinds = {f.name: f.type.split(" ")[0] for f in fields(cls)}
         for section in sections:
             for key, raw in parser.items(section):
-                if key == "algorithms":
-                    kwargs[key] = tuple(a.strip() for a in raw.split(",") if a.strip())
-                elif key in ints:
-                    kwargs[key] = int(raw)
-                elif key in floats:
-                    kwargs[key] = float(raw)
-                elif key in ("matrix_model", "moment_mode", "se_nle_mode", "out_dir", "label"):
-                    kwargs[key] = raw.strip()
-                else:
+                if key not in kinds:
                     raise ConfigError(f"{key}: unknown config key")
+                kwargs[key] = _PARSERS[kinds[key]](raw)
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -448,9 +462,9 @@ def emit_csv(report: RunReport, path: str) -> None:
     for algo in report.algorithms:
         mean = report.mse_db_mean[algo]
         std = report.mse_db_std[algo]
-        se = report.se_mse_db.get(algo, np.full(report.T, np.nan))
-        th = report.theta.get(algo, np.full(report.T, np.nan))
-        xi = report.xi.get(algo, np.full(report.T, np.nan))
+        se = report.se_mse_db[algo]
+        th = report.theta[algo]
+        xi = report.xi[algo]
         for t in range(report.T):
             lines.append(
                 ",".join(

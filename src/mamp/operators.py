@@ -42,7 +42,6 @@ def make_geometric_singular_values(J: int, kappa: float, energy: float) -> np.nd
 class TransformOperator:
     """Common interface for the measurement operators."""
 
-    variant: str
     M: int
     N: int
     singular_values: np.ndarray | None
@@ -87,7 +86,6 @@ class StructuredOperator(TransformOperator):
     called concurrently.
     """
 
-    variant = "structured"
     gram_uses_adjoint = False
 
     def __init__(self, M: int, N: int, singular_values: np.ndarray, perm: np.ndarray):
@@ -143,8 +141,6 @@ class StructuredOperator(TransformOperator):
 
 class DenseOperator(TransformOperator):
     """Explicit-matrix operator; used for IID ensembles and small oracles."""
-
-    variant = "dense"
 
     def __init__(self, matrix: np.ndarray):
         A = np.asarray(matrix, dtype=complex)
@@ -204,20 +200,7 @@ class SystemInstance:
     x_true: np.ndarray
     noise_var: float
     y: np.ndarray
-    prior: PriorParams
     noise: np.ndarray | None = None
-
-    @property
-    def M(self) -> int:
-        return self.operator.M
-
-    @property
-    def N(self) -> int:
-        return self.operator.N
-
-    @property
-    def delta(self) -> float:
-        return self.operator.delta
 
 
 def sample_instance(
@@ -234,4 +217,4 @@ def sample_instance(
     x = sample_prior(prior, operator.N, rng)
     n = complex_normal(rng, operator.M, sigma2)
     y = operator.apply(x) + n
-    return SystemInstance(operator, x, sigma2, y, prior, noise=n)
+    return SystemInstance(operator, x, sigma2, y, noise=n)

@@ -441,7 +441,7 @@ class TestAcceptance:
         v_phi = 0.4
         rho = inst.noise_var / v_phi
         x_t = rng.standard_normal(N) + 0j
-        r_spec, v_gamma = lmmse_le(x_t, v_phi, inst)
+        r_spec, v_gamma = lmmse_le(x_t, v_phi, inst, inst.y - inst.operator.apply(x_t))
         Minv = np.linalg.solve(rho * np.eye(M) + A @ A.conj().T, np.eye(M))
         gamma_hat = A.conj().T @ Minv @ (inst.y - A @ x_t)
         eps_d = np.trace(A.conj().T @ Minv @ A).real / N

@@ -34,7 +34,8 @@ class TestLmmseLE:
     def test_identical_eigenvalues_unit_delta(self):
         inst, prior, d = structured_instance(N=256, delta=1.0, kappa=1.0)
         v_phi = 0.2
-        r, v_gamma = lmmse_le(np.zeros(256, dtype=complex), v_phi, inst)
+        x = np.zeros(256, dtype=complex)
+        r, v_gamma = lmmse_le(x, v_phi, inst, inst.y - inst.operator.apply(x))
         rho = inst.noise_var / v_phi
         # eps = 1/(rho + 1): the transfer lands exactly on the noise floor
         assert v_gamma == pytest.approx(inst.noise_var, rel=1e-10)
@@ -58,7 +59,7 @@ class TestLmmseLE:
         v_phi = 0.3
         rho = inst.noise_var / v_phi
         x_t = np.random.default_rng(0).standard_normal(64) + 0j
-        r, v_gamma = lmmse_le(x_t, v_phi, inst)
+        r, v_gamma = lmmse_le(x_t, v_phi, inst, inst.y - op.apply(x_t))
         M_mat = rho * np.eye(op.M) + A @ A.conj().T
         gamma_hat = A.conj().T @ np.linalg.solve(M_mat, inst.y - A @ x_t)
         eps = np.trace(A.conj().T @ np.linalg.solve(M_mat, A)).real / op.N
@@ -69,16 +70,19 @@ class TestLmmseLE:
         op = build_iid_gaussian_operator(16, 32, rng_seed=0)
         prior = PriorParams(mu=0.5)
         inst = sample_instance(op, prior, snr_db=20.0, rng_seed=1)
+        x = np.zeros(32, dtype=complex)
         with pytest.raises(ValueError):
-            lmmse_le(np.zeros(32, dtype=complex), 1.0, inst)
+            lmmse_le(x, 1.0, inst, inst.y - op.apply(x))
 
 
 class TestBoOamp:
     def test_first_iteration_is_standalone_lmmse(self):
         inst, prior, _ = structured_instance(N=512)
         res = run_bo_oamp(inst, prior, 1)
-        v_phi0 = ((np.vdot(inst.y, inst.y).real / 512) - inst.delta * inst.noise_var) / 1.0
-        r, v_gamma = lmmse_le(np.zeros(512, dtype=complex), v_phi0, inst)
+        delta = inst.operator.delta
+        v_phi0 = ((np.vdot(inst.y, inst.y).real / 512) - delta * inst.noise_var) / 1.0
+        x = np.zeros(512, dtype=complex)
+        r, v_gamma = lmmse_le(x, v_phi0, inst, inst.y - inst.operator.apply(x))
         assert res.records[0].v_gamma == pytest.approx(v_gamma, rel=1e-12)
 
     def test_converges_on_illconditioned(self):

@@ -278,7 +278,7 @@ class TestFixedPoint:
         from mamp.evolution import lmmse_gamma_se
 
         for v in (1.0, 0.1, 0.01):
-            v_series, _ = series_gamma_se(v, tab, sigma2)
+            v_series = series_gamma_se(v, tab, sigma2)
             v_eig = lmmse_gamma_se(v, tab.spectrum, sigma2)
             assert v_series == pytest.approx(v_eig, rel=1e-9)
 
@@ -295,7 +295,7 @@ class TestFixedPoint:
         assert tab.rho_B / tab.lambda_dagger == 1.0
         sigma2 = 1e-2
         for v in (1.0, 0.1, 0.01):
-            v_series, _ = series_gamma_se(v, tab, sigma2)
+            v_series = series_gamma_se(v, tab, sigma2)
             v_eig = lmmse_gamma_se(v, tab.spectrum, sigma2)
             assert v_series == pytest.approx(v_eig, rel=1e-9)
 
@@ -307,7 +307,7 @@ class TestFixedPoint:
         d = make_geometric_singular_values(1024, 10.0, 1024.0)
         tab = tables_from_singular_values(d, 1024, 30, M=1024)
         for v in (5.6e-6, 1e-3, 1.0):
-            v_series, _ = series_gamma_se(v, tab, 1e-4)
+            v_series = series_gamma_se(v, tab, 1e-4)
             assert v_series == pytest.approx(lmmse_gamma_se(v, tab.spectrum, 1e-4), rel=1e-11)
 
     @pytest.mark.parametrize("mode", ["bounded", "exact"])
@@ -408,7 +408,7 @@ class TestFixedPoint:
             tab = tables_from_singular_values(d, N, 50, M=M)
             exact = lambda v: lmmse_gamma_se(v, tab.spectrum, sigma2)
             assert oamp_fixed_point(tab, prior, sigma2) == solve(
-                lambda v: series_gamma_se(v, tab, sigma2)[0], exact, tab.w0, prior, sigma2
+                lambda v: series_gamma_se(v, tab, sigma2), exact, tab.w0, prior, sigma2
             )
             w0 = float(np.sum(d**2)) / N
             assert bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2) == solve(
@@ -453,7 +453,7 @@ class TestFixedPoint:
         _, v_exact = bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2)
         assert v_exact > 0.5
         assert v_series == pytest.approx(v_exact, rel=1e-9)
-        assert series_gamma_se(v_exact, tab, sigma2)[0] == pytest.approx(
+        assert series_gamma_se(v_exact, tab, sigma2) == pytest.approx(
             lmmse_gamma_se(v_exact, tab.spectrum, sigma2), rel=1e-9
         )
 
@@ -492,7 +492,7 @@ class TestFixedPoint:
             sigma2 = 10 ** (-snr / 10)
             d = make_geometric_singular_values(min(M, N), kappa, float(N))
             tab = tables_from_singular_values(d, N, 200, M=M)
-            series = lambda v: series_gamma_se(v, tab, sigma2)[0]
+            series = lambda v: series_gamma_se(v, tab, sigma2)
             exact = lambda v: lmmse_gamma_se(v, tab.spectrum, sigma2)
             try:
                 (_, v_old), n_old, len_old = run(lambda: relaxed_fixed_point(series, prior, 1e-10))

@@ -86,10 +86,14 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("kappa", 0.5), ("mu", 0.0), ("T", 0), ("L", 0), ("n_seeds", -1),
-         ("moment_mode", "bogus"), ("algorithms", ("nope",))],
+         ("moment_mode", "bogus"), ("algorithms", ("nope",)),
+         ("n_mc", 0), ("n_mc", -5), ("snr_db", math.nan), ("snr_db", math.inf),
+         ("kappa", math.nan), ("kappa", math.inf), ("delta", math.nan),
+         ("delta", 0.0), ("M", 0), ("matrix_model", "iid")],
     )
     def test_invalid_fields_name_the_field(self, field, value):
-        with pytest.raises(ConfigError):
+        # SMALL runs bo_oamp, which the iid model cannot feed
+        with pytest.raises(ConfigError, match=f"^{field}:"):
             ExperimentConfig(**{**SMALL, field: value})
 
     def test_roundtrip_through_file(self, tmp_path):
@@ -244,11 +248,14 @@ class TestRunExperiment:
             return res
 
         monkeypatch.setattr(harness, "run_bo_oamp_se", stopping_se)
-        cfg = {**SMALL, "algorithms": ("bo_oamp", "se_oamp", "se_mf_oamp")}
+        cfg = {**SMALL, "algorithms": ("bo_oamp", "mf_oamp", "se_oamp", "se_mf_oamp")}
         report = run_experiment(ExperimentConfig(**cfg))
         assert report.statuses["se_oamp"] == "early_stop_nle"
         assert report.statuses["se_mf_oamp"] == "ok"
         assert report.statuses["bo_oamp"] == ["ok", "ok"]
+        assert report.statuses["mf_oamp"] == ["ok", "ok"]
+        se_mf_db = report.mse_db_mean["se_mf_oamp"]
+        np.testing.assert_array_equal(report.se_mse_db["mf_oamp"], se_mf_db)
         se_db = report.mse_db_mean["se_oamp"]
         np.testing.assert_array_equal(report.se_mse_db["bo_oamp"], se_db)
         np.testing.assert_array_equal(report.se_mse_db["se_oamp"], se_db)
@@ -433,6 +440,18 @@ class TestCli:
         )                           # acceptance setting asserts 0.5 dB
         rc = main(["compare", cfg, "--out-dir", str(tmp_path)])
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "overrides, flags, reason",
+        [({"compare_se_tol_db": 1e-9}, [], "simulation/evolution gap"),
+         ({}, ["--moment-mode", "estimated"], "fixed point unavailable")],
+    )
+    def test_compare_subcommand_fails_with_its_reason(
+        self, tmp_path, capsys, overrides, flags, reason
+    ):
+        cfg = write_config(tmp_path / "exp.ini", label="cmpfail", **overrides)
+        assert main(["compare", cfg, "--out-dir", str(tmp_path), *flags]) == 1
+        assert f"FAIL: {reason}" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.ini"

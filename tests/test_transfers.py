@@ -40,7 +40,7 @@ def test_lmmse_step_and_evolution_share_the_transfer(M, N):
     d, inst, spectrum = _system(M, N)
     x = np.zeros(N, dtype=complex)
     for v_phi in (1.0, 0.3, 1e-2, 1e-5):
-        _, v_gamma = lmmse_le(x, v_phi, inst)
+        _, v_gamma = lmmse_le(x, v_phi, inst, inst.y - inst.operator.apply(x))
         assert v_gamma == lmmse_gamma_se(v_phi, spectrum, inst.noise_var)
 
 
