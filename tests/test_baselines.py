@@ -18,6 +18,8 @@ from mamp import (
     sample_instance,
     tables_from_singular_values,
 )
+from mamp import baselines
+from mamp.denoisers import DenoiserOutput
 from mamp.operators import StructuredOperator
 
 
@@ -114,6 +116,30 @@ class TestMfOamp:
         res = run_mf_oamp(inst, prior, 5, prof)
         assert res.mse[1] == pytest.approx(res.mse[0], rel=1e-9)
         assert res.mse[-1] == pytest.approx(res.mse[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("algo", ["bo_oamp", "mf_oamp"])
+def test_oamp_early_stop_keeps_the_stopping_posterior(monkeypatch, algo):
+    inst, prior, d = structured_instance(N=512)
+    denoise = baselines.bg_mmse
+    calls = []
+
+    def stalling_denoiser(r, v, prior):
+        out = denoise(r, v, prior)
+        calls.append(v)
+        if len(calls) == 3:
+            return DenoiserOutput(out.posterior_mean, out.posterior_var, None, None)
+        return out
+
+    monkeypatch.setattr(baselines, "bg_mmse", stalling_denoiser)
+    if algo == "bo_oamp":
+        res = run_bo_oamp(inst, prior, 6)
+    else:
+        prof = exact_moments_from_singular_values(d, 512, 1, M=256)
+        res = run_mf_oamp(inst, prior, 6, prof)
+    assert res.status == "early_stop_nle"
+    assert [r.t for r in res.records] == [1, 2, 3]
+    assert res.v_hat == res.records[2].v_hat and np.isfinite(res.v_hat)
 
 
 class TestAmp:

@@ -20,7 +20,9 @@ from mamp import (
     tables_from_singular_values,
     xi_cost_coefficients,
 )
+from mamp import core
 from mamp.core import (
+    EPS_FLOOR,
     Ledger,
     damp_into,
     damping_window,
@@ -29,7 +31,7 @@ from mamp.core import (
     mean_squared_error,
     memory_le_step,
 )
-from mamp.denoisers import CHUNK
+from mamp.denoisers import CHUNK, DenoiserOutput
 from mamp.operators import build_iid_gaussian_operator
 
 from oracles import dense_memory_filter_terms
@@ -515,6 +517,59 @@ class TestFullRun:
         res_o = run_bo_oamp(inst, prior, 30)
         gap = abs(10 * np.log10(res_m.mse[-1]) - 10 * np.log10(res_o.mse[-1]))
         assert gap < 0.5
+
+    def test_noise_floor_clamps_the_first_candidate(self):
+        # a flat spectrum, four measurements per unknown and 120 dB: the first
+        # extrinsic estimate's residual energy falls below the floor
+        N, M = 256, 1024
+        d = make_geometric_singular_values(N, 1.0, float(M))
+        op = build_structured_operator(M, N, d, rng_seed=0)
+        prior = PriorParams(mu=0.1)
+        inst = sample_instance(op, prior, snr_db=120.0, rng_seed=1)
+        tab = tables_from_singular_values(d, N, 20, M=M)
+        res = run_bo_mamp(inst, prior, tab, 20, 3)
+        assert res.status == "ok" and res.debug["noise_floor_reached"]
+        floor = EPS_FLOOR * res.debug["v_init"]
+        v_phi_bar = res.trajectory("v_phi_bar")
+        assert v_phi_bar[0] == pytest.approx(floor, rel=1e-9)
+        assert np.all(v_phi_bar <= floor)
+
+    @pytest.mark.parametrize("stop", ["degenerate", "early_stop_nle"])
+    def test_a_stop_at_iteration_3_keeps_the_best_estimate(self, monkeypatch, stop):
+        inst, prior, tab, _ = small_problem(M=256, N=512, seed=5)
+        weights, denoise = core.memory_weights, core.bg_mmse
+        outs = []
+
+        def vanishing_weights(V, scaled, t, *args):
+            w = weights(V, scaled, t, *args)
+            # what memory_weights returns for a vanished normalizer
+            return (*w[:4], 0.0, np.nan) if t == 3 else w
+
+        def recording_denoiser(r, v, prior):
+            outs.append(denoise(r, v, prior))
+            if len(outs) == 3:
+                # a posterior worse than its input has no extrinsic
+                return DenoiserOutput(outs[-1].posterior_mean, 2.0 * v, None, None)
+            return outs[-1]
+
+        if stop == "degenerate":
+            monkeypatch.setattr(core, "memory_weights", vanishing_weights)
+        monkeypatch.setattr(core, "bg_mmse", recording_denoiser)
+        res = run_bo_mamp(inst, prior, tab, 6, 3)
+        assert res.status == stop
+        assert [r.t for r in res.records] == ([1, 2] if stop == "degenerate" else [1, 2, 3])
+        for rec in res.records[:2]:
+            assert np.isfinite(rec.v_phi_bar) and rec.zeta.size > 0
+        if stop == "early_stop_nle":
+            # the stopping record keeps its input level and no damping
+            last = res.records[2]
+            assert last.v_hat == 2.0 * last.v_gamma
+            assert last.v_phi_bar == res.debug["ledger"][2, 2].real
+            assert last.zeta.size == 0 and not res.debug["ledger"][3].any()
+            assert last.v_hat > res.v_hat
+        # the estimate falls back to the best posterior seen
+        best = min(outs[:2], key=lambda o: o.posterior_var)
+        assert res.v_hat == best.posterior_var and res.x_hat is best.posterior_mean
 
     def test_tables_too_small_raise(self):
         inst, prior, tab, _ = small_problem(T=4)

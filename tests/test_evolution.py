@@ -19,6 +19,8 @@ from mamp import (
     scalar_mmse,
     tables_from_singular_values,
 )
+from mamp import evolution
+from mamp.denoisers import DenoiserOutput
 from mamp.evolution import series_gamma_se
 
 
@@ -203,6 +205,48 @@ class TestEvolutionRuns:
         assert last.zeta.size == 0
         assert np.all(np.isnan(se.mse[2:]))
         assert se.v_hat == se.records[1].mse
+
+    @pytest.mark.parametrize("nle_mode", ["mc", "deterministic"])
+    @pytest.mark.parametrize(
+        "eps, v_gamma", [(0.0, np.nan), (0.5, -1.0)], ids=["no_normalizer", "negative"]
+    )
+    def test_degenerate_stop_keeps_the_records_before_it(
+        self, monkeypatch, nle_mode, eps, v_gamma
+    ):
+        weights = evolution.memory_weights
+
+        def degenerate_weights(V, scaled, t, *args):
+            w = weights(V, scaled, t, *args)
+            return (*w[:4], eps, v_gamma) if t == 3 else w
+
+        monkeypatch.setattr(evolution, "memory_weights", degenerate_weights)
+        se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 6, L=3,
+                            nle_mode=nle_mode, n_mc=2_000, rng_seed=0)
+        assert se.status == "degenerate"
+        assert [r.t for r in se.records] == [1, 2]
+        assert se.v_hat == se.records[1].mse
+        assert not se.debug["ledger"][3].any()
+
+    def test_monte_carlo_early_stop_keeps_the_posterior(self, monkeypatch):
+        denoise = evolution.bg_mmse
+        calls = []
+
+        def stalling_denoiser(r, v, prior, out):
+            res = denoise(r, v, prior, out)
+            calls.append(v)
+            if len(calls) == 3:
+                return DenoiserOutput(res.posterior_mean, res.posterior_var, None, None)
+            return res
+
+        monkeypatch.setattr(evolution, "bg_mmse", stalling_denoiser)
+        se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 6, L=3,
+                            nle_mode="mc", n_mc=2_000, rng_seed=0)
+        assert se.status == "early_stop_nle"
+        assert [r.t for r in se.records] == [1, 2, 3]
+        last = se.records[2]
+        assert np.isfinite(last.mse) and last.mse == last.v_hat == se.v_hat
+        assert np.isnan(last.v_phi_bar) and last.zeta.size == 0
+        assert not se.debug["ledger"][3].any()
 
     def test_clamped_variances_reach_the_debug_dict(self, monkeypatch):
         sample = CorrelatedNoiseSampler.sample

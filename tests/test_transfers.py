@@ -17,6 +17,7 @@ from mamp import (
     lmmse_le,
     make_geometric_singular_values,
     run_bo_mamp_se,
+    run_bo_oamp_se,
     run_mf_oamp,
     run_mf_oamp_se,
     sample_instance,
@@ -88,3 +89,8 @@ def test_scalar_maps_stop_at_posterior_variance_equal_to_input(monkeypatch):
     assert se.status == "early_stop_nle"
     (rec,) = se.records
     assert rec.mse == rec.v_hat == rec.v_gamma
+    spectrum = exact_moments_from_singular_values(d, 128, 1, M=64)
+    for run_se in (run_bo_oamp_se, run_mf_oamp_se):
+        se = run_se(spectrum, prior, 1e-2, 4)
+        assert se.status == "early_stop_nle"
+        assert [r.t for r in se.records] == [1]
