@@ -87,6 +87,9 @@ def _run_oamp(
     x_hat, v_hat = None, np.inf
     for t in range(1, T + 1):
         r, v_gamma = le_step(x, v_phi, z)
+        if not np.isfinite(v_gamma) or v_gamma <= 0:
+            status = "degenerate"
+            break
         out = bg_mmse(r, v_gamma, prior)
         mse = mean_squared_error(out.posterior_mean, instance.x_true)
         x_hat, v_hat = out.posterior_mean, out.posterior_var

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .harness import (
+    _SIMULATIONS,
     ConfigError,
     ExperimentConfig,
     emit_csv,
@@ -41,6 +42,9 @@ def _emit(report, config: ExperimentConfig) -> None:
     emit_csv(report, base + ".csv")
     with open(base + ".json", "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
+    if not report.algorithms:
+        print(f"wrote {base}.csv, {base}.json; no curves to plot")
+        return
     emit_plot_script(report, base + "_plot.py", csv_name=config.label + ".csv")
     print(f"wrote {base}.csv, {base}.json, {base}_plot.py")
 
@@ -60,9 +64,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_se(args) -> int:
     config = _load_config(args)
-    se_algos = tuple(
-        a for a in config.algorithms if a.startswith("se_") or a == "fixed_point"
-    ) or ("se_mamp", "fixed_point")
+    evolutions = {*_SIMULATIONS.values(), "fixed_point"}
+    se_algos = tuple(a for a in config.algorithms if a in evolutions) or (
+        "se_mamp", "fixed_point"
+    )
     config = replace(config, algorithms=se_algos, n_seeds=0)
     report = run_experiment(config)
     _emit(report, config)

@@ -357,30 +357,41 @@ def damping_window(effective: list[int], t_new: int, L: int) -> list[int]:
 class Ledger:
     """Error covariances of the damped estimates, and the damping that updates them.
 
-    V[s, s'] is the covariance of damped errors s and s' (0-based; V[0, 0] =
-    v_init is the zero estimate's).  `effective` lists the 1-based indices of
-    the estimates damping retained, from which each step's window is drawn.
-    The simulation and the state evolution share this kernel and differ only
-    in the vectors they damp alongside it.
+    V[s, s'] is the covariance of damped errors s and s' (0-based; V[0, 0] is
+    the zero estimate's, v_init raised to the noise floor).  The floor is
+    EPS_FLOOR of v_init; `floor_hits` counts the candidates clamped to it.
+    `effective` lists the 1-based indices of the estimates damping retained,
+    from which each step's window is drawn.  The simulation and the state
+    evolution share this kernel and differ only in the vectors they damp
+    alongside it.
     """
 
     def __init__(self, T: int, L: int, v_init: float):
+        self.floor = EPS_FLOOR * max(v_init, np.finfo(float).tiny)
         self.V = np.zeros((T + 1, T + 1), dtype=complex)
-        self.V[0, 0] = v_init
+        self.V[0, 0] = max(v_init, self.floor)
         self.L = L
         self.effective = [1]
+        self.floor_hits = 0
 
     def damp(
-        self, t: int, row: np.ndarray, diag: float, histories: list
+        self, t: int, row: np.ndarray, diag: float, histories: list,
+        rec: IterationRecord,
     ) -> DampingSolution:
         """Damp the new candidate t + 1 against the window; write row t of V.
 
         row[s - 1] is the covariance of the candidate's error with damped error
-        s (s = 1..t) and diag its variance.  histories holds (H, new) pairs:
-        H[t] becomes the damped combination of the window's rows of H, with
-        new standing for the candidate.  On the singular fallback the previous
-        damped estimate is kept: H[t] = H[t - 1] and V's row t repeats row t - 1.
+        s (s = 1..t) and diag its variance, clamped at the floor.  histories
+        holds (H, new) pairs: H[t] becomes the damped combination of the
+        window's rows of H, with new standing for the candidate.  On the
+        singular fallback the previous damped estimate is kept: H[t] = H[t - 1]
+        and V's row t repeats row t - 1.  rec gets the damped variance V[t, t]
+        as v_phi_bar, the weights and whether the fallback fired.
         """
+        if diag <= self.floor:
+            # residual energy at the noise floor: clamp and count
+            diag = self.floor
+            self.floor_hits += 1
         V = self.V
         # the candidate's covariances go in row and column t, so the window's
         # block is one fancy index; both outcomes below overwrite them
@@ -395,16 +406,18 @@ class Ledger:
             V[t, : t + 1] = V[t - 1, : t + 1]
             V[t, t] = V[t - 1, t - 1]
             V[: t + 1, t] = np.conj(V[t, : t + 1])
-            return sol
-        new_row = np.zeros(t, dtype=complex)
-        for zk, i in zip(sol.zeta, idx):
-            new_row += np.conj(zk) * V[i, :t]
-        for H, new in histories:
-            damp_into(H[t], sol.zeta, [H[i] if i < t else new for i in idx])
-        V[t, :t] = new_row
-        V[t, t] = sol.variance
-        V[:t, t] = np.conj(new_row)
-        self.effective.append(t + 1)
+        else:
+            new_row = np.zeros(t, dtype=complex)
+            for zk, i in zip(sol.zeta, idx):
+                new_row += np.conj(zk) * V[i, :t]
+            for H, new in histories:
+                damp_into(H[t], sol.zeta, [H[i] if i < t else new for i in idx])
+            V[t, :t] = new_row
+            V[t, t] = sol.variance
+            V[:t, t] = np.conj(new_row)
+            self.effective.append(t + 1)
+        rec.v_phi_bar = V[t, t].real
+        rec.zeta, rec.trivial = sol.zeta.copy(), sol.singular
         return sol
 
 
@@ -474,9 +487,7 @@ def run_bo_mamp(
     X = np.zeros((T + 1, N), dtype=complex)  # damped estimates, x_1 = 0
     Z = np.zeros((T + 1, M), dtype=complex)  # damped residuals, z_1 = y
     Z[0] = y
-    v_init = residual_error_estimate(y, N, sigma2, delta, w0)
-    v_floor = EPS_FLOOR * max(v_init, np.finfo(float).tiny)
-    ledger = Ledger(T, L, max(v_init, v_floor))
+    ledger = Ledger(T, L, residual_error_estimate(y, N, sigma2, delta, w0))
     V = ledger.V
 
     r_hat = np.zeros(M, dtype=complex)
@@ -487,7 +498,6 @@ def run_bo_mamp(
     status = "ok"
     x_hat, v_hat = None, np.inf
     best = (np.inf, None, np.inf)
-    floor_hit = False
     r_history = [] if collect_debug else None
 
     for t in range(1, T + 1):
@@ -517,13 +527,7 @@ def run_bo_mamp(
         x_new = out.extrinsic_mean
         z_new = residual(y, op, x_new)
         row, diag = estimate_phi_covariance(z_new, Z[:t], N, sigma2, delta, w0)
-        if diag <= v_floor:
-            # residual energy at the noise floor: clamp and flag convergence
-            diag = v_floor
-            floor_hit = True
-        sol = ledger.damp(t, row, diag, [(X, x_new), (Z, z_new)])
-        rec.v_phi_bar = V[t, t].real
-        rec.zeta, rec.trivial = sol.zeta.copy(), sol.singular
+        ledger.damp(t, row, diag, [(X, x_new), (Z, z_new)], rec)
         # the new candidate now lives in X and Z (or was dropped): free it
         # before the next iteration's denoiser call allocates
         del out, x_new, z_new
@@ -534,7 +538,7 @@ def run_bo_mamp(
         "ledger": V,
         "effective": ledger.effective,
         "v_init": V[0, 0].real,
-        "noise_floor_reached": floor_hit,
+        "noise_floor_reached": ledger.floor_hits > 0,
     }
     if collect_debug:
         debug.update(X=X, Z=Z, r_history=r_history)

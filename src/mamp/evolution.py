@@ -25,7 +25,6 @@ from numpy.random import default_rng
 
 from .baselines import lmmse_transfer, mf_transfer
 from .core import (
-    EPS_FLOOR,
     AlgorithmResult,
     IterationRecord,
     Ledger,
@@ -199,7 +198,7 @@ def run_bo_mamp_se(
         theta, xi, scaled, _, eps, vg_diag = memory_weights(
             V_phi, scaled, t, tables, sigma2, fixed_xi
         )
-        if eps == 0.0 or not np.isfinite(eps):
+        if not np.isfinite(vg_diag) or vg_diag <= 0:
             status = "degenerate"
             break
         weights_history.append(scaled.copy())
@@ -213,9 +212,6 @@ def run_bo_mamp_se(
             V_gamma[t - 1, :t] = row_gamma
             V_gamma[: t - 1, t - 1] = np.conj(row_gamma[: t - 1])
         V_gamma[t - 1, t - 1] = vg_diag
-        if not np.isfinite(vg_diag) or vg_diag <= 0:
-            status = "degenerate"
-            break
         rec = IterationRecord(t, vg_diag, theta=theta, xi=xi)
         records.append(rec)
 
@@ -246,10 +242,7 @@ def run_bo_mamp_se(
                 break
             row = np.full(t, m, dtype=complex)
             diag = m
-        diag = max(diag, EPS_FLOOR)
-        sol = ledger.damp(t, row, diag, [(err_hist, e_new)] if mc and t < T else [])
-        rec.v_phi_bar = V_phi[t, t].real
-        rec.zeta, rec.trivial = sol.zeta.copy(), sol.singular
+        ledger.damp(t, row, diag, [(err_hist, e_new)] if mc and t < T else [], rec)
 
     clamped = sampler.clamped if mc else 0
     debug = {"ledger": V_phi, "V_gamma": V_gamma, "clamped_variances": clamped}
@@ -276,10 +269,14 @@ def _scalar_se(name: str, gamma_of, prior: PriorParams, T: int) -> AlgorithmResu
     records: list[IterationRecord] = []
     status = "ok"
     for t in range(1, T + 1):
-        rec = IterationRecord(t, gamma_of(v_phi))
+        v_gamma = gamma_of(v_phi)
+        if not np.isfinite(v_gamma) or v_gamma <= 0:
+            status = "degenerate"
+            break
+        rec = IterationRecord(t, v_gamma)
         records.append(rec)
         try:
-            m_hat, v_phi = _phi_se(rec.v_gamma, prior)
+            m_hat, v_phi = _phi_se(v_gamma, prior)
         except NonImprovingNLEError:
             status = "early_stop_nle"
             break

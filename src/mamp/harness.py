@@ -42,17 +42,12 @@ from .spectral import (
     tables_from_singular_values,
 )
 
+# each simulation and the evolution whose curve fills its se_mse_db column
+_SIMULATIONS = {"bo_mamp": "se_mamp", "bo_oamp": "se_oamp", "mf_oamp": "se_mf_oamp",
+                "amp": None}
 KNOWN_ALGORITHMS = (
-    "bo_mamp",
-    "bo_oamp",
-    "mf_oamp",
-    "amp",
-    "se_mamp",
-    "se_oamp",
-    "se_mf_oamp",
-    "fixed_point",
+    *_SIMULATIONS, *filter(None, _SIMULATIONS.values()), "fixed_point"
 )
-_SIM_ALGOS = ("bo_mamp", "bo_oamp", "mf_oamp", "amp")
 
 
 class ConfigError(ValueError):
@@ -161,7 +156,10 @@ class ExperimentConfig:
             for key, raw in parser.items(section):
                 if key not in kinds:
                     raise ConfigError(f"{key}: unknown config key")
-                kwargs[key] = _PARSERS[kinds[key]](raw)
+                try:
+                    kwargs[key] = _PARSERS[kinds[key]](raw)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -215,25 +213,8 @@ def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
     return tables_from_singular_values(d, N, T, M=M, lambda_extremes=extremes)
 
 
-def _run_seed(config: ExperimentConfig, seed_index: int, ref_op, tables):
-    """Simulate every configured algorithm on one seed's operator and instance.
-
-    Seed 0 runs on ref_op, the operator built for set-up; so does every seed
-    when matrix_seed pins the matrix, and any other seed builds its own.
-    Otherwise run_experiment hands ref_op to seed 0's task alone, so the
-    set-up operator is released once seed 0 is done, in both sweeps.
-    """
-    if config.matrix_seed is not None or seed_index == 0:
-        op = ref_op
-    else:
-        op = _build_operator(config, seed_index)
-    if config.matrix_model == "iid" and config.matrix_seed is None and seed_index > 0:
-        # IID draws have per-realization spectra; structured operators share
-        # the deterministic singular values, so only the first seed's tables
-        # can be reused there.
-        if {"bo_mamp", "mf_oamp"} & set(config.algorithms):
-            tables = _spectral_inputs(config, op)
-    prior = PriorParams(mu=config.mu)
+def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
+    """Simulate every configured algorithm on one seed's instance of op."""
     inst_seed = np.random.SeedSequence([config.base_seed + seed_index, 0x1A57])
     inst = sample_instance(op, prior, config.snr_db, np.random.default_rng(inst_seed))
     results: dict[str, AlgorithmResult] = {}
@@ -371,14 +352,23 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     # that task ends; one that matrix_seed pins, or that no seed ran on, is
     # released by held.clear() after the sweep
     held, ref_op = [ref_op], None
-    sim_algos = [a for a in config.algorithms if a in _SIM_ALGOS]
+    sim_algos = [a for a in config.algorithms if a in _SIMULATIONS]
     if sim_algos and config.n_seeds > 0:
         sim_cfg = replace(config, algorithms=tuple(sim_algos))
 
         def seed_task(k):
+            # seed 0, and every seed when matrix_seed pins the matrix, runs on
+            # the set-up operator and tables; any other seed builds its own
+            # operator and, since IID draws have per-realization spectra where
+            # structured operators share theirs, its own IID tables
             if config.matrix_seed is not None:
-                return _run_seed(sim_cfg, k, held[0], tables)
-            return _run_seed(sim_cfg, k, held.pop() if k == 0 else None, tables)
+                return _run_seed(sim_cfg, k, held[0], tables, prior)
+            if k == 0:
+                return _run_seed(sim_cfg, k, held.pop(), tables, prior)
+            op = _build_operator(config, k)
+            if config.matrix_model == "iid" and {"bo_mamp", "mf_oamp"} & set(sim_algos):
+                return _run_seed(sim_cfg, k, op, _spectral_inputs(config, op), prior)
+            return _run_seed(sim_cfg, k, op, tables, prior)
 
         if config.threads > 1:
             # concurrent.futures loads here: only a threaded sweep needs it
@@ -408,10 +398,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     xi: dict[str, np.ndarray] = {}
     zeta: dict[str, list] = {}
     statuses: dict[str, object] = {}
-    # the evolution whose curve fills a simulation's se_mse_db column; an
-    # evolution's is its own
-    se_source = {"bo_mamp": "se_mamp", "bo_oamp": "se_oamp", "mf_oamp": "se_mf_oamp",
-                 "amp": None}
     for algo in config.algorithms:
         if algo not in results:
             continue
@@ -426,8 +412,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         theta[algo] = first.trajectory("theta")
         xi[algo] = first.trajectory("xi")
         zeta[algo] = [r.zeta.tolist() for r in first.records]
-        statuses[algo] = [res.status for res in runs] if algo in _SIM_ALGOS else first.status
-        se_runs = results.get(se_source.get(algo, algo))
+        statuses[algo] = [res.status for res in runs] if algo in _SIMULATIONS else first.status
+        # an evolution's column is its own curve
+        se_runs = results.get(_SIMULATIONS.get(algo, algo))
         se_col[algo] = _to_db(se_runs[0].mse) if se_runs else np.full(config.T, np.nan)
     return RunReport(
         config=asdict(config),

@@ -23,6 +23,7 @@ from mamp import (
 from mamp import core
 from mamp.core import (
     EPS_FLOOR,
+    IterationRecord,
     Ledger,
     damp_into,
     damping_window,
@@ -219,7 +220,7 @@ def damp_vectors(ledger, t, new_rows):
     (H, new), *_ = new_rows
     row = H[:t] @ np.conj(new) / H.shape[1]
     diag = float(np.vdot(new, new).real) / H.shape[1]
-    return ledger.damp(t, row, diag, list(new_rows))
+    return ledger.damp(t, row, diag, list(new_rows), IterationRecord(t, np.nan))
 
 
 class TestLedger:
@@ -300,7 +301,10 @@ class TestLedger:
         V = ledger.V
         assert not damp_vectors(ledger, 1, [(Z, draw_complex(rng, n))]).singular
         t = 2
-        sol = ledger.damp(t, V[t - 1, :t].copy(), float(V[t - 1, t - 1].real), [(Z, Z[t - 1].copy())])
+        sol = ledger.damp(
+            t, V[t - 1, :t].copy(), float(V[t - 1, t - 1].real),
+            [(Z, Z[t - 1].copy())], IterationRecord(t, np.nan),
+        )
         assert sol.singular
         assert ledger.effective == [1, 2]
         assert np.array_equal(Z[t], Z[t - 1])

@@ -226,6 +226,7 @@ class TestEvolutionRuns:
         assert [r.t for r in se.records] == [1, 2]
         assert se.v_hat == se.records[1].mse
         assert not se.debug["ledger"][3].any()
+        assert not se.debug["V_gamma"][2].any()
 
     def test_monte_carlo_early_stop_keeps_the_posterior(self, monkeypatch):
         denoise = evolution.bg_mmse

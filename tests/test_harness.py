@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import json
 import math
 import os
 import re
@@ -199,7 +200,7 @@ class TestRunExperiment:
             built.setdefault(seed_index, weakref.ref(op))
             return op
 
-        def gated_run_seed(config, seed_index, ref_op, tables):
+        def gated_run_seed(config, seed_index, op, tables, prior):
             if seed_index == 1:
                 # hold this worker so that seed 2 can only start on the other
                 # one, after seed 0's task has ended
@@ -208,7 +209,7 @@ class TestRunExperiment:
                 gc.collect()
                 released.append(built[0]() is None)
                 seed2_started.set()
-            return run_seed(config, seed_index, ref_op, tables)
+            return run_seed(config, seed_index, op, tables, prior)
 
         monkeypatch.setattr(harness, "_build_operator", recording_build)
         monkeypatch.setattr(harness, "_run_seed", gated_run_seed)
@@ -453,10 +454,43 @@ class TestCli:
         assert main(["compare", cfg, "--out-dir", str(tmp_path), *flags]) == 1
         assert f"FAIL: {reason}" in capsys.readouterr().err
 
-    def test_config_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, key",
+        [("not_a_key = 1", "not_a_key"), ("N = many", "N"), ("kappa = ten", "kappa")],
+        ids=["unknown_key", "int_value", "float_value"],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, line, key):
         p = tmp_path / "bad.ini"
-        p.write_text("[experiment]\nnot_a_key = 1\n")
+        p.write_text(f"[experiment]\n{line}\n")
         assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize(
+        "command, algorithms",
+        [("run", ("fixed_point",)), ("se", ("bo_mamp", "fixed_point"))],
+        ids=["run_fixed_point", "se_without_evolution"],
+    )
+    def test_nothing_to_plot_writes_no_plot_script(
+        self, tmp_path, capsys, command, algorithms
+    ):
+        cfg = write_config(tmp_path / "exp.ini", label="noplot", algorithms=algorithms)
+        assert main([command, cfg, "--out-dir", str(tmp_path)]) == 0
+        assert "no curves to plot" in capsys.readouterr().out
+        assert (tmp_path / "noplot.csv").exists() and (tmp_path / "noplot.json").exists()
+        assert not (tmp_path / "noplot_plot.py").exists()
+
+    def test_oamp_loops_end_degenerate_where_the_transfer_rounds_to_zero(self, tmp_path):
+        # at 200 dB the LMMSE normalizer rounds to 1, so v_phi (1/eps - 1) is 0
+        cfg = write_config(
+            tmp_path / "exp.ini", label="snr200", N=512, delta=4.0, kappa=10.0,
+            mu=0.3, snr_db=200.0, algorithms=("bo_mamp", "bo_oamp", "se_mamp", "se_oamp"),
+        )
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        statuses = json.loads((tmp_path / "snr200.json").read_text())["statuses"]
+        assert statuses == {
+            "bo_mamp": ["ok", "ok"], "bo_oamp": ["degenerate", "degenerate"],
+            "se_mamp": "ok", "se_oamp": "degenerate",
+        }
 
     def test_moment_mode_override(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", label="est", n_seeds=1, N=256)
