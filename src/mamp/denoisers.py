@@ -5,9 +5,8 @@ with nonzero probability mu and slab variance 1/mu the signal has unit power,
 and the pseudo-observation is r = x + CN(0, v).  Only the complex prior is
 supported: the slab is circular complex Gaussian, like every noise draw, and
 bg_mmse reads its input as complex.  All formulas are validated against an
-independent quadrature oracle in the test suite before use.  Only the
-simulation denoiser needs SciPy (its logistic); the deterministic scalar MMSE
-is pure NumPy.
+independent quadrature oracle in the test suite before use.  Everything here,
+the simulation denoiser's logistic included, is pure NumPy.
 """
 
 from __future__ import annotations
@@ -103,33 +102,34 @@ def _posterior_moments(r, v: float, prior: PriorParams, scratch, mean=None, var=
     sees the same operations, in the same order, as the whole-array
     expressions would apply.
     """
-    # SciPy's logistic, loaded on first use: a NumPy one differs in the last
-    # ulp on a few percent of inputs, which the simulated outputs would show
-    from scipy.special import expit
-
     vx = prior.component_var
     gain = vx / (vx + v)
     if prior.mu < 1.0:
         log_odds_scale = v * (vx + v)
         log_odds_shift = np.log((1.0 - prior.mu) / prior.mu) + np.log((vx + v) / v)
     if mean is None:
-        # allocated after the import above: allocated before it, they cost
-        # large_n_sim ~16K more minor page faults (getrusage, glibc malloc)
         mean, var = np.empty(r.shape, dtype=complex), np.empty(r.shape)
     r_flat, mean_flat, var_flat = r.reshape(-1), mean.reshape(-1), var.reshape(-1)
     for sl in chunks(r_flat.size):
         rb, mb, vb = r_flat[sl], mean_flat[sl], var_flat[sl]
-        if not np.all(np.isfinite(rb)):
-            raise ValueError("pseudo-observation contains non-finite entries")
         power, pi = scratch[: rb.size], scratch[CHUNK : CHUNK + rb.size]
-        np.abs(rb, out=power)
-        np.square(power, out=power)
+        # |r|^2 as re^2 + im^2; any non-finite part of r makes it non-finite
+        np.square(rb.real, out=power)
+        power += np.square(rb.imag, out=pi)
+        if not np.isfinite(power).all() and not np.all(np.isfinite(rb)):
+            raise ValueError("pseudo-observation contains non-finite entries")
         if prior.mu < 1.0:
             # minus the support log-odds, in log space to survive large |r|^2 / v
             np.multiply(power, vx, out=pi)
             pi /= log_odds_scale
             pi -= log_odds_shift
-            expit(pi, out=pi)
+            # logistic 1 / (1 + e^{-z}); e^{-z} overflows to inf, and the
+            # weight to 0, where z < -709
+            np.negative(pi, out=pi)
+            with np.errstate(over="ignore"):
+                np.exp(pi, out=pi)
+            pi += 1.0
+            np.reciprocal(pi, out=pi)
         else:
             pi.fill(1.0)
         np.multiply(power, gain**2, out=vb)
@@ -137,9 +137,9 @@ def _posterior_moments(r, v: float, prior: PriorParams, scratch, mean=None, var=
         vb *= pi
         pi *= gain
         np.multiply(pi, rb, out=mb)
-        np.abs(mb, out=pi)
-        np.square(pi, out=pi)
-        vb -= pi
+        np.square(mb.real, out=power)
+        power += np.square(mb.imag, out=pi)
+        vb -= power
     return mean, var
 
 

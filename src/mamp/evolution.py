@@ -275,12 +275,13 @@ def _scalar_se(name: str, gamma_of, prior: PriorParams, T: int) -> AlgorithmResu
             break
         rec = IterationRecord(t, v_gamma)
         records.append(rec)
-        try:
-            m_hat, v_phi = _phi_se(v_gamma, prior)
-        except NonImprovingNLEError:
+        m_hat = scalar_mmse(v_gamma, prior)
+        rec.v_hat = rec.mse = m_hat
+        v_phi = extrinsic_variance(m_hat, v_gamma)
+        if v_phi is None:
             status = "early_stop_nle"
             break
-        rec.v_phi_bar, rec.v_hat, rec.mse = v_phi, m_hat, m_hat
+        rec.v_phi_bar = v_phi
     return _evolution_result(name, T, records, status)
 
 

@@ -24,26 +24,50 @@ from oracles import (
 )
 
 
+def logistic(z):
+    """1 / (1 + e^{-z}): 0 where e^{-z} overflows (z < -709)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def squared_modulus(z):
+    return z.real**2 + z.imag**2
+
+
 def reference_bg_mmse(r, v, prior):
     """bg_mmse written one expression per quantity; the package must match its bits."""
     vx = prior.component_var
     log_odds = (
         np.log((1.0 - prior.mu) / prior.mu)
         + np.log((vx + v) / v)
-        - (np.abs(r) ** 2) * vx / (v * (vx + v))
+        - squared_modulus(r) * vx / (v * (vx + v))
         if prior.mu < 1.0
         else np.full(np.shape(r), -np.inf)
     )
-    pi = expit(-log_odds)
+    pi = logistic(-log_odds)
     gain = vx / (vx + v)
     mean = pi * gain * r
-    second = pi * (gain * v + gain**2 * np.abs(r) ** 2)
-    var = second - np.abs(mean) ** 2
+    second = pi * (gain * v + gain**2 * squared_modulus(r))
+    var = second - squared_modulus(mean)
     v_hat = float(np.mean(var))
     if v_hat >= v:
         return mean, v_hat, None, None
     v_ext = 1.0 / (1.0 / v_hat - 1.0 / v)
     return mean, v_hat, v_ext * (mean / v_hat - r / v), v_ext
+
+
+def ulps(a, b):
+    """Distance of a from b in units of b's last place."""
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+def test_reference_logistic_and_modulus_are_within_4_ulp_of_scipy_and_abs():
+    z = np.linspace(-800.0, 800.0, 400_001)
+    assert np.max(ulps(logistic(z), expit(z))) <= 4
+    rng = np.random.default_rng(0)
+    r = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-150, 150, 100_000)
+    r = r * np.exp(2j * np.pi * rng.random(r.size))
+    assert np.max(ulps(squared_modulus(r), np.abs(r) ** 2)) <= 4
 
 
 class TestPriorParams:
@@ -179,6 +203,32 @@ class TestPosterior:
         assert np.array_equal(bits(ext), bits(ext_mean))
         assert out.extrinsic_var == v_ext == ext_var
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "layout,part",
+        [("contiguous", "real"), ("contiguous", "imag"), ("strided", "real"),
+         ("strided", "imag"), ("float", "real")],
+    )
+    def test_non_finite_entry_raises_at_chunk_edges(self, bad, layout, part):
+        """The check reads the squared modulus first and r only when that is
+        not finite; a non-finite part anywhere, at either side of a chunk
+        edge included, still raises."""
+        C = denoisers.CHUNK
+        n = 2 * C + 5
+        for k in (0, C - 1, C, n - 1):
+            r = np.full(n, 0.3 - 0.2j)
+            if layout == "float":
+                r = r.real.copy()
+            r_part = r if layout == "float" else getattr(r, part)
+            r_part[k] = bad
+            if layout == "strided":
+                buf = np.zeros(2 * n, dtype=complex)
+                buf[::2] = r
+                r = buf[::2]
+            with pytest.raises(
+                ValueError, match="^pseudo-observation contains non-finite entries$"
+            ):
+                bg_mmse(r, 0.05, PriorParams(mu=0.1))
 
     @pytest.mark.parametrize("n", [1, denoisers.CHUNK, denoisers.CHUNK + 1])
     @pytest.mark.parametrize("mu", [1.0, 0.1])

@@ -386,7 +386,7 @@ def run_python(code: str) -> str:
 
 class TestCli:
     def test_import_leaves_heavy_modules_unloaded(self):
-        # logistic, quadrature, dense eigensolver, multiprecision and the
+        # SciPy (only the dense eigensolver uses it), multiprecision and the
         # thread pool load on first use
         out = run_python(
             "import sys, mamp.cli; "
@@ -404,6 +404,37 @@ class TestCli:
         )
         assert "cross-check" in out
         assert out.strip().splitlines()[-1] == "0 []"
+
+    def test_structured_runs_never_load_scipy_and_dense_runs_only_its_linalg(
+        self, tmp_path
+    ):
+        # only DenseOperator.gram_eigenvalues uses SciPy: the denoiser's
+        # logistic and every evolution are NumPy
+        structured = write_config(
+            tmp_path / "structured.ini", n_seeds=1, T=4, n_mc=2_000,
+            algorithms=("bo_mamp", "bo_oamp", "mf_oamp", "se_mamp", "se_oamp",
+                        "fixed_point"),
+        )
+        dense = write_config(
+            tmp_path / "dense.ini", algorithms=("bo_mamp", "amp"),
+            matrix_model="iid", N=512, delta=0.125, n_seeds=1, T=3,
+        )
+        loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+        for argv in (
+            ["run", structured, "--out-dir", str(tmp_path)],
+            ["fixed-point", structured],
+        ):
+            out = run_python(
+                f"import sys; from mamp.cli import main; rc = main({argv!r}); "
+                f"print(rc, {loaded})"
+            )
+            assert out.strip().splitlines()[-1] == "0 []", argv
+        out = run_python(
+            "import sys; from mamp.cli import main; "
+            f"rc = main({['run', dense, '--out-dir', str(tmp_path)]!r}); "
+            "print(rc, 'scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
+        )
+        assert out.strip().splitlines()[-1] == "0 True False"
 
     def test_run_subcommand(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", label="clismoke", n_seeds=1)

@@ -93,4 +93,6 @@ def test_scalar_maps_stop_at_posterior_variance_equal_to_input(monkeypatch):
     for run_se in (run_bo_oamp_se, run_mf_oamp_se):
         se = run_se(spectrum, prior, 1e-2, 4)
         assert se.status == "early_stop_nle"
-        assert [r.t for r in se.records] == [1]
+        (rec,) = se.records
+        assert rec.t == 1
+        assert rec.mse == rec.v_hat == rec.v_gamma
