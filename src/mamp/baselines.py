@@ -16,6 +16,7 @@ from .core import (
     AlgorithmResult,
     IterationRecord,
     divide_in_place,
+    invalid_input,
     mean_squared_error,
     residual,
     residual_error_estimate,
@@ -77,6 +78,8 @@ def _run_oamp(
     The input error level v_phi is the residual-energy estimate with trace
     normalizer lambda1, floored at EPS_FLOOR of its first value.
     """
+    if (invalid := invalid_input(name, T, instance.y)) is not None:
+        return invalid
     op, sigma2 = instance.operator, instance.noise_var
     N, delta = op.N, op.delta
     x = np.zeros(N, dtype=complex)
@@ -147,6 +150,8 @@ def run_amp(instance: SystemInstance, prior: PriorParams, T: int) -> AlgorithmRe
     diverge, which is flagged once the residual energy grows 10x above its
     initial level.
     """
+    if (invalid := invalid_input("amp", T, instance.y)) is not None:
+        return invalid
     op = instance.operator
     N, M = op.N, op.M
     delta = op.delta

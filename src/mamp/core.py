@@ -441,7 +441,7 @@ class AlgorithmResult:
     records: list[IterationRecord]
     x_hat: np.ndarray | None
     v_hat: float
-    status: str  # ok | diverged | early_stop_nle | degenerate | unstable_covariance
+    status: str  # ok | diverged | early_stop_nle | degenerate | unstable_covariance | invalid_input
     debug: dict = field(default_factory=dict)
 
     def trajectory(self, attr: str) -> np.ndarray:
@@ -467,6 +467,14 @@ class AlgorithmResult:
         return bool(np.any(v > 10.0 * running_min))
 
 
+def invalid_input(name: str, T: int, y: np.ndarray) -> AlgorithmResult | None:
+    """A simulation's result, with no records, when y holds a NaN or inf; else None."""
+    if np.isfinite(y).all():
+        return None
+    reason = {"reason": "observation y contains non-finite entries"}
+    return AlgorithmResult(name, T, [], None, np.inf, "invalid_input", reason)
+
+
 def run_bo_mamp(
     instance: SystemInstance, prior: PriorParams, tables: MomentTables, T: int,
     L: int = 3, collect_debug: bool = False,
@@ -481,6 +489,8 @@ def run_bo_mamp(
     N, M, delta = op.N, op.M, op.delta
     if tables.T < T:
         raise ValueError(f"moment tables sized for T={tables.T}, need {T}")
+    if (invalid := invalid_input("bo_mamp", T, y)) is not None:
+        return invalid
     ld = tables.lambda_dagger
     w0 = tables.w0
 

@@ -12,9 +12,9 @@ the simulation denoiser's logistic included, is pure NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from numpy.random import Generator
 
 
 class NonImprovingNLEError(RuntimeError):
@@ -57,7 +57,7 @@ def chunks(n: int):
 
 
 def complex_normal(
-    rng: Generator, shape, var: float, out: np.ndarray | None = None, add: bool = False
+    rng: np.random.Generator, shape, var: float, out: np.ndarray | None = None, add: bool = False
 ) -> np.ndarray:
     """IID CN(0, var) draw, filled in place through one reused float buffer.
 
@@ -87,7 +87,7 @@ def complex_normal(
     return out
 
 
-def sample_prior(prior: PriorParams, n: int, rng: Generator) -> np.ndarray:
+def sample_prior(prior: PriorParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """IID draw of length n from the prior: CN(0, 1/mu) slabs on the support."""
     support = rng.random(n) < prior.mu
     slab = complex_normal(rng, n, prior.component_var)
@@ -201,10 +201,15 @@ def _extrinsic_combine(r, v_gamma, x_hat, v_hat, v_ext, scratch, mean=None):
 # logistic transition and _MMSE_PANELS on each side of its centre.  Nothing is
 # left past _MMSE_WIDTHS scale lengths (e^-45 ~ 3e-20) of either side, nor
 # past _MMSE_SLAB_WIDTHS slab variances, where the slab itself has decayed.
-_MMSE_NODES, _MMSE_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _MMSE_PANELS = 8
 _MMSE_WIDTHS = 45.0
 _MMSE_SLAB_WIDTHS = 50.0
+
+
+@cache
+def _gauss_legendre_24():
+    # built on the first scalar_mmse call: only it loads numpy.polynomial
+    return np.polynomial.legendre.leggauss(24)
 
 
 def scalar_mmse(v: float, prior: PriorParams) -> float:
@@ -244,11 +249,12 @@ def scalar_mmse(v: float, prior: PriorParams) -> float:
         np.linspace(below, centre, _MMSE_PANELS + 1),
         np.linspace(centre, above, _MMSE_PANELS + 1)[1:],
     ))
+    nodes, weights = _gauss_legendre_24()
     half = 0.5 * np.diff(edges)[:, None]
-    u = edges[:-1, None] + half * (1.0 + _MMSE_NODES)
+    u = edges[:-1, None] + half * (1.0 + nodes)
     # mu/s e^{-u/s} sigma(-z) as one exponent, -u/s - softplus(z): neither
     # tail cancels and nothing overflows
     z = alpha * u - c
     density = np.exp(-u / s - np.maximum(z, 0.0) - np.log1p(np.exp(-np.abs(z))))
-    integral = (mu / s) * float(np.sum(half * (_MMSE_WEIGHTS * u * density)))
+    integral = (mu / s) * float(np.sum(half * (weights * u * density)))
     return float(mu * gain * v + gain**2 * integral)

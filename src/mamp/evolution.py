@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.random import default_rng
 
 from .baselines import lmmse_transfer, mf_transfer
 from .core import (
@@ -173,9 +172,10 @@ def run_bo_mamp_se(
     V_phi = ledger.V
     V_gamma = np.zeros((T, T), dtype=complex)
 
-    rng = default_rng(rng_seed)
     mc = nle_mode == "mc"
     if mc:
+        # only this path samples: the deterministic one loads no numpy.random
+        rng = np.random.default_rng(rng_seed)
         # damped estimate errors, row per iteration; row 0, the zero
         # estimate's, is -x, and the damping at t = T writes no row
         err_hist = np.empty((T, n_mc), dtype=complex)

@@ -171,16 +171,13 @@ def _build_operator(config: ExperimentConfig, seed_index: int):
         op_entropy = [config.matrix_seed]
     else:
         op_entropy = [config.base_seed + seed_index, 0x0FEA]
-    op_seed = np.random.SeedSequence(op_entropy)
+    # default_rng seeds the list through SeedSequence(op_entropy); the
+    # structured operator draws from it only on its first transform
     if config.matrix_model == "structured":
         energy = float(config.N) if config.M <= config.N else float(config.M)
         d = make_geometric_singular_values(min(config.M, config.N), config.kappa, energy)
-        return build_structured_operator(
-            config.M, config.N, d, np.random.default_rng(op_seed)
-        )
-    return build_iid_gaussian_operator(
-        config.M, config.N, np.random.default_rng(op_seed)
-    )
+        return build_structured_operator(config.M, config.N, d, op_entropy)
+    return build_iid_gaussian_operator(config.M, config.N, op_entropy)
 
 
 def _singular_values(config: ExperimentConfig, operator) -> np.ndarray:
@@ -215,8 +212,8 @@ def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
 
 def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
     """Simulate every configured algorithm on one seed's instance of op."""
-    inst_seed = np.random.SeedSequence([config.base_seed + seed_index, 0x1A57])
-    inst = sample_instance(op, prior, config.snr_db, np.random.default_rng(inst_seed))
+    inst_seed = [config.base_seed + seed_index, 0x1A57]
+    inst = sample_instance(op, prior, config.snr_db, inst_seed)
     results: dict[str, AlgorithmResult] = {}
     for algo in config.algorithms:
         if algo == "bo_mamp":

@@ -9,9 +9,9 @@ baseline and serves as a small-size test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from numpy.random import Generator, default_rng
 
 from .denoisers import PriorParams, complex_normal, sample_prior
 
@@ -82,13 +82,20 @@ class TransformOperator:
 class StructuredOperator(TransformOperator):
     """A = S @ P @ F with unitary DFT F, permutation P, diagonal S.
 
+    Given no perm, P is default_rng(perm_seed).permutation(N), drawn when
+    apply, apply_adjoint, dense or .perm first reads it: spectrum reads
+    (gram_eigenvalues, apply_gram) draw nothing and load no numpy.random.
     Immutable after construction; apply/apply_adjoint are pure and may be
-    called concurrently.
+    called concurrently, and threads racing on the first transform draw the
+    same permutation from the same seed.
     """
 
     gram_uses_adjoint = False
 
-    def __init__(self, M: int, N: int, singular_values: np.ndarray, perm: np.ndarray):
+    def __init__(
+        self, M: int, N: int, singular_values: np.ndarray,
+        perm: np.ndarray | None = None, perm_seed: int | list[int] | None = None,
+    ):
         J = min(M, N)
         d = np.asarray(singular_values, dtype=float)
         if d.shape != (J,):
@@ -97,17 +104,28 @@ class StructuredOperator(TransformOperator):
             )
         if np.any(d < 0):
             raise ValueError("singular values must be nonnegative")
-        perm = np.asarray(perm)
-        if perm.shape != (N,) or not np.array_equal(np.sort(perm), np.arange(N)):
-            raise ValueError("perm must be a permutation of range(N)")
+        if (perm is None) == (perm_seed is None):
+            raise TypeError("give exactly one of perm and perm_seed")
+        if perm is not None:
+            perm = np.asarray(perm)
+            if perm.shape != (N,) or not np.array_equal(np.sort(perm), np.arange(N)):
+                raise ValueError("perm must be a permutation of range(N)")
+            self.perm = perm  # shadows the deferred draw below
         self.M = M
         self.N = N
         self.J = J
         self.singular_values = d
         self._d_sq = d**2
-        self.perm = perm
+        self._perm_seed = perm_seed
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        return np.random.default_rng(self._perm_seed).permutation(self.N)
+
+    @cached_property
+    def _kept(self) -> np.ndarray:
         # S keeps only the first J permuted coordinates: the DFT bins perm[:J]
-        self._kept = perm[:J]
+        return self.perm[: self.J]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         u = np.fft.fft(x, norm="ortho")
@@ -179,42 +197,48 @@ class DenseOperator(TransformOperator):
 
 
 def build_structured_operator(
-    M: int, N: int, singular_values: np.ndarray, rng_seed: int
+    M: int, N: int, singular_values: np.ndarray,
+    rng_seed: int | list[int] | np.random.Generator,
 ) -> StructuredOperator:
-    """Structured operator with a seed-determined random permutation."""
-    rng = default_rng(rng_seed)
-    perm = rng.permutation(N)
-    return StructuredOperator(M, N, singular_values, perm)
+    """Structured operator with the permutation default_rng(rng_seed).permutation(N).
+
+    A seed (an int or a list of ints) defers the draw to the first transform;
+    a Generator is drawn from here, so its stream is not read out of order.
+    """
+    if hasattr(rng_seed, "permutation"):
+        return StructuredOperator(M, N, singular_values, rng_seed.permutation(N))
+    return StructuredOperator(M, N, singular_values, perm_seed=rng_seed)
 
 
-def build_iid_gaussian_operator(M: int, N: int, rng_seed: int) -> DenseOperator:
+def build_iid_gaussian_operator(
+    M: int, N: int, rng_seed: int | list[int] | np.random.Generator
+) -> DenseOperator:
     """Dense matrix with IID CN(0, 1/M) entries, so tr(A A^H)/N ~= 1."""
-    return DenseOperator(complex_normal(default_rng(rng_seed), (M, N), 1.0 / M))
+    return DenseOperator(complex_normal(np.random.default_rng(rng_seed), (M, N), 1.0 / M))
 
 
 @dataclass
 class SystemInstance:
-    """One synthetic problem: operator, ground truth, noise and observation."""
+    """One synthetic problem: operator, ground truth, noise variance and observation."""
 
     operator: TransformOperator
     x_true: np.ndarray
     noise_var: float
     y: np.ndarray
-    noise: np.ndarray | None = None
 
 
 def sample_instance(
     operator: TransformOperator,
     prior: PriorParams,
     snr_db: float,
-    rng_seed: int | Generator,
+    rng_seed: int | list[int] | np.random.Generator,
 ) -> SystemInstance:
     """Draw x from the prior, add CN(0, sigma^2 I) noise with SNR = 1/sigma^2."""
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
-    rng = rng_seed if isinstance(rng_seed, Generator) else default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     sigma2 = 10.0 ** (-snr_db / 10.0)
     x = sample_prior(prior, operator.N, rng)
     n = complex_normal(rng, operator.M, sigma2)
     y = operator.apply(x) + n
-    return SystemInstance(operator, x, sigma2, y, noise=n)
+    return SystemInstance(operator, x, sigma2, y)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import default_rng
 
 from .denoisers import complex_normal
 from .operators import TransformOperator
@@ -189,7 +188,7 @@ def estimate_moments_power_recursion(
     children = np.random.SeedSequence(rng_seed).spawn(n_probes)
     moments = np.zeros(2 * T + 1)
     for child in children:
-        moments += _single_probe_moments(operator, T, default_rng(child))
+        moments += _single_probe_moments(operator, T, np.random.default_rng(child))
     moments /= n_probes
     tau = 2 * T
     _, lam_max_up = bound_extremal_eigenvalues(float(moments[tau]), tau, operator.N)

@@ -1,28 +1,35 @@
-"""The benchmark tracer's targets exist in the package under the names it uses.
+"""The benchmark's tracer targets and span contract hold for the package.
 
 `perfbench/tracer.py` rebinds every function, method and entry point it names
 by module and name, and a renamed target only fails there, in a traced
 benchmark run.  This reads its three tables, without changing them, and checks
-each name against the package.
+each name against the package.  `perfbench/run.py` also requires each traced
+workload to record a set of spans; the cheapest workload is traced here as
+the benchmark runs it.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up while it executes
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", PERFBENCH / "tracer.py")
 
 
 @pytest.mark.parametrize(
@@ -39,3 +46,18 @@ def test_traced_method_is_defined_on_its_class(module, cls_name, method):
     assert isinstance(cls, type)
     # the tracer wraps the method where a class in the hierarchy defines it
     assert any(method in vars(c) for c in tracer.subclasses(cls))
+
+
+def test_bounded_fixed_point_records_every_required_span(tmp_path):
+    # a fixed-point path that stopped building its operator, or reading its
+    # spectrum, would otherwise fail only a full --trace 1 benchmark run
+    run = _load("perfbench_run", PERFBENCH / "run.py")
+    wl = run.WORKLOADS["bounded_fixed_point"]
+    report = tmp_path / "launch.json"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "launch.py"), "--report", str(report),
+         "--trace", "contract", "--", *run.cli_args(wl, run.REFERENCE_SEED, tmp_path)],
+        cwd=run.ROOT, env=run.child_env(), check=True, capture_output=True,
+    )
+    spans = json.loads(Path(f"{report}.spans").read_text())["spans"]
+    assert wl.spans - {span[0] for span in spans} == set()

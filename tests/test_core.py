@@ -1,5 +1,7 @@
 """Long-memory recursion: relaxation, weight optimization, damping, full runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,10 @@ from mamp import (
     optimal_damping,
     optimize_theta,
     optimize_xi,
+    run_amp,
     run_bo_mamp,
+    run_bo_oamp,
+    run_mf_oamp,
     sample_instance,
     tables_from_singular_values,
     xi_cost_coefficients,
@@ -587,3 +592,31 @@ class TestFullRun:
         assert res.mse.shape == (cfg["T"],)
         assert res.status == "ok"
         assert np.all(np.isfinite(res.mse))
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "imag_inf"]
+    )
+    @pytest.mark.parametrize("algo", ["bo_mamp", "bo_oamp", "mf_oamp", "amp"])
+    def test_nonfinite_observation_ends_by_name(self, algo, bad, monkeypatch):
+        inst, prior, tab, kw = small_problem()
+        inst.y[3] = bad
+
+        def no_transform(v):
+            raise AssertionError("transform on an invalid observation")
+
+        for method in ("apply", "apply_adjoint", "apply_gram"):
+            monkeypatch.setattr(inst.operator, method, no_transform)
+        run = {
+            "bo_mamp": lambda: run_bo_mamp(inst, prior, tab, kw["T"], kw["L"]),
+            "bo_oamp": lambda: run_bo_oamp(inst, prior, kw["T"]),
+            "mf_oamp": lambda: run_mf_oamp(inst, prior, kw["T"], tab.spectrum),
+            "amp": lambda: run_amp(inst, prior, kw["T"]),
+        }[algo]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run()
+        assert res.status == "invalid_input"
+        assert res.debug["reason"] == "observation y contains non-finite entries"
+        assert res.records == []

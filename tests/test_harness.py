@@ -386,14 +386,54 @@ def run_python(code: str) -> str:
 
 class TestCli:
     def test_import_leaves_heavy_modules_unloaded(self):
-        # SciPy (only the dense eigensolver uses it), multiprecision and the
-        # thread pool load on first use
+        # SciPy (only the dense eigensolver uses it), multiprecision, the
+        # thread pool, the sampler and the quadrature rule load on first use
         out = run_python(
             "import sys, mamp.cli; "
             "print(sorted(m for m in ('scipy.special', 'scipy.integrate', "
-            "'scipy.linalg', 'mpmath', 'concurrent.futures') if m in sys.modules))"
+            "'scipy.linalg', 'mpmath', 'concurrent.futures', 'numpy.random', "
+            "'numpy.polynomial') if m in sys.modules))"
         )
         assert out.strip() == "[]"
+
+    def test_structured_spectrum_reads_load_nothing(self):
+        # the permutation is drawn on the first transform, not at construction
+        out = run_python(
+            "import sys, numpy as np; from mamp import build_structured_operator; "
+            "before = set(sys.modules); "
+            "op = build_structured_operator(4, 8, np.ones(4), [1, 0x0FEA]); "
+            "op.gram_eigenvalues(); op.apply_gram(np.ones(4, complex)); "
+            "print(sorted(set(sys.modules) - before)); "
+            "op.apply(np.ones(8, complex)); print('numpy.random' in sys.modules)"
+        )
+        assert out.split() == ["[]", "True"]
+
+    def test_only_sampling_runs_load_numpy_random(self, tmp_path):
+        loaded = "print(rc, 'numpy.random' in sys.modules)"
+        # every shipped structured config, exact and bounded, in one
+        # interpreter: nothing along the way may load the sampler
+        structured = [
+            str(p) for p in sorted((REPO / "configs").glob("*.ini"))
+            if ExperimentConfig.from_file(str(p)).matrix_model == "structured"
+        ]
+        assert len(structured) == 3
+        runs = "; ".join(
+            f"rc = main({['fixed-point', c, '--moment-mode', m]!r}); {loaded}"
+            for c in structured for m in ("exact", "bounded")
+        )
+        out = run_python(f"import sys; from mamp.cli import main; {runs}")
+        checks = [ln for ln in out.splitlines() if ln.endswith(("True", "False"))]
+        assert checks == ["0 False"] * 6
+        evolutions = ("se_mamp", "se_oamp", "se_mf_oamp", "fixed_point")
+        se = write_config(tmp_path / "se.ini", se_nle_mode="deterministic",
+                          algorithms=evolutions)
+        sim = write_config(tmp_path / "sim.ini", se_nle_mode="deterministic",
+                           algorithms=("bo_mamp", *evolutions), n_seeds=1)
+        for command, cfg, expected in (("se", se, "0 False"), ("run", sim, "0 True")):
+            argv = [command, cfg, "--out-dir", str(tmp_path)]
+            out = run_python(f"import sys; from mamp.cli import main; "
+                             f"rc = main({argv!r}); {loaded}")
+            assert out.strip().splitlines()[-1] == expected, command
 
     def test_bounded_fixed_point_runs_without_scipy(self):
         out = run_python(

@@ -1,5 +1,8 @@
 """Structured-operator construction, instance sampling, dense-oracle agreement."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from mamp import (
     make_geometric_singular_values,
     sample_instance,
 )
-from mamp.denoisers import complex_normal
+from mamp.denoisers import complex_normal, sample_prior
 from mamp.operators import StructuredOperator
 
 
@@ -206,6 +209,51 @@ class TestStructuredOperator:
             StructuredOperator(4, 8, np.ones(4), np.asarray(perm))
 
 
+class TestDeferredPermutation:
+    @pytest.mark.parametrize("seed", [7, [7, 0x0FEA]], ids=["int", "entropy"])
+    def test_perm_has_the_bits_of_an_eager_draw(self, seed):
+        op = build_structured_operator(4, 16, np.ones(4), seed)
+        assert np.array_equal(op.perm, np.random.default_rng(seed).permutation(16))
+
+    def test_spectrum_reads_leave_the_permutation_undrawn(self):
+        op = build_structured_operator(4, 8, np.arange(4.0, 0.0, -1.0), 3)
+        op.gram_eigenvalues()
+        op.apply_gram(np.ones(4, dtype=complex))
+        assert "perm" not in vars(op)
+        op.apply_adjoint(np.ones(4, dtype=complex))
+        assert np.array_equal(op.perm, np.random.default_rng(3).permutation(8))
+
+    def test_generator_is_drawn_at_construction(self):
+        # its stream is consumed when the caller builds the operator, so a
+        # later draw from it reads what it read with an eager permutation
+        rng = np.random.default_rng(11)
+        op = build_structured_operator(4, 8, np.ones(4), rng)
+        after = rng.random()
+        ref = np.random.default_rng(11)
+        assert np.array_equal(op.perm, ref.permutation(8))
+        assert after == ref.random()
+
+    def test_needs_exactly_one_of_perm_and_seed(self):
+        with pytest.raises(TypeError, match="exactly one"):
+            StructuredOperator(4, 8, np.ones(4))
+        with pytest.raises(TypeError, match="exactly one"):
+            StructuredOperator(4, 8, np.ones(4), np.arange(8), perm_seed=0)
+
+    def test_racing_first_transforms_agree(self):
+        x = complex_normal(np.random.default_rng(0), 128, 1.0)
+        ref = build_structured_operator(64, 128, np.ones(64), [5, 0x0FEA]).apply(x)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                op = build_structured_operator(64, 128, np.ones(64), [5, 0x0FEA])
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    outs = list(pool.map(lambda _: op.apply(x), range(8), timeout=30))
+                assert all(np.array_equal(out, ref) for out in outs)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestAdjointProperties:
     """Both operators at random shapes, wide, square and tall (M > N)."""
 
@@ -248,10 +296,16 @@ class TestSampleInstance:
         inst = sample_instance(op, PriorParams(mu=1.0), snr_db=20.0, rng_seed=3)
         assert np.mean(np.abs(inst.x_true) ** 2) == pytest.approx(1.0, abs=4 / np.sqrt(N))
 
-    def test_observation_consistent_with_stored_noise(self):
+    def test_observation_is_signal_through_operator_plus_noise(self):
         op = build_structured_operator(16, 32, np.ones(16), rng_seed=4)
-        inst = sample_instance(op, PriorParams(mu=0.2), snr_db=15.0, rng_seed=5)
-        assert np.array_equal(inst.y, op.apply(inst.x_true) + inst.noise)
+        prior = PriorParams(mu=0.2)
+        inst = sample_instance(op, prior, snr_db=15.0, rng_seed=5)
+        # redraw x, then n, from the same seed, in sample_instance's order
+        rng = np.random.default_rng(5)
+        x = sample_prior(prior, 32, rng)
+        n = complex_normal(rng, 16, inst.noise_var)
+        assert np.array_equal(inst.x_true, x)
+        assert np.array_equal(inst.y, op.apply(x) + n)
 
     def test_determinism(self):
         op = build_structured_operator(16, 32, np.ones(16), rng_seed=4)
