@@ -85,9 +85,8 @@ def _cmd_fixed_point(args) -> int:
     print(f"v_gamma* = {fp['v_gamma']:.9e}")
     print(f"v_phi*   = {fp['v_phi']:.9e}")
     print(f"posterior mse at fixed point: {fp['mmse']:.9e}  ({fp['mse_db']:.4f} dB)")
-    if "v_phi_eig" in fp:
-        rel = abs(fp["v_phi"] - fp["v_phi_eig"]) / fp["v_phi_eig"]
-        print(f"eigenvalue-exact cross-check: relative gap {rel:.3e}")
+    rel = abs(fp["v_phi"] - fp["v_phi_eig"]) / fp["v_phi_eig"]
+    print(f"eigenvalue-exact cross-check: relative gap {rel:.3e}")
     return 0
 
 
@@ -133,12 +132,11 @@ def _cmd_compare(args) -> int:
               f"(tolerance {FP_RTOL})")
         if not rel_fp <= FP_RTOL:
             failures.append(f"evolution/fixed-point gap {rel_fp:.3e}")
-        if "v_phi_eig" in fp:
-            rel_x = abs(fp["v_phi"] - fp["v_phi_eig"]) / fp["v_phi_eig"]
-            print(f"fixed point vs eigenvalue-exact: relative gap {rel_x:.3e} "
-                  f"(tolerance {FP_CROSS_RTOL})")
-            if not rel_x <= FP_CROSS_RTOL:
-                failures.append(f"fixed-point cross-check gap {rel_x:.3e}")
+        rel_x = abs(fp["v_phi"] - fp["v_phi_eig"]) / fp["v_phi_eig"]
+        print(f"fixed point vs eigenvalue-exact: relative gap {rel_x:.3e} "
+              f"(tolerance {FP_CROSS_RTOL})")
+        if not rel_x <= FP_CROSS_RTOL:
+            failures.append(f"fixed-point cross-check gap {rel_x:.3e}")
 
     if failures:
         for f in failures:

@@ -109,24 +109,21 @@ def memory_weights(
     t: int,
     tables: MomentTables,
     sigma2: float,
-    fixed_xi: float | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray, float, float]:
     """Linear side of iteration t, shared by the simulation and the evolution.
 
     V is the ledger (rows and columns 0..t-1 are read) and scaled the previous
     iteration's scaled memory weights.  Returns (theta, xi, scaled, p, eps,
-    v_gamma): the relaxation, the new-residual weight (fixed_xi when given,
-    1 at t = 1), the new scaled weights, the orthogonalization coefficients p,
-    their normalizer eps and the matched-filter output variance, which is nan
-    when eps is 0 or not finite.
+    v_gamma): the relaxation, the new-residual weight (1 at t = 1), the new
+    scaled weights, the orthogonalization coefficients p, their normalizer eps
+    and the matched-filter output variance, which is nan when eps is 0 or not
+    finite.
     """
     ld = tables.lambda_dagger
     theta = optimize_theta(ld, sigma2 / V[t - 1, t - 1].real)
     scaled_prev = scaled[: t - 1] * (theta * ld)
     c0, c1, c2, c3 = xi_cost_coefficients(scaled_prev, V[:t, :t], tables, sigma2)
-    if fixed_xi is not None:
-        xi = float(fixed_xi)
-    elif t == 1:
+    if t == 1:
         xi = 1.0
     else:
         xi, _ = optimize_xi(c0, c1, c2, c3, C_MAX)

@@ -147,7 +147,6 @@ def run_bo_mamp_se(
     nle_mode: str = "mc",
     n_mc: int = 100_000,
     rng_seed: int = 0,
-    fixed_xi: float | None = None,
 ) -> AlgorithmResult:
     """Covariance evolution of the damped long-memory recursion.
 
@@ -196,7 +195,7 @@ def run_bo_mamp_se(
 
     for t in range(1, T + 1):
         theta, xi, scaled, _, eps, vg_diag = memory_weights(
-            V_phi, scaled, t, tables, sigma2, fixed_xi
+            V_phi, scaled, t, tables, sigma2
         )
         if not np.isfinite(vg_diag) or vg_diag <= 0:
             status = "degenerate"
@@ -259,8 +258,8 @@ def _phi_se(v_gamma: float, prior: PriorParams) -> tuple[float, float]:
 
 
 def lmmse_gamma_se(v_phi: float, spectrum: SpectralProfile, sigma2: float) -> float:
-    """Eigenvalue-exact LMMSE transfer v_gamma = v_phi (1/eps - 1) on spectrum.eigs."""
-    return lmmse_transfer(v_phi, spectrum.eigs, spectrum.N, sigma2)[0]
+    """Eigenvalue-exact LMMSE transfer v_gamma = v_phi (1/eps - 1) on the spectrum."""
+    return lmmse_transfer(v_phi, spectrum.eigenvalues(), spectrum.N, sigma2)[0]
 
 
 def _scalar_se(name: str, gamma_of, prior: PriorParams, T: int) -> AlgorithmResult:
@@ -310,11 +309,11 @@ _SERIES_TOL = 1e-12
 _ROOT_TOL = 1e-13
 # Points a fixed-point search may evaluate before it gives up.
 _MAX_SWEEPS = 200
+# Terms the series may sum before it gives up.
+_MAX_TERMS = 1 << 20
 
 
-def series_gamma_se(
-    v_phi: float, tables: MomentTables, sigma2: float, max_terms: int = 1 << 20
-) -> float:
+def series_gamma_se(v_phi: float, tables: MomentTables, sigma2: float) -> float:
     """Matched-filter limit transfer v_gamma via the geometric operator series.
 
     Evaluates eps* = theta sum_i (theta ld)^i w'_i and the double series for
@@ -328,7 +327,7 @@ def series_gamma_se(
     the result's relative accuracy at small sigma^2 and v_phi, where an
     absolute one would not.  The tables are extended on demand, which
     requires eigenvalue-built tables.  Raises ValueError when the bound is
-    still at or above _SERIES_TOL once max_terms terms are reached.
+    still at or above _SERIES_TOL once _MAX_TERMS terms are reached.
     """
     ld = tables.lambda_dagger
     rho = sigma2 / v_phi
@@ -343,10 +342,10 @@ def series_gamma_se(
 
     n_terms = 8
     while _tail_bound(n_terms - 1) >= _SERIES_TOL:
-        if n_terms >= max_terms:
+        if n_terms >= _MAX_TERMS:
             raise ValueError(
                 f"series truncated: tail bound {_tail_bound(n_terms - 1):.3e} >= "
-                f"tolerance {_SERIES_TOL:.1e} at max_terms = {max_terms}"
+                f"tolerance {_SERIES_TOL:.1e} at {_MAX_TERMS} terms"
             )
         n_terms *= 2
     # the stored weights cost nothing to read: stop there when they suffice
@@ -370,7 +369,7 @@ def series_gamma_se(
 _UNIQUENESS_BAND = 0.05
 
 
-def _secant_root(gamma_of, prior, u, below, above, max_sweeps):
+def _secant_root(gamma_of, prior, u, below, above):
     """Root of g(u) = log phi_se(gamma_of(e**u)) - u in (below, above].
 
     Points with g > 0 move `below` up and points with g <= 0 move `above`
@@ -379,10 +378,10 @@ def _secant_root(gamma_of, prior, u, below, above, max_sweeps):
     bracket is replaced by the Picard step, or by bisection of the bracket
     when that leaves it too.  Stops once the secant (or first) step or the
     bracket is below _ROOT_TOL and returns (gamma_of(e**u), u) at the last
-    point evaluated; raises ValueError after max_sweeps points.
+    point evaluated; raises ValueError after _MAX_SWEEPS points.
     """
     prev = None
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         v_gamma = gamma_of(math.exp(u))
         g = math.log(_phi_se(v_gamma, prior)[1]) - u
         if g > 0:
@@ -398,10 +397,10 @@ def _secant_root(gamma_of, prior, u, below, above, max_sweeps):
             step = g if below < u + g < above else 0.5 * (below + above) - u
         prev = u, g
         u += step
-    raise ValueError(f"fixed point not reached in {max_sweeps} sweeps")
+    raise ValueError(f"fixed point not reached in {_MAX_SWEEPS} sweeps")
 
 
-def _log_fixed_point(gamma_of, spectrum, prior, sigma2, max_sweeps):
+def _log_fixed_point(gamma_of, spectrum, prior, sigma2):
     """Largest fixed point of v -> phi_se(gamma_of(v)), the one reached from v = 1.
 
     gamma_of is a transfer equal to the eigenvalue-exact one on spectrum.  The
@@ -424,7 +423,7 @@ def _log_fixed_point(gamma_of, spectrum, prior, sigma2, max_sweeps):
     `_secant_root` solves again.  The chain runs on the eigenvalue-exact
     transfer, which costs one pass over the spectrum at any v, so a series
     is never summed near v = 1, where it is long.  Returns (gamma_of(v*),
-    v*); raises ValueError when a search does not end within max_sweeps
+    v*); raises ValueError when a search does not end within _MAX_SWEEPS
     points.
     """
 
@@ -436,9 +435,9 @@ def _log_fixed_point(gamma_of, spectrum, prior, sigma2, max_sweeps):
         u = math.log(_phi_se(sigma2 / float(spectrum.moments[1]), prior)[1])
     except NonImprovingNLEError:
         u = 0.0
-    v_gamma, root = _secant_root(gamma_of, prior, u, -math.inf, 0.0, max_sweeps)
+    v_gamma, root = _secant_root(gamma_of, prior, u, -math.inf, 0.0)
     top, prev = 0.0, None
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if top <= root + _UNIQUENESS_BAND:
             return v_gamma, math.exp(root)
         step = chain_g(top)
@@ -446,36 +445,27 @@ def _log_fixed_point(gamma_of, spectrum, prior, sigma2, max_sweeps):
             limit = top - step * (top - prev[0]) / (step - prev[1])
             c = 2.0 * limit - (top + step)
             if root + _UNIQUENESS_BAND < c < top + step and chain_g(c) > 0:
-                v_gamma, root = _secant_root(
-                    gamma_of, prior, c, c, top + step, max_sweeps
-                )
+                v_gamma, root = _secant_root(gamma_of, prior, c, c, top + step)
         prev = top, step
         top += step
-    raise ValueError(f"fixed point not certified in {max_sweeps} sweeps")
+    raise ValueError(f"fixed point not certified in {_MAX_SWEEPS} sweeps")
 
 
 def oamp_fixed_point(
-    tables: MomentTables,
-    prior: PriorParams,
-    sigma2: float,
-    max_sweeps: int = _MAX_SWEEPS,
+    tables: MomentTables, prior: PriorParams, sigma2: float
 ) -> tuple[float, float]:
     """Shared fixed point (v_gamma*, v_phi*) of the LMMSE and long-memory maps.
 
-    Runs on the geometric series, which needs eigenvalue-built tables:
-    estimate-built ones raise ValueError even where the stored weights
-    would cover the series.  The certifying chain from v = 1 runs on the
-    eigenvalue-exact transfer of the same spectrum, which costs one pass
-    over it at any v, where the series near v = 1 needs thousands of terms.
+    Runs on the geometric series, which needs eigenvalue-built tables: the
+    series reads tables.weight_decay before any weight, so estimate-built
+    ones raise ValueError even where the stored weights would cover the
+    series (their weights past t ~ 20 are not reliable).  The certifying
+    chain from v = 1 runs on the eigenvalue-exact transfer of the same
+    spectrum, which costs one pass over it at any v, where the series near
+    v = 1 needs thousands of terms.
     """
-    spectrum = tables.spectrum
-    if spectrum.eigs is None:
-        raise ValueError(
-            "the series fixed point needs eigenvalue-built tables; "
-            "estimate-built tables hold too few reliable weights"
-        )
     gamma_of = lambda v: series_gamma_se(v, tables, sigma2)
-    return _log_fixed_point(gamma_of, spectrum, prior, sigma2, max_sweeps)
+    return _log_fixed_point(gamma_of, tables.spectrum, prior, sigma2)
 
 
 def bo_oamp_fixed_point_exact(
@@ -483,4 +473,4 @@ def bo_oamp_fixed_point_exact(
 ) -> tuple[float, float]:
     """Fixed point of the eigenvalue-exact LMMSE evolution (oracle route)."""
     gamma_of = lambda v: lmmse_gamma_se(v, spectrum, sigma2)
-    return _log_fixed_point(gamma_of, spectrum, prior, sigma2, _MAX_SWEEPS)
+    return _log_fixed_point(gamma_of, spectrum, prior, sigma2)

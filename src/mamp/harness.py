@@ -180,12 +180,6 @@ def _build_operator(config: ExperimentConfig, seed_index: int):
     return build_iid_gaussian_operator(config.M, config.N, op_entropy)
 
 
-def _singular_values(config: ExperimentConfig, operator) -> np.ndarray:
-    """The min(M, N) largest square roots of the Gram eigenvalues, descending."""
-    d = np.sort(np.sqrt(np.clip(operator.gram_eigenvalues(), 0.0, None)))[::-1]
-    return d[: min(config.M, config.N)]
-
-
 def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
     """The tables for the configured moment mode; they carry the run's spectrum.
 
@@ -199,7 +193,7 @@ def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
             operator, T, rng_seed=config.base_seed + 0x5EED
         )
         return build_moment_tables(profile, T)
-    d = _singular_values(config, operator)
+    d = np.sqrt(operator.gram_eigenvalues())
     extremes = None
     if config.moment_mode == "bounded":
         d_sq = d**2
@@ -289,17 +283,15 @@ def _fixed_point_entry(config: ExperimentConfig, tables, prior) -> dict:
     # the simulated curves; v_phi is the extrinsic variance matching the
     # ledger diagonal.
     mmse_fp = scalar_mmse(vg, prior)
-    entry = {
+    vg_x, vp_x = bo_oamp_fixed_point_exact(tables.spectrum, prior, config.sigma2)
+    return {
         "v_gamma": vg,
         "v_phi": vp,
         "mmse": mmse_fp,
         "mse_db": float(_to_db(np.array([mmse_fp]))[0]),
+        "v_phi_eig": vp_x,
+        "v_gamma_eig": vg_x,
     }
-    if tables.spectrum.eigs is not None:
-        vg_x, vp_x = bo_oamp_fixed_point_exact(tables.spectrum, prior, config.sigma2)
-        entry["v_phi_eig"] = vp_x
-        entry["v_gamma_eig"] = vg_x
-    return entry
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -330,15 +322,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         try:
             fixed_point = _fixed_point_entry(config, tables, prior)
         except ValueError as exc:
-            # estimate-built tables cannot feed the geometric series, and a
-            # series that has not converged by max_terms is truncated; record
+            # estimate-built tables hold no eigenvalues, and a series that
+            # has not converged within its term limit is truncated; record
             # the failure instead of aborting the whole experiment
             fixed_point = {"error": str(exc)}
     if "se_oamp" in config.algorithms:
         exact = spectrum
         if exact.eigs is None:
             exact = exact_moments_from_singular_values(
-                _singular_values(config, ref_op), config.N, 1, M=config.M
+                np.sqrt(ref_op.gram_eigenvalues()), config.N, 1, M=config.M
             )
         results["se_oamp"] = [run_bo_oamp_se(exact, prior, config.sigma2, config.T)]
     if "se_mf_oamp" in config.algorithms:

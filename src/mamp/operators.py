@@ -75,7 +75,10 @@ class TransformOperator:
         raise NotImplementedError
 
     def gram_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of A A^H (length M), including structural zeros."""
+        """The min(M, N) eigenvalues of A A^H that can be nonzero, descending, >= 0.
+
+        The other |M - N| eigenvalues of the larger Gram matrix are zeros.
+        """
         raise NotImplementedError
 
 
@@ -152,9 +155,7 @@ class StructuredOperator(TransformOperator):
         return A
 
     def gram_eigenvalues(self) -> np.ndarray:
-        eigs = np.zeros(self.M)
-        eigs[: self.J] = self.singular_values**2
-        return eigs
+        return np.sort(self._d_sq)[::-1]
 
 
 class DenseOperator(TransformOperator):
@@ -190,10 +191,12 @@ class DenseOperator(TransformOperator):
         # conquer routine as np.linalg.eigvalsh, which is let overwrite it
         # instead of copying it.
         gram = zherk(1.0, self.matrix.T, trans=2, lower=1)
-        return eigh(
+        eigs = eigh(
             gram, lower=True, eigvals_only=True, overwrite_a=True,
             check_finite=False, driver="evd",
         )
+        # ascending from LAPACK; rounding can leave the zeros slightly negative
+        return np.clip(eigs[::-1][: min(self.M, self.N)], 0.0, None)
 
 
 def build_structured_operator(

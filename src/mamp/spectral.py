@@ -90,8 +90,9 @@ class SpectralProfile:
     moments holds lambda_t (t = 0..order, lambda_0 = 1).  eigs holds the
     N-sided eigenvalues d_k^2 of A^H A that can be nonzero, J = min(M, N) of
     them (the other N - J are structural zeros), or None when the moments come
-    from probe estimates.  lambda_min and lambda_max are the exact extremes,
-    or bounds on them (provenance "bounded" or "estimated").
+    from probe estimates; readers take them from eigenvalues(), which refuses
+    the latter.  lambda_min and lambda_max are the exact extremes, or bounds
+    on them (provenance "bounded" or "estimated").
     """
 
     moments: np.ndarray
@@ -115,6 +116,15 @@ class SpectralProfile:
     @property
     def order(self) -> int:
         return len(self.moments) - 1
+
+    def eigenvalues(self) -> np.ndarray:
+        """eigs, or ValueError when the spectrum was estimated and holds none."""
+        if self.eigs is None:
+            raise ValueError(
+                "the Gram eigenvalues are needed, and estimated moments hold "
+                "none; use eigenvalue-built tables (exact or bounded moments)"
+            )
+        return self.eigs
 
     def to_dict(self) -> dict:
         return {
@@ -170,8 +180,12 @@ def _single_probe_moments(operator: TransformOperator, T: int, rng) -> np.ndarra
     return moments
 
 
+# Probes the moment estimate averages.
+_N_PROBES = 16
+
+
 def estimate_moments_power_recursion(
-    operator: TransformOperator, T: int, rng_seed: int, n_probes: int = 16
+    operator: TransformOperator, T: int, rng_seed: int
 ) -> SpectralProfile:
     """Estimate lambda_t from Gaussian probes and alternating applications.
 
@@ -179,17 +193,15 @@ def estimate_moments_power_recursion(
     even steps, and lambda_t is read off as ||s_t||^2 (renormalized each step
     so only the accumulated log magnitude grows).  A single probe fluctuates
     at O(sqrt(lambda_2t / N) / lambda_t), around 10% at t = 8 on desk-scale
-    geometric spectra, so the estimate averages n_probes independent probes by
-    default.  Extremes come from the trace bound: lambda_min >= 0 and
-    lambda_max <= (N lambda_tau)^(1/tau) at tau = 2T.
+    geometric spectra, so the estimate averages _N_PROBES independent probes.
+    Extremes come from the trace bound: lambda_min >= 0 and lambda_max <=
+    (N lambda_tau)^(1/tau) at tau = 2T.
     """
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be positive, got {n_probes}")
-    children = np.random.SeedSequence(rng_seed).spawn(n_probes)
+    children = np.random.SeedSequence(rng_seed).spawn(_N_PROBES)
     moments = np.zeros(2 * T + 1)
     for child in children:
         moments += _single_probe_moments(operator, T, np.random.default_rng(child))
-    moments /= n_probes
+    moments /= _N_PROBES
     tau = 2 * T
     _, lam_max_up = bound_extremal_eigenvalues(float(moments[tau]), tau, operator.N)
     return SpectralProfile(moments, 0.0, lam_max_up, "estimated", None, operator.N)
@@ -250,11 +262,9 @@ class MomentTables:
         carry no weight; q = 0 when none is positive).  Extremes that enclose
         the spectrum give q <= rho_B / ld, and bounds give a much smaller q
         than that: with lambda_min = 0 assumed, rho_B / ld is exactly 1.
-        Estimate-built tables keep no eigenvalues and fall back to rho_B / ld.
+        Estimate-built tables keep no eigenvalues and raise ValueError.
         """
-        eigs = self.spectrum.eigs
-        if eigs is None:
-            return self.rho_B / self.lambda_dagger
+        eigs = self.spectrum.eigenvalues()
         eigs = eigs[eigs > 0]
         if not len(eigs):
             return 0.0
@@ -277,19 +287,14 @@ class MomentTables:
         The fixed-point solver starts below v* and keeps its series within a
         few dozen terms; long extensions are needed only at v far above v*.
         Extensions are cached on the instance and need the spectrum's
-        eigenvalues; tables built on estimated moments raise instead.
+        eigenvalues; tables built on estimated moments raise ValueError.
         """
         if n < len(self.w_scaled):
             return self.w_scaled[: n + 1]
         cached = getattr(self, "_w_ext", None)
         if cached is not None and n < len(cached):
             return cached[: n + 1]
-        eigs = self.spectrum.eigs
-        if eigs is None:
-            raise ValueError(
-                "series evaluation needs weights beyond the stored tables; "
-                "rebuild the tables from eigenvalues or enlarge the estimate"
-            )
+        eigs = self.spectrum.eigenvalues()
         ratio = (self.lambda_dagger - eigs) / self.lambda_dagger
         out = _power_sums(eigs, ratio, n + 1)[1]
         out /= self.spectrum.N

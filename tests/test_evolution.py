@@ -19,7 +19,7 @@ from mamp import (
     scalar_mmse,
     tables_from_singular_values,
 )
-from mamp import evolution
+from mamp import evolution, spectral
 from mamp.denoisers import DenoiserOutput
 from mamp.evolution import series_gamma_se
 
@@ -283,12 +283,16 @@ class TestEvolutionRuns:
         assert se.status == "ok"
         assert peak < (2 * T + 4) * 16 * n_mc
 
-    def test_fixed_xi_reaches_same_fixed_point(self):
+    def test_fixed_xi_reaches_same_fixed_point(self, monkeypatch):
+        from mamp import core
+
         tab = tables_from_singular_values(self.d, self.N, 200, M=self.M)
         vg_fp, vp_fp = oamp_fixed_point(tab, self.prior, self.sigma2)
         for xi_star in (0.5, 1.0, 2.0):
+            # xi = xi_star from t = 2 on; t = 1 keeps its xi = 1
+            monkeypatch.setattr(core, "optimize_xi", lambda *args: (xi_star, False))
             se = run_bo_mamp_se(tab, self.prior, self.sigma2, 200, L=3,
-                                nle_mode="deterministic", fixed_xi=xi_star)
+                                nle_mode="deterministic")
             assert se.trajectory("v_phi_bar")[-1] == pytest.approx(vp_fp, rel=1e-6), xi_star
 
 
@@ -483,7 +487,7 @@ class TestFixedPoint:
                 assert v == pytest.approx(v_oracle, rel=1e-10)
                 assert v == pytest.approx(v_tail, rel=1e-12)
 
-    def test_series_noise_near_a_high_fixed_point_ends_in_bisection(self):
+    def test_series_noise_near_a_high_fixed_point_ends_in_bisection(self, monkeypatch):
         # mu = 0.3 above delta = 0.25 leaves v* near 0.88, where the series
         # needs 2**18 terms and its rounding makes the transfer noisy at
         # ~1e-10: secant and Picard steps then leave the bracket, and only
@@ -494,7 +498,8 @@ class TestFixedPoint:
         N, M, sigma2 = 512, 128, 1e-3
         d = make_geometric_singular_values(M, 100.0, float(N))
         tab = tables_from_singular_values(d, N, 30, M=M)
-        _, v_series = oamp_fixed_point(tab, prior, sigma2, max_sweeps=40)
+        monkeypatch.setattr(evolution, "_MAX_SWEEPS", 40)
+        _, v_series = oamp_fixed_point(tab, prior, sigma2)
         _, v_exact = bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2)
         assert v_exact > 0.5
         assert v_series == pytest.approx(v_exact, rel=1e-9)
@@ -542,7 +547,7 @@ class TestFixedPoint:
             try:
                 (_, v_old), n_old, len_old = run(lambda: relaxed_fixed_point(series, prior, 1e-10))
             except ValueError:
-                continue  # the series at v = 1 needs more than max_terms
+                continue  # the series at v = 1 needs more than _MAX_TERMS terms
             _, v_old_x = relaxed_fixed_point(exact, prior, 1e-12)
             (_, v_new), n_new, len_new = run(lambda: oamp_fixed_point(tab, prior, sigma2))
             _, v_new_x = bo_oamp_fixed_point_exact(tab.spectrum, prior, sigma2)
@@ -557,21 +562,23 @@ class TestFixedPoint:
                 failures.append((mu, kappa, delta, snr, n_old, n_new, len_old, len_new, gap_old, gap_new))
         assert not failures
 
-    def test_series_raises_when_truncated_at_max_terms(self):
+    def test_series_raises_when_truncated_at_max_terms(self, monkeypatch):
         d = make_geometric_singular_values(256, 20.0, 512.0)
         tab = tables_from_singular_values(d, 512, 30, M=256)
-        with pytest.raises(ValueError, match=r"tail bound .* max_terms = 64"):
-            series_gamma_se(1.0, tab, 1e-2, max_terms=64)
+        monkeypatch.setattr(evolution, "_MAX_TERMS", 64)
+        with pytest.raises(ValueError, match=r"tail bound .* at 64 terms"):
+            series_gamma_se(1.0, tab, 1e-2)
 
     @pytest.mark.parametrize("T", [3, 30])
-    def test_estimate_built_tables_raise(self, T):
+    def test_estimate_built_tables_raise(self, T, monkeypatch):
         # at the shipped T = 30 a short series can fit in the stored 2T + 2
         # weights, but the estimate's weights past t ~ 20 are not reliable
         from mamp import build_moment_tables, build_structured_operator
         from mamp import estimate_moments_power_recursion
 
         op = build_structured_operator(128, 256, make_geometric_singular_values(128, 10.0, 256.0), rng_seed=0)
-        prof = estimate_moments_power_recursion(op, T, rng_seed=0, n_probes=2)
+        monkeypatch.setattr(spectral, "_N_PROBES", 2)
+        prof = estimate_moments_power_recursion(op, T, rng_seed=0)
         tab = build_moment_tables(prof, T)
         with pytest.raises(ValueError, match="eigenvalue-built tables"):
             oamp_fixed_point(tab, PriorParams(mu=0.1), 1e-3)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mamp
-from mamp import harness
+from mamp import cli, harness
 from mamp.cli import main
 from mamp.harness import (
     ConfigError,
@@ -28,6 +28,7 @@ from mamp.harness import (
     run_experiment,
 )
 from mamp.operators import DenseOperator
+from mamp.spectral import SpectralProfile
 
 SMALL = dict(
     algorithms=("bo_mamp", "bo_oamp", "se_mamp", "fixed_point"),
@@ -498,6 +499,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "v_phi*" in out and "cross-check" in out
 
+    def test_fixed_point_subcommand_fails_with_the_refusal(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.ini")
+        estimated = SpectralProfile(np.ones(3), 0.0, 1.0, "estimated", None, 512)
+        with pytest.raises(ValueError) as refusal:
+            estimated.eigenvalues()
+        assert main(["fixed-point", cfg, "--moment-mode", "estimated"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fixed point unavailable: {refusal.value}\n"
+
     def test_compare_subcommand_passes_on_consistent_setup(self, tmp_path):
         cfg = write_config(
             tmp_path / "exp.ini",
@@ -513,14 +524,21 @@ class TestCli:
         rc = main(["compare", cfg, "--out-dir", str(tmp_path)])
         assert rc == 0
 
+    # a negative tolerance lies below any relative gap
     @pytest.mark.parametrize(
-        "overrides, flags, reason",
-        [({"compare_se_tol_db": 1e-9}, [], "simulation/evolution gap"),
-         ({}, ["--moment-mode", "estimated"], "fixed point unavailable")],
+        "overrides, flags, tolerances, reason",
+        [({"compare_se_tol_db": 1e-9}, [], {}, "simulation/evolution gap"),
+         ({}, ["--moment-mode", "estimated"], {}, "fixed point unavailable"),
+         ({"n_seeds": 0}, [], {}, "missing bo_mamp or its evolution curve"),
+         ({}, [], {"FP_RTOL": -1.0}, "evolution/fixed-point gap"),
+         ({}, [], {"FP_CROSS_RTOL": -1.0}, "fixed-point cross-check gap")],
+        ids=["se_gap", "estimated", "no_seeds", "fp_gap", "cross_gap"],
     )
     def test_compare_subcommand_fails_with_its_reason(
-        self, tmp_path, capsys, overrides, flags, reason
+        self, tmp_path, capsys, monkeypatch, overrides, flags, tolerances, reason
     ):
+        for name, value in tolerances.items():
+            monkeypatch.setattr(cli, name, value)
         cfg = write_config(tmp_path / "exp.ini", label="cmpfail", **overrides)
         assert main(["compare", cfg, "--out-dir", str(tmp_path), *flags]) == 1
         assert f"FAIL: {reason}" in capsys.readouterr().err

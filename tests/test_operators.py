@@ -361,17 +361,45 @@ class TestIIDOperator:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
         eigs = DenseOperator(A).gram_eigenvalues()
-        ref = np.linalg.eigvalsh(A @ A.conj().T)
-        assert eigs.shape == (M,)
+        ref = np.linalg.eigvalsh(A @ A.conj().T)[::-1][: min(M, N)]
         np.testing.assert_allclose(eigs, ref, rtol=1e-12, atol=1e-12 * ref.max())
 
     @pytest.mark.parametrize("M, N", [(48, 96), (96, 48)])
     def test_gram_eigenvalues_equal_eigvalsh_of_herk_output(self, M, N):
         op = build_iid_gaussian_operator(M, N, rng_seed=8)
         gram = zherk(1.0, op.matrix.T, trans=2, lower=1)
-        assert np.array_equal(
-            op.gram_eigenvalues(), np.linalg.eigvalsh(gram, UPLO="L")
-        )
+        ref = np.linalg.eigvalsh(gram, UPLO="L")[::-1][: min(M, N)]
+        assert np.array_equal(op.gram_eigenvalues(), np.clip(ref, 0.0, None))
+
+
+class TestGramEigenvalues:
+    """Both operators hand out the min(M, N) Gram eigenvalues that can be nonzero."""
+
+    @staticmethod
+    def build(kind, M, N):
+        if kind == "dense":
+            return build_iid_gaussian_operator(M, N, rng_seed=4)
+        # ascending singular values: the operator sorts their squares
+        d = make_geometric_singular_values(min(M, N), 10.0, float(N))[::-1]
+        return build_structured_operator(M, N, d, rng_seed=4)
+
+    @pytest.mark.parametrize("kind", ["dense", "structured"])
+    @pytest.mark.parametrize("M, N", [(24, 40), (40, 40), (40, 24)])
+    def test_length_order_and_sign(self, kind, M, N):
+        eigs = self.build(kind, M, N).gram_eigenvalues()
+        assert eigs.shape == (min(M, N),)
+        assert np.all(eigs >= 0.0)
+        assert np.all(np.diff(eigs) <= 0.0)
+
+    @pytest.mark.parametrize("kind", ["dense", "structured"])
+    def test_tall_operator_drops_the_structural_zeros(self, kind):
+        # A A^H of a 40 x 24 operator has rank 24: its 16 other eigenvalues
+        # are zeros, up to rounding for the dense one
+        op = self.build(kind, 40, 24)
+        full = np.linalg.eigvalsh(op.dense() @ op.dense().conj().T)[::-1]
+        eigs = op.gram_eigenvalues()
+        np.testing.assert_allclose(eigs, full[:24], rtol=1e-12)
+        assert eigs.min() > 1e3 * np.abs(full[24:]).max()
 
 
 class TestComplexNormal:

@@ -14,8 +14,11 @@ from mamp import (
     estimate_moments_power_recursion,
     exact_moments_from_singular_values,
     make_geometric_singular_values,
+    oamp_fixed_point,
+    run_bo_oamp_se,
     tables_from_singular_values,
 )
+from mamp import spectral
 from mamp.evolution import lmmse_gamma_se
 from mamp.spectral import BINOMIAL_CANCELLATION_THRESHOLD, SpectralProfile
 
@@ -62,16 +65,18 @@ class TestMomentEstimation:
         assert np.max(rel) < 0.05
         assert est.provenance == "estimated"
 
-    def test_isometry_estimates_norm_preserving(self):
+    def test_isometry_estimates_norm_preserving(self, monkeypatch):
         # unitary operator: every power iterate keeps the probe norm, so all
         # estimated moments coincide and approach 1 with the probe dimension
+        monkeypatch.setattr(spectral, "_N_PROBES", 1)
         op = build_structured_operator(1024, 1024, np.ones(1024), rng_seed=1)
-        est = estimate_moments_power_recursion(op, 3, rng_seed=0, n_probes=1)
+        est = estimate_moments_power_recursion(op, 3, rng_seed=0)
         np.testing.assert_allclose(est.moments[1:], est.moments[1], rtol=1e-10)
         assert est.moments[1] == pytest.approx(1.0, abs=0.15)
 
-    def test_error_shrinks_with_system_size(self):
+    def test_error_shrinks_with_system_size(self, monkeypatch):
         """Median max relative error over seeds drops from N=1024 to N=4096."""
+        monkeypatch.setattr(spectral, "_N_PROBES", 1)
         medians = {}
         for N in (1024, 4096):
             M = N // 2
@@ -80,7 +85,7 @@ class TestMomentEstimation:
             exact = exact_moments_from_singular_values(d, N, 4, M=M)
             errs = []
             for seed in range(20):
-                est = estimate_moments_power_recursion(op, 4, rng_seed=seed, n_probes=1)
+                est = estimate_moments_power_recursion(op, 4, rng_seed=seed)
                 errs.append(
                     np.max(np.abs(est.moments[1:9] - exact.moments[1:9]) / exact.moments[1:9])
                 )
@@ -244,13 +249,6 @@ class TestMomentTables:
         live = np.abs(naive) > 1e-250
         assert np.all(np.abs(w - naive)[live] <= 1e-13 * scale[live])
 
-    def test_estimate_built_tables_cannot_extend(self):
-        op = build_structured_operator(8, 16, np.ones(8), rng_seed=0)
-        prof = estimate_moments_power_recursion(op, 3, rng_seed=0, n_probes=2)
-        tab = build_moment_tables(prof, 3)
-        with pytest.raises(ValueError):
-            tab.w_scaled_extended(100)
-
 
 class TestWeightDecay:
     @settings(max_examples=60, deadline=None)
@@ -306,11 +304,34 @@ class TestWeightDecay:
         assert tab.weight_decay == 0.0
         assert np.all(tab.w_scaled_extended(100) == 0.0)
 
-    def test_estimate_built_tables_fall_back_to_the_radius(self):
-        op = build_structured_operator(8, 16, np.ones(8), rng_seed=0)
-        prof = estimate_moments_power_recursion(op, 3, rng_seed=0, n_probes=2)
-        tab = build_moment_tables(prof, 3)
-        assert tab.weight_decay == tab.rho_B / tab.lambda_dagger
+
+class TestEstimatedSpectrumRefusal:
+    """Every reader of the eigenvalues refuses an estimated spectrum alike."""
+
+    READERS = {
+        "weight_decay": lambda tab: tab.weight_decay,
+        "w_scaled_extended": lambda tab: tab.w_scaled_extended(len(tab.w_scaled)),
+        "lmmse_gamma_se": lambda tab: lmmse_gamma_se(0.5, tab.spectrum, 1e-3),
+        "run_bo_oamp_se": lambda tab: run_bo_oamp_se(
+            tab.spectrum, PriorParams(mu=0.1), 1e-3, 5
+        ),
+        "oamp_fixed_point": lambda tab: oamp_fixed_point(tab, PriorParams(mu=0.1), 1e-3),
+        "bo_oamp_fixed_point_exact": lambda tab: bo_oamp_fixed_point_exact(
+            tab.spectrum, PriorParams(mu=0.1), 1e-3
+        ),
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_reader_raises_the_spectrum_refusal(self, reader):
+        d = make_geometric_singular_values(64, 10.0, 128.0)
+        op = build_structured_operator(64, 128, d, rng_seed=0)
+        tab = build_moment_tables(estimate_moments_power_recursion(op, 3, rng_seed=0), 3)
+        assert tab.spectrum.eigs is None
+        with pytest.raises(ValueError, match="eigenvalue-built tables") as refusal:
+            tab.spectrum.eigenvalues()
+        with pytest.raises(ValueError) as raised:
+            self.READERS[reader](tab)
+        assert str(raised.value) == str(refusal.value)
 
 
 class TestOneSpectrum:
