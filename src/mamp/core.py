@@ -383,7 +383,7 @@ class Ledger:
         window's rows of H, with new standing for the candidate.  On the
         singular fallback the previous damped estimate is kept: H[t] = H[t - 1]
         and V's row t repeats row t - 1.  rec gets the damped variance V[t, t]
-        as v_phi_bar, the weights and whether the fallback fired.
+        as v_phi_bar and the weights.
         """
         if diag <= self.floor:
             # residual energy at the noise floor: clamp and count
@@ -414,7 +414,7 @@ class Ledger:
             V[:t, t] = np.conj(new_row)
             self.effective.append(t + 1)
         rec.v_phi_bar = V[t, t].real
-        rec.zeta, rec.trivial = sol.zeta.copy(), sol.singular
+        rec.zeta = sol.zeta.copy()
         return sol
 
 
@@ -428,7 +428,6 @@ class IterationRecord:
     theta: float = np.nan
     xi: float = np.nan
     zeta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    trivial: bool = False
 
 
 @dataclass
@@ -491,8 +490,8 @@ def run_bo_mamp(
     ld = tables.lambda_dagger
     w0 = tables.w0
 
-    X = np.zeros((T + 1, N), dtype=complex)  # damped estimates, x_1 = 0
-    Z = np.zeros((T + 1, M), dtype=complex)  # damped residuals, z_1 = y
+    X = np.zeros((T, N), dtype=complex)  # damped estimates, x_1 = 0
+    Z = np.zeros((T, M), dtype=complex)  # damped residuals, z_1 = y
     Z[0] = y
     ledger = Ledger(T, L, residual_error_estimate(y, N, sigma2, delta, w0))
     V = ledger.V
@@ -534,7 +533,8 @@ def run_bo_mamp(
         x_new = out.extrinsic_mean
         z_new = residual(y, op, x_new)
         row, diag = estimate_phi_covariance(z_new, Z[:t], N, sigma2, delta, w0)
-        ledger.damp(t, row, diag, [(X, x_new), (Z, z_new)], rec)
+        # no step reads x_T+1 or z_T+1: the last damping updates the ledger only
+        ledger.damp(t, row, diag, [(X, x_new), (Z, z_new)] if t < T else [], rec)
         # the new candidate now lives in X and Z (or was dropped): free it
         # before the next iteration's denoiser call allocates
         del out, x_new, z_new

@@ -1,9 +1,9 @@
 """Experiment orchestration: config files, seeded multi-run sweeps, CSV/JSON/plots.
 
-A config fully determines the experiment; runs are reproducible bit-for-bit on
-one platform from (config, base_seed).  All algorithms within a seed consume
-the same operator and instance, and the matrix seed can be pinned separately
-for same-matrix/new-noise studies.
+A config fully determines the experiment; runs are reproducible bit-for-bit
+from (config, base_seed) on one platform at one BLAS thread count (a threaded
+BLAS splits long reductions, such as the residual energy's vdot, differently).
+All algorithms within a seed consume the same operator and instance.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import configparser
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,8 +67,8 @@ _PARSERS = {
 class ExperimentConfig:
     algorithms: tuple = ("bo_mamp", "bo_oamp", "se_mamp", "fixed_point")
     N: int = 8192
-    M: int | None = None
-    delta: float | None = 0.5
+    delta: float = 0.5
+    M: int = field(init=False)  # derived, round(delta * N); no config key
     kappa: float = 10.0
     mu: float = 0.1
     snr_db: float = 30.0
@@ -76,7 +76,6 @@ class ExperimentConfig:
     L: int = 3
     n_seeds: int = 1
     base_seed: int = 0
-    matrix_seed: int | None = None
     matrix_model: str = "structured"  # structured | iid
     moment_mode: str = "exact"  # exact | estimated | bounded
     n_mc: int = 100_000
@@ -93,20 +92,15 @@ class ExperimentConfig:
                 raise ConfigError(f"algorithms: unknown algorithm {a!r}")
         if self.N < 2:
             raise ConfigError(f"N: must be >= 2, got {self.N}")
-        if self.M is None and self.delta is None:
-            raise ConfigError("M/delta: provide one of M or delta")
-        if self.delta is not None and not 0 < self.delta < math.inf:
+        if not 0 < self.delta < math.inf:
             raise ConfigError(f"delta: must be positive and finite, got {self.delta}")
-        if self.M is None:
-            self.M = int(round(self.delta * self.N))
+        self.M = int(round(self.delta * self.N))
         if self.M < 1:
-            raise ConfigError(f"M: must be >= 1, got {self.M}")
-        implied = self.M / self.N
-        if self.delta is None:
-            self.delta = implied
-        elif abs(implied - self.delta) > 1e-9:
+            raise ConfigError(f"delta: gives M = {self.M} < 1 at N = {self.N}")
+        if abs(self.M / self.N - self.delta) > 1e-9:
             raise ConfigError(
-                f"delta: inconsistent with M/N ({self.delta} vs {implied})"
+                f"delta: M = {self.M} measurements give M/N = {self.M / self.N}, "
+                f"not {self.delta}"
             )
         if not 1 <= self.kappa < math.inf:
             raise ConfigError(f"kappa: must be >= 1 and finite, got {self.kappa}")
@@ -150,8 +144,9 @@ class ExperimentConfig:
         sections = [s for s in ("experiment", "output", "compare") if parser.has_section(s)]
         if not sections:
             raise ConfigError("config needs an [experiment] section")
-        # annotations are strings here: "int", "float | None", ...
-        kinds = {f.name: f.type.split(" ")[0] for f in fields(cls)}
+        # annotations are strings here: "int", "float", ...; the derived,
+        # non-init M is no key
+        kinds = {f.name: f.type.split(" ")[0] for f in fields(cls) if f.init}
         for section in sections:
             for key, raw in parser.items(section):
                 if key not in kinds:
@@ -167,10 +162,7 @@ class ExperimentConfig:
 
 
 def _build_operator(config: ExperimentConfig, seed_index: int):
-    if config.matrix_seed is not None:
-        op_entropy = [config.matrix_seed]
-    else:
-        op_entropy = [config.base_seed + seed_index, 0x0FEA]
+    op_entropy = [config.base_seed + seed_index, 0x0FEA]
     # default_rng seeds the list through SeedSequence(op_entropy); the
     # structured operator draws from it only on its first transform
     if config.matrix_model == "structured":
@@ -338,20 +330,17 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         results["se_mf_oamp"] = [se_mf]
 
     # only seed 0's task takes the set-up operator, so it is released when
-    # that task ends; one that matrix_seed pins, or that no seed ran on, is
-    # released by held.clear() after the sweep
+    # that task ends; one that no seed ran on is released by held.clear()
+    # after the sweep
     held, ref_op = [ref_op], None
     sim_algos = [a for a in config.algorithms if a in _SIMULATIONS]
     if sim_algos and config.n_seeds > 0:
         sim_cfg = replace(config, algorithms=tuple(sim_algos))
 
         def seed_task(k):
-            # seed 0, and every seed when matrix_seed pins the matrix, runs on
-            # the set-up operator and tables; any other seed builds its own
-            # operator and, since IID draws have per-realization spectra where
-            # structured operators share theirs, its own IID tables
-            if config.matrix_seed is not None:
-                return _run_seed(sim_cfg, k, held[0], tables, prior)
+            # seed 0 runs on the set-up operator and tables; any other seed
+            # builds its own operator and, since IID draws have per-realization
+            # spectra where structured operators share theirs, its own IID tables
             if k == 0:
                 return _run_seed(sim_cfg, k, held.pop(), tables, prior)
             op = _build_operator(config, k)

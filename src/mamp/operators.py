@@ -85,8 +85,8 @@ class TransformOperator:
 class StructuredOperator(TransformOperator):
     """A = S @ P @ F with unitary DFT F, permutation P, diagonal S.
 
-    Given no perm, P is default_rng(perm_seed).permutation(N), drawn when
-    apply, apply_adjoint, dense or .perm first reads it: spectrum reads
+    P is default_rng(perm_seed).permutation(N), drawn when apply,
+    apply_adjoint, dense or .perm first reads it: spectrum reads
     (gram_eigenvalues, apply_gram) draw nothing and load no numpy.random.
     Immutable after construction; apply/apply_adjoint are pure and may be
     called concurrently, and threads racing on the first transform draw the
@@ -96,8 +96,7 @@ class StructuredOperator(TransformOperator):
     gram_uses_adjoint = False
 
     def __init__(
-        self, M: int, N: int, singular_values: np.ndarray,
-        perm: np.ndarray | None = None, perm_seed: int | list[int] | None = None,
+        self, M: int, N: int, singular_values: np.ndarray, perm_seed: int | list[int]
     ):
         J = min(M, N)
         d = np.asarray(singular_values, dtype=float)
@@ -107,13 +106,6 @@ class StructuredOperator(TransformOperator):
             )
         if np.any(d < 0):
             raise ValueError("singular values must be nonnegative")
-        if (perm is None) == (perm_seed is None):
-            raise TypeError("give exactly one of perm and perm_seed")
-        if perm is not None:
-            perm = np.asarray(perm)
-            if perm.shape != (N,) or not np.array_equal(np.sort(perm), np.arange(N)):
-                raise ValueError("perm must be a permutation of range(N)")
-            self.perm = perm  # shadows the deferred draw below
         self.M = M
         self.N = N
         self.J = J
@@ -200,17 +192,13 @@ class DenseOperator(TransformOperator):
 
 
 def build_structured_operator(
-    M: int, N: int, singular_values: np.ndarray,
-    rng_seed: int | list[int] | np.random.Generator,
+    M: int, N: int, singular_values: np.ndarray, rng_seed: int | list[int]
 ) -> StructuredOperator:
     """Structured operator with the permutation default_rng(rng_seed).permutation(N).
 
-    A seed (an int or a list of ints) defers the draw to the first transform;
-    a Generator is drawn from here, so its stream is not read out of order.
+    The seed is an int or a list of ints; the draw waits for the first transform.
     """
-    if hasattr(rng_seed, "permutation"):
-        return StructuredOperator(M, N, singular_values, rng_seed.permutation(N))
-    return StructuredOperator(M, N, singular_values, perm_seed=rng_seed)
+    return StructuredOperator(M, N, singular_values, rng_seed)
 
 
 def build_iid_gaussian_operator(

@@ -223,8 +223,7 @@ class TestTransformCounts:
     def structured(self):
         N, M = 512, 256
         d = make_geometric_singular_values(M, 10.0, float(N))
-        op = build_structured_operator(M, N, d, rng_seed=3)
-        return CountingStructured(M, N, op.singular_values, op.perm)
+        return CountingStructured(M, N, d, perm_seed=3)
 
     @pytest.mark.parametrize("algo", ["bo_mamp", "bo_oamp", "mf_oamp"])
     def test_two_per_iteration_on_structured(self, algo):

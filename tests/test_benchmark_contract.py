@@ -5,7 +5,8 @@ by module and name, and a renamed target only fails there, in a traced
 benchmark run.  This reads its three tables, without changing them, and checks
 each name against the package.  `perfbench/run.py` also requires each traced
 workload to record a set of spans; the cheapest workload is traced here as
-the benchmark runs it.
+the benchmark runs it.  Every workload's command line is parsed and its config
+loaded as the CLI does, so a dropped flag or config key fails here too.
 """
 
 import importlib
@@ -16,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mamp import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,6 +33,7 @@ def _load(name, path):
 
 
 tracer = _load("perfbench_tracer", PERFBENCH / "tracer.py")
+run = _load("perfbench_run", PERFBENCH / "run.py")
 
 
 @pytest.mark.parametrize(
@@ -51,7 +55,6 @@ def test_traced_method_is_defined_on_its_class(module, cls_name, method):
 def test_bounded_fixed_point_records_every_required_span(tmp_path):
     # a fixed-point path that stopped building its operator, or reading its
     # spectrum, would otherwise fail only a full --trace 1 benchmark run
-    run = _load("perfbench_run", PERFBENCH / "run.py")
     wl = run.WORKLOADS["bounded_fixed_point"]
     report = tmp_path / "launch.json"
     subprocess.run(
@@ -61,3 +64,14 @@ def test_bounded_fixed_point_records_every_required_span(tmp_path):
     )
     spans = json.loads(Path(f"{report}.spans").read_text())["spans"]
     assert wl.spans - {span[0] for span in spans} == set()
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_workload_command_line_parses_and_loads(name, tmp_path, monkeypatch):
+    wl = run.WORKLOADS[name]
+    args = cli.build_parser().parse_args(run.cli_args(wl, run.REFERENCE_SEED, tmp_path))
+    # the workloads name their configs relative to the checkout's root
+    monkeypatch.chdir(run.ROOT)
+    config = cli._load_config(args)
+    assert (config.base_seed, config.threads) == (run.REFERENCE_SEED, 1)
+    assert config.out_dir == str(tmp_path)

@@ -50,8 +50,7 @@ IID_WIDE = dict(
     algorithms=("bo_mamp", "amp"),
     matrix_model="iid",
     N=4096,
-    M=128,
-    delta=None,
+    delta=0.03125,  # M = 128
     kappa=1.0,
     mu=0.2,
     snr_db=25.0,
@@ -82,8 +81,9 @@ class TestConfig:
         assert cfg.M == 256
 
     def test_inconsistent_m_delta_names_field(self):
-        with pytest.raises(ConfigError, match="delta"):
-            ExperimentConfig(**{**SMALL, "M": 100})
+        # 0.3 * 512 = 153.6 measurements
+        with pytest.raises(ConfigError, match="^delta:"):
+            ExperimentConfig(**{**SMALL, "delta": 0.3})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -91,7 +91,7 @@ class TestConfig:
          ("moment_mode", "bogus"), ("algorithms", ("nope",)),
          ("n_mc", 0), ("n_mc", -5), ("snr_db", math.nan), ("snr_db", math.inf),
          ("kappa", math.nan), ("kappa", math.inf), ("delta", math.nan),
-         ("delta", 0.0), ("M", 0), ("matrix_model", "iid")],
+         ("delta", 0.0), ("delta", 1e-4), ("matrix_model", "iid")],
     )
     def test_invalid_fields_name_the_field(self, field, value):
         # SMALL runs bo_oamp, which the iid model cannot feed
@@ -149,11 +149,6 @@ class TestRunExperiment:
         for algo in r1.mse_db_mean:
             np.testing.assert_array_equal(r1.mse_db_mean[algo], r2.mse_db_mean[algo])
 
-    def test_matrix_seed_pins_operator(self):
-        cfg = ExperimentConfig(**{**SMALL, "matrix_seed": 123, "n_seeds": 2})
-        report = run_experiment(cfg)
-        assert report.n_seeds == 2  # runs complete; matrices shared across seeds
-
     def test_seed_zero_runs_on_the_setup_operator(self, monkeypatch):
         built = []
         build = harness._build_operator
@@ -165,9 +160,6 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_build_operator", counting_build)
         run_experiment(ExperimentConfig(**IID_WIDE))
         assert built == [0, 1]
-        built.clear()
-        run_experiment(ExperimentConfig(**{**IID_WIDE, "matrix_seed": 11}))
-        assert built == [0]
 
     def test_gram_eigenvalues_computed_once_with_se_oamp(self, monkeypatch):
         calls = []
@@ -219,8 +211,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"threads": 2}, {"n_seeds": 0}, {"matrix_seed": 11}],
-        ids=["sequential", "threaded", "no_seeds", "pinned_matrix"],
+        [{}, {"threads": 2}, {"n_seeds": 0}],
+        ids=["sequential", "threaded", "no_seeds"],
     )
     def test_no_operator_alive_when_the_evolution_starts(self, monkeypatch, overrides):
         built, alive = [], []
@@ -545,8 +537,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "line, key",
-        [("not_a_key = 1", "not_a_key"), ("N = many", "N"), ("kappa = ten", "kappa")],
-        ids=["unknown_key", "int_value", "float_value"],
+        [("not_a_key = 1", "not_a_key"), ("N = many", "N"), ("kappa = ten", "kappa"),
+         ("M = 128", "M"), ("matrix_seed = 3", "matrix_seed")],
+        ids=["unknown_key", "int_value", "float_value", "derived_M", "matrix_seed"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, line, key):
         p = tmp_path / "bad.ini"

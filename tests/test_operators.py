@@ -18,7 +18,6 @@ from mamp import (
     sample_instance,
 )
 from mamp.denoisers import complex_normal, sample_prior
-from mamp.operators import StructuredOperator
 
 
 def reference_complex_normal(rng, shape, var):
@@ -194,20 +193,6 @@ class TestStructuredOperator:
                 op.apply_gram(v), A @ (A.conj().T @ v), rtol=1e-12, atol=1e-12
             )
 
-    @pytest.mark.parametrize(
-        "perm",
-        [
-            [0, 1, 2, 2, 4, 5, 6, 7],
-            [0, 1, 2, 3, 4, 5, 6],
-            np.arange(9),
-            np.arange(8)[:, None],
-        ],
-        ids=["duplicate", "short", "long", "column"],
-    )
-    def test_invalid_permutation_raises(self, perm):
-        with pytest.raises(ValueError, match="permutation"):
-            StructuredOperator(4, 8, np.ones(4), np.asarray(perm))
-
 
 class TestDeferredPermutation:
     @pytest.mark.parametrize("seed", [7, [7, 0x0FEA]], ids=["int", "entropy"])
@@ -222,22 +207,6 @@ class TestDeferredPermutation:
         assert "perm" not in vars(op)
         op.apply_adjoint(np.ones(4, dtype=complex))
         assert np.array_equal(op.perm, np.random.default_rng(3).permutation(8))
-
-    def test_generator_is_drawn_at_construction(self):
-        # its stream is consumed when the caller builds the operator, so a
-        # later draw from it reads what it read with an eager permutation
-        rng = np.random.default_rng(11)
-        op = build_structured_operator(4, 8, np.ones(4), rng)
-        after = rng.random()
-        ref = np.random.default_rng(11)
-        assert np.array_equal(op.perm, ref.permutation(8))
-        assert after == ref.random()
-
-    def test_needs_exactly_one_of_perm_and_seed(self):
-        with pytest.raises(TypeError, match="exactly one"):
-            StructuredOperator(4, 8, np.ones(4))
-        with pytest.raises(TypeError, match="exactly one"):
-            StructuredOperator(4, 8, np.ones(4), np.arange(8), perm_seed=0)
 
     def test_racing_first_transforms_agree(self):
         x = complex_normal(np.random.default_rng(0), 128, 1.0)
