@@ -20,6 +20,7 @@ import pytest
 import mamp
 from mamp import cli, harness
 from mamp.cli import main
+from mamp.denoisers import complex_normal
 from mamp.harness import (
     ConfigError,
     ExperimentConfig,
@@ -160,6 +161,20 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_build_operator", counting_build)
         run_experiment(ExperimentConfig(**IID_WIDE))
         assert built == [0, 1]
+
+    @pytest.mark.parametrize("seed_index", [0, 1])
+    def test_seed_draws_its_operator_from_base_seed_plus_index(self, seed_index):
+        entropy = [SMALL["base_seed"] + seed_index, 0x0FEA]
+        op = harness._build_operator(ExperimentConfig(**SMALL), seed_index)
+        np.testing.assert_array_equal(
+            op.perm, np.random.default_rng(entropy).permutation(SMALL["N"])
+        )
+        cfg = ExperimentConfig(**{**SMALL, "matrix_model": "iid", "algorithms": ("amp",)})
+        dense = harness._build_operator(cfg, seed_index)
+        np.testing.assert_array_equal(
+            dense.dense(),
+            complex_normal(np.random.default_rng(entropy), (cfg.M, cfg.N), 1.0 / cfg.M),
+        )
 
     def test_gram_eigenvalues_computed_once_with_se_oamp(self, monkeypatch):
         calls = []

@@ -193,6 +193,20 @@ class TestStructuredOperator:
                 op.apply_gram(v), A @ (A.conj().T @ v), rtol=1e-12, atol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "d, match",
+        [
+            (np.ones(3), "expected 4 singular values"),
+            (np.ones(5), "expected 4 singular values"),
+            (np.ones((4, 1)), "expected 4 singular values"),
+            (np.array([1.0, 1.0, -0.5, 1.0]), "nonnegative"),
+        ],
+        ids=["short", "long", "column", "negative"],
+    )
+    def test_invalid_singular_values_raise(self, d, match):
+        with pytest.raises(ValueError, match=match):
+            build_structured_operator(4, 8, d, rng_seed=0)
+
 
 class TestDeferredPermutation:
     @pytest.mark.parametrize("seed", [7, [7, 0x0FEA]], ids=["int", "entropy"])
