@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    EPS_FLOOR,
     AlgorithmResult,
     IterationRecord,
     divide_in_place,
     invalid_input,
     mean_squared_error,
+    noise_floor,
     residual,
     residual_error_estimate,
 )
@@ -76,7 +76,7 @@ def _run_oamp(
     """OAMP loop shared by the baselines: le_step(x, v_phi, z) -> (r, v_gamma).
 
     The input error level v_phi is the residual-energy estimate with trace
-    normalizer lambda1, floored at EPS_FLOOR of its first value.
+    normalizer lambda1, raised to `noise_floor` of its first value.
     """
     if (invalid := invalid_input(name, T, instance.y)) is not None:
         return invalid
@@ -85,6 +85,8 @@ def _run_oamp(
     x = np.zeros(N, dtype=complex)
     z = instance.y  # y - A 0
     v_phi = residual_error_estimate(z, N, sigma2, delta, lambda1)
+    floor = noise_floor(v_phi)
+    v_phi = max(v_phi, floor)
     records: list[IterationRecord] = []
     status = "ok"
     x_hat, v_hat = None, np.inf
@@ -103,7 +105,7 @@ def _run_oamp(
         x = out.extrinsic_mean
         z = residual(instance.y, op, x)
         v_phi = residual_error_estimate(z, N, sigma2, delta, lambda1)
-        v_phi = max(v_phi, EPS_FLOOR * records[0].v_phi_bar)
+        v_phi = max(v_phi, floor)
     return AlgorithmResult(name, T, records, x_hat, float(v_hat), status)
 
 

@@ -37,6 +37,16 @@ class InvalidLedgerError(ValueError):
     """A damping matrix was non-Hermitian or contained non-finite entries."""
 
 
+def noise_floor(v_init: float) -> float:
+    """Floor of an error level: EPS_FLOOR of the start estimate v_init.
+
+    v_init, a residual-energy estimate, is noise and can be at or below zero;
+    the floor is then EPS_FLOOR of the unit prior power E|x|^2 = 1, where the
+    evolution starts.
+    """
+    return EPS_FLOOR * (v_init if v_init > 0 else 1.0)
+
+
 def optimize_theta(lambda_dagger: float, rho_t: float) -> float:
     """Relaxation 1/(lambda_dagger + rho) minimizing the shifted-matrix spectral radius."""
     return 1.0 / (lambda_dagger + rho_t)
@@ -84,23 +94,20 @@ def xi_cost_coefficients(
     return c0, c1, c2, c3
 
 
-def optimize_xi(
-    c0: float, c1: float, c2: float, c3: float, C_max: float
-) -> tuple[float, bool]:
-    """Minimizer of the rational cost; saturates at C_max when unbounded.
+def optimize_xi(c0: float, c1: float, c2: float, c3: float, C_max: float) -> float:
+    """Minimizer xi of the rational cost; saturates at C_max when unbounded.
 
-    Returns (xi, degenerate) with degenerate=True only in the all-zero case
-    where the cost is xi-independent and xi = 1 is returned.
+    In the all-zero case the cost does not depend on xi and xi = 1.
     """
     denom = c1 * c0 + c2
     if denom != 0.0:
         xi = (c2 * c0 + c3) / denom
         if abs(xi) > C_max:
             xi = math.copysign(C_max, xi)
-        return float(xi), False
+        return float(xi)
     if c0 == 0.0 and c1 == 0.0 and c2 == 0.0 and c3 == 0.0:
-        return 1.0, True
-    return float(C_max), False
+        return 1.0
+    return float(C_max)
 
 
 def memory_weights(
@@ -126,7 +133,7 @@ def memory_weights(
     if t == 1:
         xi = 1.0
     else:
-        xi, _ = optimize_xi(c0, c1, c2, c3, C_MAX)
+        xi = optimize_xi(c0, c1, c2, c3, C_MAX)
     scaled = np.append(scaled_prev, xi)
     p = -scaled * tables.w_scaled[t - np.arange(1, t + 1)]
     eps = -float(p.sum())
@@ -356,7 +363,8 @@ class Ledger:
 
     V[s, s'] is the covariance of damped errors s and s' (0-based; V[0, 0] is
     the zero estimate's, v_init raised to the noise floor).  The floor is
-    EPS_FLOOR of v_init; `floor_hits` counts the candidates clamped to it.
+    `noise_floor(v_init)`; `floor_hits` counts the candidates clamped to it,
+    and the start level when it was raised.
     `effective` lists the 1-based indices of the estimates damping retained,
     from which each step's window is drawn.  The simulation and the state
     evolution share this kernel and differ only in the vectors they damp
@@ -364,12 +372,12 @@ class Ledger:
     """
 
     def __init__(self, T: int, L: int, v_init: float):
-        self.floor = EPS_FLOOR * max(v_init, np.finfo(float).tiny)
+        self.floor = noise_floor(v_init)
         self.V = np.zeros((T + 1, T + 1), dtype=complex)
         self.V[0, 0] = max(v_init, self.floor)
         self.L = L
         self.effective = [1]
-        self.floor_hits = 0
+        self.floor_hits = int(v_init < self.floor)
 
     def damp(
         self, t: int, row: np.ndarray, diag: float, histories: list,

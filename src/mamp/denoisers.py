@@ -41,7 +41,6 @@ class DenoiserOutput:
     posterior_mean: np.ndarray
     posterior_var: float
     extrinsic_mean: np.ndarray | None
-    extrinsic_var: float | None
 
 
 # Entries per chunk of the element-wise passes over full-size vectors (draws,
@@ -166,7 +165,7 @@ def bg_mmse(r: np.ndarray, v: float, prior: PriorParams, out=None) -> DenoiserOu
     ext_mean = None
     if v_ext is not None:
         ext_mean = _extrinsic_combine(r, v, mean, v_hat, v_ext, scratch, ext)
-    return DenoiserOutput(mean, v_hat, ext_mean, v_ext)
+    return DenoiserOutput(mean, v_hat, ext_mean)
 
 
 def extrinsic_variance(v_post: float, v_in: float) -> float | None:

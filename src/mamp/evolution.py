@@ -62,35 +62,27 @@ class CorrelatedNoiseSampler:
     NearSingularCovarianceError.  `variances` lists the conditional variance
     each draw used, after the clamp.
 
-    Layout: coordinate t is stored as row t - 1 of a row-major (rows, n_mc)
-    complex buffer, so a draw writes one contiguous row in place (conditional
-    mean, then the innovation added chunk by chunk) and the conditional mean
-    reads the earlier rows in place.  `rows` is the number of draws.  When
-    `last` (a contiguous complex n_mc-vector) is given, the draw of
-    coordinate `rows` is written there instead, and the buffer holds only
-    the rows - 1 draws a later one reads.  `history` is the read-only
-    (n_mc, t) transposed view of the stored rows drawn so far.
+    Layout: `rows` is the number of draws.  Coordinate t < rows is stored as
+    row t - 1 of a row-major (rows - 1, n_mc) complex buffer, so a draw
+    writes one contiguous row in place (conditional mean, then the
+    innovation added chunk by chunk) and the conditional mean reads the
+    earlier rows in place.  Coordinate `rows`, which no later draw reads, is
+    written to `last`, a contiguous complex n_mc-vector.
     """
 
-    def __init__(self, n_mc: int, rng, rows: int, last=None):
+    def __init__(self, n_mc: int, rng, rows: int, last: np.ndarray):
         self.n = n_mc
         self.rng = rng
-        self._rows = np.empty((rows - (last is not None), n_mc), dtype=complex)
+        self._rows = np.empty((rows - 1, n_mc), dtype=complex)
         self._last = last
         self._t = 0
         self.variances: list[float] = []
         self.clamped = 0
 
-    @property
-    def history(self) -> np.ndarray:
-        view = self._rows[: self._t].T
-        view.flags.writeable = False
-        return view
-
     def sample(self, V_gamma: np.ndarray, t: int) -> np.ndarray:
         """Batch for coordinate t (1-based) given rows 1..t of V_gamma.
 
-        Returns a read-only view of the stored row.
+        Returns a read-only view of the row (or `last`) the draw went to.
         """
         if t == 1:
             alpha = None
@@ -113,8 +105,7 @@ class CorrelatedNoiseSampler:
         if v_g < 0.0:
             v_g = 0.0
             self.clamped += 1
-        spare = self._last is not None and self._t == len(self._rows)
-        eta = self._last if spare else self._rows[self._t]
+        eta = self._last if self._t == len(self._rows) else self._rows[self._t]
         if alpha is None:
             complex_normal(self.rng, self.n, v_g, out=eta)
         else:
@@ -248,13 +239,13 @@ def run_bo_mamp_se(
     return _evolution_result("se_mamp", T, records, status, debug)
 
 
-def _phi_se(v_gamma: float, prior: PriorParams) -> tuple[float, float]:
-    """(posterior mmse, extrinsic variance) of the scalar denoiser map."""
+def _phi_se(v_gamma: float, prior: PriorParams) -> float:
+    """Extrinsic variance of the scalar denoiser map."""
     m_hat = scalar_mmse(v_gamma, prior)
     v_ext = extrinsic_variance(m_hat, v_gamma)
     if v_ext is None:
         raise NonImprovingNLEError(f"mmse {m_hat:.3e} >= {v_gamma:.3e}")
-    return m_hat, v_ext
+    return v_ext
 
 
 def lmmse_gamma_se(v_phi: float, spectrum: SpectralProfile, sigma2: float) -> float:
@@ -383,7 +374,7 @@ def _secant_root(gamma_of, prior, u, below, above):
     prev = None
     for _ in range(_MAX_SWEEPS):
         v_gamma = gamma_of(math.exp(u))
-        g = math.log(_phi_se(v_gamma, prior)[1]) - u
+        g = math.log(_phi_se(v_gamma, prior)) - u
         if g > 0:
             below = u
         else:
@@ -429,10 +420,10 @@ def _log_fixed_point(gamma_of, spectrum, prior, sigma2):
 
     def chain_g(u):
         v_gamma = lmmse_gamma_se(math.exp(u), spectrum, sigma2)
-        return math.log(_phi_se(v_gamma, prior)[1]) - u
+        return math.log(_phi_se(v_gamma, prior)) - u
 
     try:
-        u = math.log(_phi_se(sigma2 / float(spectrum.moments[1]), prior)[1])
+        u = math.log(_phi_se(sigma2 / float(spectrum.moments[1]), prior))
     except NonImprovingNLEError:
         u = 0.0
     v_gamma, root = _secant_root(gamma_of, prior, u, -math.inf, 0.0)

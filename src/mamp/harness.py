@@ -83,7 +83,6 @@ class ExperimentConfig:
     threads: int = 1
     out_dir: str = "."
     label: str = "experiment"
-    compare_se_tol_db: float = 0.5
 
     def __post_init__(self):
         self.algorithms = tuple(self.algorithms)
@@ -141,7 +140,10 @@ class ExperimentConfig:
         if not read:
             raise ConfigError(f"config file not found or unreadable: {path}")
         kwargs: dict = {}
-        sections = [s for s in ("experiment", "output", "compare") if parser.has_section(s)]
+        for section in parser.sections():
+            if section not in ("experiment", "output"):
+                raise ConfigError(f"{section}: unknown config section")
+        sections = [s for s in ("experiment", "output") if parser.has_section(s)]
         if not sections:
             raise ConfigError("config needs an [experiment] section")
         # annotations are strings here: "int", "float", ...; the derived,
@@ -490,14 +492,13 @@ print("wrote {label}.png")
 '''
 
 
-def emit_plot_script(report: RunReport, path: str, csv_name: str | None = None) -> None:
-    """Standalone matplotlib script rendering the CSV; no plotting import here."""
+def emit_plot_script(report: RunReport, path: str) -> None:
+    """Standalone matplotlib script rendering <label>.csv; no plotting import here."""
     if not report.algorithms:
         raise ValueError("report contains no algorithm curves to plot")
     label = report.config.get("label", "experiment")
-    csv_name = csv_name or f"{label}.csv"
     script = _PLOT_TEMPLATE.format(
-        label=label, csv_name=csv_name, algos=sorted(report.algorithms)
+        label=label, csv_name=f"{label}.csv", algos=sorted(report.algorithms)
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(script)

@@ -117,20 +117,16 @@ class StructuredOperator(TransformOperator):
     def perm(self) -> np.ndarray:
         return np.random.default_rng(self._perm_seed).permutation(self.N)
 
-    @cached_property
-    def _kept(self) -> np.ndarray:
-        # S keeps only the first J permuted coordinates: the DFT bins perm[:J]
-        return self.perm[: self.J]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         u = np.fft.fft(x, norm="ortho")
         out = np.zeros(self.M, dtype=complex)
-        out[: self.J] = self.singular_values * u[self._kept]
+        # S keeps only the first J permuted coordinates: the DFT bins perm[:J]
+        out[: self.J] = self.singular_values * u[self.perm[: self.J]]
         return out
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         u = np.zeros(self.N, dtype=complex)
-        u[self._kept] = self.singular_values * y[: self.J]
+        u[self.perm[: self.J]] = self.singular_values * y[: self.J]
         # u is a fresh buffer: transforming it in place saves an N-vector
         return np.fft.ifft(u, norm="ortho", out=u)
 
@@ -143,7 +139,7 @@ class StructuredOperator(TransformOperator):
     def dense(self) -> np.ndarray:
         F = np.fft.fft(np.eye(self.N), axis=0, norm="ortho")
         A = np.zeros((self.M, self.N), dtype=complex)
-        A[: self.J, :] = self.singular_values[:, None] * F[self._kept, :]
+        A[: self.J, :] = self.singular_values[:, None] * F[self.perm[: self.J], :]
         return A
 
     def gram_eigenvalues(self) -> np.ndarray:

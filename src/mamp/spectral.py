@@ -233,14 +233,6 @@ class MomentTables:
     spectrum: SpectralProfile
 
     @property
-    def lambda_min(self) -> float:
-        return self.spectrum.lambda_min
-
-    @property
-    def lambda_max(self) -> float:
-        return self.spectrum.lambda_max
-
-    @property
     def lambda_dagger(self) -> float:
         return self.spectrum.lambda_dagger
 
@@ -251,7 +243,7 @@ class MomentTables:
     @property
     def rho_B(self) -> float:
         """Spectral radius of the shifted matrix, (lambda_max - lambda_min)/2."""
-        return 0.5 * (self.lambda_max - self.lambda_min)
+        return 0.5 * (self.spectrum.lambda_max - self.spectrum.lambda_min)
 
     @property
     def weight_decay(self) -> float:

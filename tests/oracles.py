@@ -26,6 +26,7 @@ from mamp.denoisers import (
     PriorParams,
     bg_mmse,
     complex_normal,
+    extrinsic_variance,
     sample_prior,
 )
 from mamp.evolution import _phi_se
@@ -203,7 +204,7 @@ def extrinsic_nle(
         raise NonImprovingNLEError(
             f"posterior variance {out.posterior_var:.3e} >= input level {v_gamma:.3e}"
         )
-    return out.extrinsic_mean, out.extrinsic_var
+    return out.extrinsic_mean, extrinsic_variance(out.posterior_var, v_gamma)
 
 
 def dense_memory_filter_terms(A: np.ndarray, lambda_dagger: float, t_max: int):
@@ -229,7 +230,7 @@ def relaxed_fixed_point(gamma_of, prior: PriorParams, tol: float, max_sweeps: in
     """
     v = 1.0
     for _ in range(max_sweeps):
-        _, v_new = _phi_se(gamma_of(v), prior)
+        v_new = _phi_se(gamma_of(v), prior)
         converged = abs(v_new - v) / v < tol
         v = v + 0.5 * (v_new - v)
         if converged:

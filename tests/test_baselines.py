@@ -128,7 +128,7 @@ def test_oamp_early_stop_keeps_the_stopping_posterior(monkeypatch, algo):
         out = denoise(r, v, prior)
         calls.append(v)
         if len(calls) == 3:
-            return DenoiserOutput(out.posterior_mean, out.posterior_var, None, None)
+            return DenoiserOutput(out.posterior_mean, out.posterior_var, None)
         return out
 
     monkeypatch.setattr(baselines, "bg_mmse", stalling_denoiser)

@@ -6,7 +6,10 @@ benchmark run.  This reads its three tables, without changing them, and checks
 each name against the package.  `perfbench/run.py` also requires each traced
 workload to record a set of spans; the cheapest workload is traced here as
 the benchmark runs it.  Every workload's command line is parsed and its config
-loaded as the CLI does, so a dropped flag or config key fails here too.
+loaded as the CLI does, so a dropped flag or config key fails here too.  The
+benchmark's reading of the outputs (the JSON report's keys, the CSV's columns
+and the `mamp fixed-point` lines) runs on a small fresh run, so a trimmed
+report, CSV or printout fails here too.
 """
 
 import importlib
@@ -75,3 +78,31 @@ def test_workload_command_line_parses_and_loads(name, tmp_path, monkeypatch):
     config = cli._load_config(args)
     assert (config.base_seed, config.threads) == (run.REFERENCE_SEED, 1)
     assert config.out_dir == str(tmp_path)
+
+
+_SMALL_RUN = """[experiment]
+algorithms = bo_mamp, bo_oamp, se_mamp, fixed_point
+N = 512
+T = 10
+n_seeds = 2
+n_mc = 20000
+
+[output]
+label = contract
+"""
+
+
+@pytest.mark.parametrize("name", ["paper_compare", "bounded_fixed_point"])
+def test_check_outputs_reads_a_fresh_run(name, tmp_path, capsys):
+    config = tmp_path / "contract.ini"
+    config.write_text(_SMALL_RUN)
+    # the workload's subcommand and flags on the small config
+    command, _, *flags = run.WORKLOADS[name].argv
+    argv = [command, str(config), "--out-dir", str(tmp_path), *flags]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    label = run.WORKLOADS[name].label and "contract"
+    wl = run.Workload(name, tuple(argv), label, frozenset())
+    inv = run.Invocation(0, 0.0, None, 0.0, out.out, out.err, tmp_path, None)
+    values = run.check_outputs(wl, inv)
+    assert values["final_mse"] > 0 and values["fp_rel_gap"] <= run.FP_CROSS_RTOL

@@ -36,6 +36,7 @@ from mamp.core import (
     estimate_phi_covariance,
     mean_squared_error,
     memory_le_step,
+    residual_error_estimate,
 )
 from mamp.denoisers import CHUNK, DenoiserOutput
 from mamp.operators import build_iid_gaussian_operator
@@ -112,12 +113,11 @@ class TestXiCoefficients:
 
 class TestXiOptimizer:
     def test_zero_denominator_saturates(self):
-        xi, degenerate = optimize_xi(1.0, 0.0, 0.0, 2.0, 1e6)
-        assert xi == 1e6 and not degenerate
+        assert optimize_xi(1.0, 0.0, 0.0, 2.0, 1e6) == 1e6
 
     def test_hand_ratio_beats_grid(self):
         c = (1.0, 2.0, 1.0, 3.0)
-        xi, _ = optimize_xi(*c, 1e6)
+        xi = optimize_xi(*c, 1e6)
         assert xi == pytest.approx(4.0 / 3.0, rel=1e-14)
 
         def cost(x):
@@ -128,12 +128,10 @@ class TestXiOptimizer:
         assert cost(xi) <= np.min(cost(grid)) + 1e-12
 
     def test_fully_degenerate_returns_unit(self):
-        xi, degenerate = optimize_xi(0.0, 0.0, 0.0, 0.0, 1e6)
-        assert xi == 1.0 and degenerate
+        assert optimize_xi(0.0, 0.0, 0.0, 0.0, 1e6) == 1.0
 
     def test_saturation_keeps_sign(self):
-        xi, _ = optimize_xi(0.0, 1.0, 1e-12, -1.0, 1e6)
-        assert xi == -1e6
+        assert optimize_xi(0.0, 1.0, 1e-12, -1.0, 1e6) == -1e6
 
 
 class TestDamping:
@@ -543,6 +541,31 @@ class TestFullRun:
         assert v_phi_bar[0] == pytest.approx(floor, rel=1e-9)
         assert np.all(v_phi_bar <= floor)
 
+    @pytest.mark.parametrize("model", ["structured", "iid"])
+    def test_start_estimate_below_zero_starts_at_the_unit_floor(self, model):
+        # at -30 dB the residual-energy estimate of x = 0 is noise: -103 at
+        # seed 0; the floor falls back to EPS_FLOOR of the unit prior power
+        N, M, T = 256, 128, 10
+        if model == "structured":
+            d = make_geometric_singular_values(M, 10.0, float(N))
+            op = build_structured_operator(M, N, d, rng_seed=0)
+        else:
+            op = build_iid_gaussian_operator(M, N, 0)
+            d = np.sqrt(op.gram_eigenvalues())
+        prior = PriorParams(mu=0.1)
+        inst = sample_instance(op, prior, snr_db=-30.0, rng_seed=0)
+        assert residual_error_estimate(inst.y, N, inst.noise_var, 0.5, 1.0) < 0
+        tab = tables_from_singular_values(d, N, T, M=M)
+        res = run_bo_mamp(inst, prior, tab, T, 3)
+        assert res.status == "ok" and res.debug["noise_floor_reached"]
+        assert res.debug["v_init"] == EPS_FLOOR
+        oamps = [run_mf_oamp(inst, prior, T, tab.spectrum)]
+        if model == "structured":
+            oamps.append(run_bo_oamp(inst, prior, T))
+        for res in oamps:
+            assert res.status == "ok", res.name
+            assert res.records[0].v_phi_bar == EPS_FLOOR, res.name
+
     @pytest.mark.parametrize("stop", ["degenerate", "early_stop_nle"])
     def test_a_stop_at_iteration_3_keeps_the_best_estimate(self, monkeypatch, stop):
         inst, prior, tab, _ = small_problem(M=256, N=512, seed=5)
@@ -558,7 +581,7 @@ class TestFullRun:
             outs.append(denoise(r, v, prior))
             if len(outs) == 3:
                 # a posterior worse than its input has no extrinsic
-                return DenoiserOutput(outs[-1].posterior_mean, 2.0 * v, None, None)
+                return DenoiserOutput(outs[-1].posterior_mean, 2.0 * v, None)
             return outs[-1]
 
         if stop == "degenerate":

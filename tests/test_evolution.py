@@ -24,10 +24,14 @@ from mamp.denoisers import DenoiserOutput
 from mamp.evolution import series_gamma_se
 
 
+def _sampler(n, rng, rows):
+    return CorrelatedNoiseSampler(n, rng, rows=rows, last=np.empty(n, dtype=complex))
+
+
 class TestCorrelatedNoiseSampler:
     def test_first_coordinate_variance(self):
         rng = np.random.default_rng(0)
-        sampler = CorrelatedNoiseSampler(200_000, rng, rows=1)
+        sampler = _sampler(200_000, rng, rows=1)
         V = np.array([[0.7 + 0j]])
         eta = sampler.sample(V, 1)
         assert np.mean(np.abs(eta) ** 2) == pytest.approx(0.7, abs=3 * 0.7 / np.sqrt(200_000))
@@ -36,7 +40,7 @@ class TestCorrelatedNoiseSampler:
         # V = [[1, .5], [.5, 1]]: regression weight .5, innovation variance .75
         rng = np.random.default_rng(1)
         n = 400_000
-        sampler = CorrelatedNoiseSampler(n, rng, rows=2)
+        sampler = _sampler(n, rng, rows=2)
         V = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
         eta1 = sampler.sample(V, 1)
         eta2 = sampler.sample(V, 2)
@@ -47,42 +51,43 @@ class TestCorrelatedNoiseSampler:
     def test_batch_realizes_target_covariance(self):
         rng = np.random.default_rng(2)
         n = 1_000_000
-        sampler = CorrelatedNoiseSampler(n, rng, rows=3)
+        sampler = _sampler(n, rng, rows=3)
         V = np.array(
             [[1.0, 0.6, 0.3], [0.6, 1.0, 0.55], [0.3, 0.55, 0.9]], dtype=complex
         )
-        for t in range(1, 4):
-            sampler.sample(V, t)
-        H = sampler.history
+        H = np.stack([sampler.sample(V, t) for t in range(1, 4)], axis=1)
         emp = H.conj().T @ H / n
         # three standard errors of each Monte-Carlo covariance entry
         tol = 3.0 / np.sqrt(n) * 2.0
         np.testing.assert_allclose(emp.conj(), V, atol=tol)
 
-    def test_history_columns_are_returned_draws(self):
+    def test_returned_draws_stay_as_drawn(self):
         n, t_max = 64, 40
         idx = np.arange(t_max)
         V = (0.5 ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
-        sampler = CorrelatedNoiseSampler(n, np.random.default_rng(5), rows=t_max)
-        draws = [sampler.sample(V, t) for t in range(1, t_max + 1)]
-        H = sampler.history
-        assert H.shape == (n, t_max)
-        assert not H.flags.writeable
-        for k, eta in enumerate(draws):
-            assert np.array_equal(H[:, k], eta)
+        sampler = _sampler(n, np.random.default_rng(5), rows=t_max)
+        draws, copies = [], []
+        for t in range(1, t_max + 1):
+            draws.append(sampler.sample(V, t))
+            copies.append(draws[-1].copy())
+        for eta, copy in zip(draws, copies):
+            assert not eta.flags.writeable
+            assert np.array_equal(eta, copy)
 
     def test_sized_sampler_draws_in_place_with_schur_complement_variances(self):
         n, T = 64, 12
         rng = np.random.default_rng(6)
         B = rng.standard_normal((T, T)) + 1j * rng.standard_normal((T, T))
         V = B @ B.conj().T / T + 0.1 * np.eye(T)
-        sampler = CorrelatedNoiseSampler(n, np.random.default_rng(7), rows=T)
-        draws = [sampler.sample(V, 1)]
-        start = sampler.history.__array_interface__["data"][0]
-        draws += [sampler.sample(V, t) for t in range(2, T + 1)]
-        # all T rows live in the buffer the first draw was written to
-        assert sampler.history.__array_interface__["data"][0] == start
-        assert all(np.shares_memory(eta, sampler.history) for eta in draws)
+        last = np.empty(n, dtype=complex)
+        sampler = CorrelatedNoiseSampler(n, np.random.default_rng(7), rows=T, last=last)
+        draws = [sampler.sample(V, t) for t in range(1, T + 1)]
+        # the first T - 1 rows are consecutive rows of one buffer, the last
+        # draw is written to the given vector
+        start = draws[0].__array_interface__["data"][0]
+        for k, eta in enumerate(draws[:-1]):
+            assert eta.__array_interface__["data"][0] == start + k * eta.nbytes
+        assert np.shares_memory(draws[-1], last)
         assert not draws[-1].flags.writeable
         # the conditional variance of coordinate t given 1..t-1 is the Schur
         # complement of V[:t-1, :t-1], i.e. |L[t-1, t-1]|^2 of V = L L^H
@@ -91,7 +96,7 @@ class TestCorrelatedNoiseSampler:
 
     def test_near_singular_raises(self):
         rng = np.random.default_rng(3)
-        sampler = CorrelatedNoiseSampler(100, rng, rows=2)
+        sampler = _sampler(100, rng, rows=2)
         V = np.array([[1.0, 1.0], [1.0, 0.5]], dtype=complex)  # not PSD
         sampler.sample(V, 1)
         with pytest.raises(NearSingularCovarianceError):
@@ -99,15 +104,15 @@ class TestCorrelatedNoiseSampler:
 
     def test_tiny_negative_innovation_clamped(self):
         rng = np.random.default_rng(4)
-        sampler = CorrelatedNoiseSampler(1000, rng, rows=2)
+        sampler = _sampler(1000, rng, rows=2)
         V = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]], dtype=complex)
-        sampler.sample(V, 1)
+        eta1 = sampler.sample(V, 1)
         eta2 = sampler.sample(V, 2)  # conditional variance ~ -1e-14 -> 0
-        resid = eta2 - sampler.history[:, 0]
+        resid = eta2 - eta1
         assert np.max(np.abs(resid)) < 1e-6
 
     def test_clamped_variance_is_counted(self):
-        sampler = CorrelatedNoiseSampler(100, np.random.default_rng(4), rows=2)
+        sampler = _sampler(100, np.random.default_rng(4), rows=2)
         # Schur complement of the first coordinate: -1e-12, within tol
         V = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]], dtype=complex)
         sampler.sample(V, 1)
@@ -115,20 +120,6 @@ class TestCorrelatedNoiseSampler:
         sampler.sample(V, 2)
         assert sampler.clamped == 1
         assert sampler.variances[1] == 0.0
-
-    def test_last_draw_goes_to_the_given_buffer(self):
-        n, T = 64, 5
-        idx = np.arange(T)
-        V = (0.5 ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
-        full = CorrelatedNoiseSampler(n, np.random.default_rng(9), rows=T)
-        last = np.empty(n, dtype=complex)
-        lean = CorrelatedNoiseSampler(n, np.random.default_rng(9), rows=T, last=last)
-        for t in range(1, T + 1):
-            a, b = full.sample(V, t), lean.sample(V, t)
-            assert np.array_equal(a, b)
-        assert np.shares_memory(b, last) and not b.flags.writeable
-        assert lean.history.shape == (n, T - 1)
-        assert np.array_equal(lean.history, full.history[:, : T - 1])
 
 
 class TestEvolutionRuns:
@@ -236,7 +227,7 @@ class TestEvolutionRuns:
             res = denoise(r, v, prior, out)
             calls.append(v)
             if len(calls) == 3:
-                return DenoiserOutput(res.posterior_mean, res.posterior_var, None, None)
+                return DenoiserOutput(res.posterior_mean, res.posterior_var, None)
             return res
 
         monkeypatch.setattr(evolution, "bg_mmse", stalling_denoiser)
@@ -290,7 +281,7 @@ class TestEvolutionRuns:
         vg_fp, vp_fp = oamp_fixed_point(tab, self.prior, self.sigma2)
         for xi_star in (0.5, 1.0, 2.0):
             # xi = xi_star from t = 2 on; t = 1 keeps its xi = 1
-            monkeypatch.setattr(core, "optimize_xi", lambda *args: (xi_star, False))
+            monkeypatch.setattr(core, "optimize_xi", lambda *args: xi_star)
             se = run_bo_mamp_se(tab, self.prior, self.sigma2, 200, L=3,
                                 nle_mode="deterministic")
             assert se.trajectory("v_phi_bar")[-1] == pytest.approx(vp_fp, rel=1e-6), xi_star
@@ -414,7 +405,7 @@ class TestFixedPoint:
             last = None
             while True:
                 v_gamma = gamma_of(math.exp(u))
-                g = math.log(_phi_se(v_gamma, prior)[1]) - u
+                g = math.log(_phi_se(v_gamma, prior)) - u
                 below, above = (u, above) if g > 0 else (below, u)
                 step = g
                 if last is not None and last[1] != g:
@@ -428,9 +419,9 @@ class TestFixedPoint:
 
         def solve(gamma_of, chain_of, w0, prior, sigma2, tol=1e-13):
             def chain_g(u):
-                return math.log(_phi_se(chain_of(math.exp(u)), prior)[1]) - u
+                return math.log(_phi_se(chain_of(math.exp(u)), prior)) - u
 
-            u0 = math.log(_phi_se(sigma2 / w0, prior)[1])
+            u0 = math.log(_phi_se(sigma2 / w0, prior))
             v_gamma, root = secant(gamma_of, prior, u0, -math.inf, 0.0, tol)
             top, last = 0.0, None
             while top > root + 0.05:

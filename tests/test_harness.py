@@ -365,8 +365,8 @@ class TestEmission:
     def test_plot_script_deterministic_and_standalone(self, tmp_path):
         report = run_experiment(ExperimentConfig(**{**SMALL, "n_seeds": 0}))
         p1, p2 = tmp_path / "p1.py", tmp_path / "p2.py"
-        emit_plot_script(report, str(p1), csv_name="out.csv")
-        emit_plot_script(report, str(p2), csv_name="out.csv")
+        emit_plot_script(report, str(p1))
+        emit_plot_script(report, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         text = p1.read_text()
         assert "matplotlib" in text
@@ -516,7 +516,9 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"fixed point unavailable: {refusal.value}\n"
 
-    def test_compare_subcommand_passes_on_consistent_setup(self, tmp_path):
+    def test_compare_subcommand_passes_on_consistent_setup(self, tmp_path, monkeypatch):
+        # small-N transient wiggle; the pinned acceptance setting asserts 0.5 dB
+        monkeypatch.setattr(cli, "SE_GAP_TOL_DB", 1.0)
         cfg = write_config(
             tmp_path / "exp.ini",
             label="cmp",
@@ -526,15 +528,14 @@ class TestCli:
             L=1,
             n_seeds=2,
             n_mc=50_000,
-            compare_se_tol_db=1.0,  # small-N transient wiggle; the pinned
-        )                           # acceptance setting asserts 0.5 dB
+        )
         rc = main(["compare", cfg, "--out-dir", str(tmp_path)])
         assert rc == 0
 
     # a negative tolerance lies below any relative gap
     @pytest.mark.parametrize(
         "overrides, flags, tolerances, reason",
-        [({"compare_se_tol_db": 1e-9}, [], {}, "simulation/evolution gap"),
+        [({}, [], {"SE_GAP_TOL_DB": 1e-9}, "simulation/evolution gap"),
          ({}, ["--moment-mode", "estimated"], {}, "fixed point unavailable"),
          ({"n_seeds": 0}, [], {}, "missing bo_mamp or its evolution curve"),
          ({}, [], {"FP_RTOL": -1.0}, "evolution/fixed-point gap"),
@@ -553,8 +554,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "line, key",
         [("not_a_key = 1", "not_a_key"), ("N = many", "N"), ("kappa = ten", "kappa"),
-         ("M = 128", "M"), ("matrix_seed = 3", "matrix_seed")],
-        ids=["unknown_key", "int_value", "float_value", "derived_M", "matrix_seed"],
+         ("M = 128", "M"), ("matrix_seed = 3", "matrix_seed"),
+         ("[outptu]\nlabel = typo", "outptu"),
+         ("[compare]\ncompare_se_tol_db = 1.0", "compare")],
+        ids=["unknown_key", "int_value", "float_value", "derived_M", "matrix_seed",
+             "misspelled_section", "compare_section"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, line, key):
         p = tmp_path / "bad.ini"

@@ -166,7 +166,7 @@ class TestMomentTables:
         d = make_geometric_singular_values(10, 6.0, 20.0)
         tab = tables_from_singular_values(d, 20, 6, M=10)
         for t in range(0, 12):
-            assert abs(tab.w_at(t)) <= tab.lambda_max * tab.rho_B**t + 1e-12
+            assert abs(tab.w_at(t)) <= tab.spectrum.lambda_max * tab.rho_B**t + 1e-12
 
     def test_binomial_matches_direct_up_to_threshold(self):
         N, M = 2048, 1024

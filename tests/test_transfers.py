@@ -75,7 +75,8 @@ def test_no_extrinsic_at_posterior_variance_equal_to_input(monkeypatch):
     monkeypatch.setattr(denoisers, "_posterior_moments", flat_posterior)
     out = bg_mmse(r, v, PriorParams(mu=0.2))
     assert out.posterior_var == v
-    assert out.extrinsic_mean is None and out.extrinsic_var is None
+    assert out.extrinsic_mean is None
+    assert extrinsic_variance(out.posterior_var, v) is None
 
 
 def test_scalar_maps_stop_at_posterior_variance_equal_to_input(monkeypatch):
