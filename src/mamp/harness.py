@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError(f"L: must be >= 1, got {self.L}")
         if self.n_seeds < 0:
             raise ConfigError(f"n_seeds: must be >= 0, got {self.n_seeds}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed: must be >= 0, got {self.base_seed}")
         if self.matrix_model not in ("structured", "iid"):
             raise ConfigError(f"matrix_model: unknown model {self.matrix_model!r}")
         if self.matrix_model == "iid" and "bo_oamp" in self.algorithms:
@@ -134,9 +136,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # a % is literal
         parser.optionxform = str  # keys are case-sensitive (N, M, T, L)
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found or unreadable: {path}")
         kwargs: dict = {}

@@ -337,34 +337,28 @@ def build_moment_tables(profile: SpectralProfile, T: int) -> MomentTables:
 
     b_t = sum_i C(t, i) (-1)^i lambda_dagger**(t-i) lambda_i suffers severe
     cancellation in double precision (the alternating terms exceed the result
-    by ~C(t, t/2) 2^t), so the sum runs in mpmath with enough guard digits for
-    the requested order; only the scaled float result is kept.  The input
-    moments themselves are double precision, which limits agreement with the
-    direct eigenvalue computation to t <= BINOMIAL_CANCELLATION_THRESHOLD
-    regardless of summation precision.
+    by ~C(t, t/2) 2^t), so each scaled b_t is summed exactly in rationals and
+    rounded to a float once.  The input moments themselves are double
+    precision, which limits agreement with the direct eigenvalue computation
+    to t <= BINOMIAL_CANCELLATION_THRESHOLD however the sum is done.
     """
     if profile.order < 2 * T:
         raise ValueError(
             f"profile holds moments up to t={profile.order}, need 2T={2 * T}"
         )
-    import mpmath as mp  # loaded on first use, not at import
+    from fractions import Fraction  # loaded on first use, not at import
+    from math import comb
 
     ld = profile.lambda_dagger
     tmax = min(2 * T + 1, profile.order)
-    digits = 30 + int(0.5 * tmax) + 10
-    with mp.workdps(digits):
-        ld_mp = mp.mpf(ld)
-        # lambda_i / ld^i in high precision
-        lam_scaled = [mp.mpf(float(m)) / ld_mp**i for i, m in enumerate(profile.moments)]
-        b_scaled_mp = []
-        for t in range(tmax + 1):
-            terms = [
-                mp.binomial(t, i) * (-1) ** i * lam_scaled[i] for i in range(t + 1)
-            ]
-            b_scaled_mp.append(mp.fsum(terms))
-        b_scaled = np.array([float(b) for b in b_scaled_mp])
-    if not np.all(np.isfinite(b_scaled)):
-        raise FloatingPointError("non-finite shifted-trace values; enlarge precision")
+    moments = profile.moments[: tmax + 1]
+    if not (np.all(np.isfinite(moments)) and np.isfinite(ld)):
+        raise FloatingPointError("non-finite moment or lambda_dagger")
+    lam_scaled = [Fraction(float(m)) / Fraction(ld) ** i for i, m in enumerate(moments)]
+    b_scaled = np.array([
+        float(sum(comb(t, i) * (-1) ** i * lam_scaled[i] for i in range(t + 1)))
+        for t in range(tmax + 1)
+    ])
     w_scaled = ld * (b_scaled[:-1] - b_scaled[1:])
     # trailing zero pads sit beyond every index the recursions consume
     w_scaled = np.append(w_scaled, np.zeros(2 * T + 2 - len(w_scaled)))

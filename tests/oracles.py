@@ -236,3 +236,19 @@ def relaxed_fixed_point(gamma_of, prior: PriorParams, tol: float, max_sweeps: in
         if converged:
             break
     return float(gamma_of(v)), float(v)
+
+
+def shifted_traces_mp(moments, lambda_dagger: float, dps: int = 400) -> list[float]:
+    """b'_t = sum_i C(t, i) (-1)^i lambda_i / lambda_dagger**i, t < len(moments).
+
+    Each sum runs in dps-digit mpmath on the given float inputs, so it holds
+    the exact value to far more digits than a double; the float of it is the
+    correctly rounded b'_t.
+    """
+    with mp.workdps(dps):
+        ld = mp.mpf(float(lambda_dagger))
+        lam = [mp.mpf(float(m)) / ld**i for i, m in enumerate(moments)]
+        return [
+            float(mp.fsum(mp.binomial(t, i) * (-1) ** i * lam[i] for i in range(t + 1)))
+            for t in range(len(moments))
+        ]

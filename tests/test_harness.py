@@ -89,6 +89,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("kappa", 0.5), ("mu", 0.0), ("T", 0), ("L", 0), ("n_seeds", -1),
+         ("base_seed", -1),
          ("moment_mode", "bogus"), ("algorithms", ("nope",)),
          ("n_mc", 0), ("n_mc", -5), ("snr_db", math.nan), ("snr_db", math.inf),
          ("kappa", math.nan), ("kappa", math.inf), ("delta", math.nan),
@@ -394,13 +395,13 @@ def run_python(code: str) -> str:
 
 class TestCli:
     def test_import_leaves_heavy_modules_unloaded(self):
-        # SciPy (only the dense eigensolver uses it), multiprecision, the
+        # SciPy (only the dense eigensolver uses it), exact rationals, the
         # thread pool, the sampler and the quadrature rule load on first use
         out = run_python(
             "import sys, mamp.cli; "
             "print(sorted(m for m in ('scipy.special', 'scipy.integrate', "
-            "'scipy.linalg', 'mpmath', 'concurrent.futures', 'numpy.random', "
-            "'numpy.polynomial') if m in sys.modules))"
+            "'scipy.linalg', 'mpmath', 'fractions', 'concurrent.futures', "
+            "'numpy.random', 'numpy.polynomial') if m in sys.modules))"
         )
         assert out.strip() == "[]"
 
@@ -442,6 +443,24 @@ class TestCli:
             out = run_python(f"import sys; from mamp.cli import main; "
                              f"rc = main({argv!r}); {loaded}")
             assert out.strip().splitlines()[-1] == expected, command
+
+    def test_estimated_moments_never_load_mpmath(self, tmp_path):
+        # every subcommand on a structured and an IID config, in one
+        # interpreter each; the fixed point is unavailable in estimated mode
+        structured = write_config(tmp_path / "structured.ini", n_seeds=1, T=3,
+                                  n_mc=2_000)
+        dense = write_config(tmp_path / "dense.ini", algorithms=("bo_mamp", "amp",
+                             "se_mamp", "fixed_point"), matrix_model="iid", N=256,
+                             n_seeds=1, T=3, n_mc=2_000)
+        flags = ["--out-dir", str(tmp_path), "--moment-mode", "estimated"]
+        for cfg in (structured, dense):
+            runs = "; ".join(
+                f"rc.append(main({[cmd, cfg, *flags]!r}))"
+                for cmd in ("run", "se", "fixed-point", "compare")
+            )
+            out = run_python(f"import sys; from mamp.cli import main; rc = []; {runs}; "
+                             "print(rc, 'mpmath' in sys.modules)")
+            assert out.strip().splitlines()[-1] == "[0, 0, 1, 1] False", cfg
 
     def test_bounded_fixed_point_runs_without_scipy(self):
         out = run_python(
@@ -565,6 +584,31 @@ class TestCli:
         p.write_text(f"[experiment]\n{line}\n")
         assert main(["run", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"N = 512\n", b"[experiment]\nN = 512\nN = 256\n",
+         b"[experiment]\nN = 512\n[experiment]\nT = 4\n",
+         b"[experiment]\nlabel = caf\xe9\n"],
+        ids=["no_section_header", "duplicate_key", "duplicate_section", "not_utf8"],
+    )
+    def test_unparsable_config_exit_code(self, tmp_path, capsys, content):
+        p = tmp_path / "bad.ini"
+        p.write_bytes(content)
+        assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {p}: ")
+
+    @pytest.mark.parametrize("command", ["run", "se", "fixed-point", "compare"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "exp.ini")
+        assert main([command, cfg, "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: base_seed: ")
+
+    def test_percent_in_label_is_literal(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.ini", label="run%1",
+                           algorithms=("fixed_point",))
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "run%1.csv").exists()
 
     @pytest.mark.parametrize(
         "command, algorithms",

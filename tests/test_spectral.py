@@ -22,6 +22,8 @@ from mamp import spectral
 from mamp.evolution import lmmse_gamma_se
 from mamp.spectral import BINOMIAL_CANCELLATION_THRESHOLD, SpectralProfile
 
+from oracles import shifted_traces_mp
+
 
 def _naive_w_scaled(d_sq, lambda_dagger, N, n_terms):
     """Reference: w'_t = sum(d_sq * ratio**t) / N, one term at a time."""
@@ -177,6 +179,22 @@ class TestMomentTables:
         tmax = min(2 * 12, BINOMIAL_CANCELLATION_THRESHOLD)
         for t in range(tmax + 1):
             assert tb.b_at(t) == pytest.approx(td.b_at(t), rel=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eigs=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=64),
+        extra=st.integers(0, 64),
+        T=st.integers(1, 12),
+    )
+    def test_binomial_sum_is_correctly_rounded(self, eigs, extra, T):
+        # every scaled trace is the float nearest the exact sum of its float
+        # inputs, whatever the cancellation
+        eigs = np.array(eigs)
+        N = len(eigs) + extra
+        prof = exact_moments_from_singular_values(np.sqrt(eigs), N, T, M=len(eigs))
+        tab = build_moment_tables(prof, T)
+        expected = shifted_traces_mp(prof.moments, prof.lambda_dagger)
+        assert tab.b_scaled[: 2 * T + 1].tolist() == expected
 
     def test_binomial_rejects_short_profile(self):
         prof = exact_moments_from_singular_values(np.ones(4), 4, 2, M=4)
