@@ -15,11 +15,11 @@ metrics, as soon as the run ends.
 ``--pairs`` extracts both revisions the same way (temporary directories whose
 paths have the same length: peak RSS depends on where a checkout lives), runs
 N pairs at one seed and alternates which side runs first.  Its entries also
-carry the session, the pair index and the side.  After the pairs, and on its
-own with ``--summary``, it prints for each end-to-end metric of
-BENCHMARK.json how many pairs the change won (a tie counts for neither side),
-both medians, and the parent's interquartile range next to the metric's
-regression bound.  Standard library only.
+carry the batch (when the pairs began), the pair index and the side.  After
+the pairs, and on its own with ``--summary``, it prints for each end-to-end
+metric of BENCHMARK.json how many pairs the change won (a tie counts for
+neither side), both medians, and the parent's interquartile range next to the
+metric's regression bound.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def summarize(entries: list, metrics: list) -> dict:
     """
     pairs: dict = {}
     for e in entries:
-        pairs.setdefault((e["session"], e["pair"]), {})[e["side"]] = e["metrics"]
+        pairs.setdefault((e["batch"], e["pair"]), {})[e["side"]] = e["metrics"]
     out = {}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
@@ -160,12 +160,12 @@ def main(argv=None) -> int:
             append(path, entry)
             print(json.dumps({k: entry[k] for k in ("rev", "correct", "metrics")}))
             return 0
-        session = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+        batch = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
         for i in range(int(args.pairs[2])):
             order = (0, 1) if i % 2 == 0 else (1, 0)
             for k, side in zip(order, ("first", "second")):
                 entry = run_benchmark(checkouts[k], revs[k], args.workload, args.seed)
-                entry.update(parents=revs, session=session, pair=i,
+                entry.update(parents=revs, batch=batch, pair=i,
                              side=("parent", "change")[k], order=side)
                 append(path, entry)
                 print(f"pair {i} {entry['side']}: correct {entry['correct']}", flush=True)

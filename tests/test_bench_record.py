@@ -20,12 +20,12 @@ PARENT, CHANGE = "a" * 40, "b" * 40
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "final_mse")
 
 
-def entry(pair, side, wall_s, session="s1", workload="bounded_fixed_point"):
+def entry(pair, side, wall_s, batch="b1", workload="bounded_fixed_point"):
     metrics = {name: {"value": 1.0, "unit": "1"} for name in METRICS}
     metrics["wall_s"] = {"value": wall_s, "unit": "s"}
     return {"rev": PARENT if side == "parent" else CHANGE, "workload": workload,
             "seed": 0, "correct": True, "failed": 0, "metrics": metrics,
-            "parents": [PARENT, CHANGE], "session": session, "pair": pair,
+            "parents": [PARENT, CHANGE], "batch": batch, "pair": pair,
             "side": side}
 
 
@@ -54,9 +54,9 @@ def test_higher_is_better_reverses_the_count():
     assert bench_record.summarize(ENTRIES, metrics)["wall_s"]["won"] == 1
 
 
-def test_pairs_of_two_sessions_stay_apart():
-    # a second session's pair 0 is a pair of its own, not a third side
-    more = [entry(0, "parent", 5.0, session="s2"), entry(0, "change", 4.0, session="s2")]
+def test_pairs_of_two_batches_stay_apart():
+    # a second batch's pair 0 is a pair of its own, not a third side
+    more = [entry(0, "parent", 5.0, batch="b2"), entry(0, "change", 4.0, batch="b2")]
     metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
     s = bench_record.summarize(ENTRIES + more, metrics)["wall_s"]
     assert (s["won"], s["n"]) == (3, 5)
