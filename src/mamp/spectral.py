@@ -337,16 +337,15 @@ def build_moment_tables(profile: SpectralProfile, T: int) -> MomentTables:
 
     b_t = sum_i C(t, i) (-1)^i lambda_dagger**(t-i) lambda_i suffers severe
     cancellation in double precision (the alternating terms exceed the result
-    by ~C(t, t/2) 2^t), so each scaled b_t is summed exactly in rationals and
-    rounded to a float once.  The input moments themselves are double
-    precision, which limits agreement with the direct eigenvalue computation
-    to t <= BINOMIAL_CANCELLATION_THRESHOLD however the sum is done.
+    by ~C(t, t/2) 2^t), so each scaled b_t is summed exactly as a ratio of
+    integers, which int / int rounds to the nearest float once.  The input
+    moments themselves are double precision, which limits agreement with the
+    direct eigenvalue computation to t <= BINOMIAL_CANCELLATION_THRESHOLD.
     """
     if profile.order < 2 * T:
         raise ValueError(
             f"profile holds moments up to t={profile.order}, need 2T={2 * T}"
         )
-    from fractions import Fraction  # loaded on first use, not at import
     from math import comb
 
     ld = profile.lambda_dagger
@@ -354,11 +353,13 @@ def build_moment_tables(profile: SpectralProfile, T: int) -> MomentTables:
     moments = profile.moments[: tmax + 1]
     if not (np.all(np.isfinite(moments)) and np.isfinite(ld)):
         raise FloatingPointError("non-finite moment or lambda_dagger")
-    lam_scaled = [Fraction(float(m)) / Fraction(ld) ** i for i, m in enumerate(moments)]
-    b_scaled = np.array([
-        float(sum(comb(t, i) * (-1) ** i * lam_scaled[i] for i in range(t + 1)))
-        for t in range(tmax + 1)
-    ])
+    # lambda_dagger = p / q and lambda_i = a_i / D, with q and D powers of two
+    p, q = float(ld).as_integer_ratio()
+    ratios = [float(m).as_integer_ratio() for m in moments]
+    D = max(den for _, den in ratios)
+    a = [n * (D // den) for n, den in ratios]
+    b_scaled = np.array([sum(comb(t, i) * (-1) ** i * a[i] * p ** (t - i) * q**i
+                             for i in range(t + 1)) / (D * p**t) for t in range(tmax + 1)])
     w_scaled = ld * (b_scaled[:-1] - b_scaled[1:])
     # trailing zero pads sit beyond every index the recursions consume
     w_scaled = np.append(w_scaled, np.zeros(2 * T + 2 - len(w_scaled)))
