@@ -94,20 +94,20 @@ def xi_cost_coefficients(
     return c0, c1, c2, c3
 
 
-def optimize_xi(c0: float, c1: float, c2: float, c3: float, C_max: float) -> float:
-    """Minimizer xi of the rational cost; saturates at C_max when unbounded.
+def optimize_xi(c0: float, c1: float, c2: float, c3: float) -> float:
+    """Minimizer xi of the rational cost; saturates at C_MAX when unbounded.
 
     In the all-zero case the cost does not depend on xi and xi = 1.
     """
     denom = c1 * c0 + c2
     if denom != 0.0:
         xi = (c2 * c0 + c3) / denom
-        if abs(xi) > C_max:
-            xi = math.copysign(C_max, xi)
+        if abs(xi) > C_MAX:
+            xi = math.copysign(C_MAX, xi)
         return float(xi)
     if c0 == 0.0 and c1 == 0.0 and c2 == 0.0 and c3 == 0.0:
         return 1.0
-    return float(C_max)
+    return C_MAX
 
 
 def memory_weights(
@@ -130,10 +130,7 @@ def memory_weights(
     theta = optimize_theta(ld, sigma2 / V[t - 1, t - 1].real)
     scaled_prev = scaled[: t - 1] * (theta * ld)
     c0, c1, c2, c3 = xi_cost_coefficients(scaled_prev, V[:t, :t], tables, sigma2)
-    if t == 1:
-        xi = 1.0
-    else:
-        xi = optimize_xi(c0, c1, c2, c3, C_MAX)
+    xi = 1.0 if t == 1 else optimize_xi(c0, c1, c2, c3)
     scaled = np.append(scaled_prev, xi)
     p = -scaled * tables.w_scaled[t - np.arange(1, t + 1)]
     eps = -float(p.sum())
@@ -143,7 +140,7 @@ def memory_weights(
 
 
 def memory_le_step(
-    r_hat: np.ndarray,
+    b_r_hat: np.ndarray,
     z_bar_t: np.ndarray,
     X: np.ndarray,
     p: np.ndarray,
@@ -152,32 +149,25 @@ def memory_le_step(
     eps_gamma: float,
     operator: TransformOperator,
     lambda_dagger: float,
-    adjoint: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One matched-filter step: accumulator update plus orthogonalized output.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of r_hat_t = xi z_bar_t + theta B r_hat_{t-1}, B = ld I - A A^H.
 
-    r_hat <- xi z_bar + theta (ld r_hat - A A^H r_hat), in place; the output is
-    (A^H r_hat - sum_i p_i x_i) / eps_gamma over the full estimate history X.
-    adjoint is A^H r_hat for the incoming r_hat when the caller holds it (the
-    previous step returned it); the Gram product then needs one forward
-    application.  Returns (r_hat, r, A^H r_hat of the updated r_hat), the last
-    None when the operator's Gram product does not use it.
+    b_r_hat is B r_hat_{t-1} (zeros at t = 1); it is overwritten with
+    B r_hat_t, which the next step takes.  The output is
+    (A^H r_hat_t - sum_i p_i x_i) / eps_gamma over the full estimate history X,
+    and the Gram product reuses that A^H r_hat_t.  Returns (B r_hat_t, r).
     """
     if eps_gamma == 0.0 or not np.isfinite(eps_gamma):
         raise DegenerateNormalizationError(f"normalizer eps_gamma={eps_gamma}")
-    gram = operator.apply_gram(r_hat, adjoint=adjoint)
-    # the operations of xi z_bar + theta (ld r_hat - gram), in that order
-    np.multiply(lambda_dagger, r_hat, out=r_hat)
-    r_hat -= gram
-    np.multiply(theta, r_hat, out=r_hat)
-    np.add(np.multiply(xi, z_bar_t, out=gram), r_hat, out=r_hat)
-    correction = p.astype(complex) @ X
+    # r_hat_t, then B r_hat_t, overwrite the carried buffer
+    r_hat = np.multiply(theta, b_r_hat, out=b_r_hat)
+    r_hat += xi * z_bar_t
     u = operator.apply_adjoint(r_hat)
-    if operator.gram_uses_adjoint:
-        r = np.subtract(u, correction, out=correction)
-    else:
-        r, u = np.subtract(u, correction, out=u), None
-    return r_hat, divide_in_place(r, eps_gamma), u
+    gram = operator.apply_gram(r_hat, adjoint=u)
+    b_r_hat = np.multiply(lambda_dagger, r_hat, out=r_hat)
+    b_r_hat -= gram
+    r = np.subtract(u, p.astype(complex) @ X, out=u)
+    return b_r_hat, divide_in_place(r, eps_gamma)
 
 
 def estimate_phi_covariance(
@@ -504,9 +494,7 @@ def run_bo_mamp(
     ledger = Ledger(T, L, residual_error_estimate(y, N, sigma2, delta, w0))
     V = ledger.V
 
-    r_hat = np.zeros(M, dtype=complex)
-    # A^H r_hat for the next Gram product, where the operator takes it
-    adjoint = np.zeros(N, dtype=complex) if op.gram_uses_adjoint else None
+    b_r_hat = np.zeros(M, dtype=complex)  # B r_hat_{t-1}, with r_hat_0 = 0
     scaled = np.array([1.0])  # memory weights of the current iteration
     records: list[IterationRecord] = []
     status = "ok"
@@ -521,9 +509,7 @@ def run_bo_mamp(
         if not np.isfinite(v_gamma) or v_gamma <= 0:
             status = "degenerate"
             break
-        r_hat, r, adjoint = memory_le_step(
-            r_hat, Z[t - 1], X[:t], p, xi, theta, eps, op, ld, adjoint
-        )
+        b_r_hat, r = memory_le_step(b_r_hat, Z[t - 1], X[:t], p, xi, theta, eps, op, ld)
         if r_history is not None:
             r_history.append(r)
 

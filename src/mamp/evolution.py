@@ -325,7 +325,8 @@ def series_gamma_se(v_phi: float, tables: MomentTables, sigma2: float) -> float:
     theta = optimize_theta(ld, rho)
     x = theta * ld
     # terms contract at x * q < 1: q is the decay of the weights themselves,
-    # at most the relaxed spectral radius rho_B / ld of the assumed extremes
+    # at most (lambda_max - lambda_min) / (lambda_max + lambda_min) of the
+    # assumed extremes
     contraction = x * tables.weight_decay
 
     def _tail_bound(s_idx: int) -> float:

@@ -56,9 +56,6 @@ class TransformOperator:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # whether apply_gram takes A^H v from the caller (see apply_gram)
-    gram_uses_adjoint = True
-
     def apply_gram(self, v: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
         """A @ A^H @ v for v of length M.
 
@@ -92,8 +89,6 @@ class StructuredOperator(TransformOperator):
     called concurrently, and threads racing on the first transform draw the
     same permutation from the same seed.
     """
-
-    gram_uses_adjoint = False
 
     def __init__(
         self, M: int, N: int, singular_values: np.ndarray, perm_seed: int | list[int]

@@ -241,19 +241,15 @@ class MomentTables:
         return float(self.w_scaled[0])
 
     @property
-    def rho_B(self) -> float:
-        """Spectral radius of the shifted matrix, (lambda_max - lambda_min)/2."""
-        return 0.5 * (self.spectrum.lambda_max - self.spectrum.lambda_min)
-
-    @property
     def weight_decay(self) -> float:
         """Rate q with |w'_s| <= w0 q**s for every s.
 
         w'_s = sum_k d_k^2 r_k**s / N with r_k = (ld - d_k^2)/ld, so q is the
         largest |r_k| over the positive d_k^2 of spectrum.eigs (zero eigenvalues
         carry no weight; q = 0 when none is positive).  Extremes that enclose
-        the spectrum give q <= rho_B / ld, and bounds give a much smaller q
-        than that: with lambda_min = 0 assumed, rho_B / ld is exactly 1.
+        the spectrum give q <= (lambda_max - lambda_min) / (lambda_max +
+        lambda_min), and bounds give a much smaller q than that: with
+        lambda_min = 0 assumed, that ratio is exactly 1.
         Estimate-built tables keep no eigenvalues and raise ValueError.
         """
         eigs = self.spectrum.eigenvalues()

@@ -253,7 +253,7 @@ class TestAcceptance:
             c3 = rng.uniform(0.0, 3.0)
             c2 = np.sqrt(c1 * c3) * rng.uniform(-1.0, 1.0)
             c0 = rng.normal()
-            xi = optimize_xi(c0, c1, c2, c3, 1e6)
+            xi = optimize_xi(c0, c1, c2, c3)
 
             def cost(x):
                 return (c1 * x**2 - 2 * c2 * x + c3) / (x + c0) ** 2

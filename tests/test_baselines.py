@@ -230,7 +230,7 @@ class TestTransformCounts:
         assert self.counted_run(self.structured(), algo) == 2 * self.T
 
     def test_bo_mamp_three_per_iteration_on_dense(self):
-        # the Gram product reuses the previous step's A^H r_hat: one A for it,
-        # one A^H for the output, one A for the residual
+        # one A^H r_hat, which the step's output and its Gram product share,
+        # one A for the Gram product and one A for the residual
         op = CountingDense(build_iid_gaussian_operator(128, 256, rng_seed=2).matrix)
         assert self.counted_run(op, "bo_mamp") == 3 * self.T

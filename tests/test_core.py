@@ -113,11 +113,11 @@ class TestXiCoefficients:
 
 class TestXiOptimizer:
     def test_zero_denominator_saturates(self):
-        assert optimize_xi(1.0, 0.0, 0.0, 2.0, 1e6) == 1e6
+        assert optimize_xi(1.0, 0.0, 0.0, 2.0) == core.C_MAX
 
     def test_hand_ratio_beats_grid(self):
         c = (1.0, 2.0, 1.0, 3.0)
-        xi = optimize_xi(*c, 1e6)
+        xi = optimize_xi(*c)
         assert xi == pytest.approx(4.0 / 3.0, rel=1e-14)
 
         def cost(x):
@@ -128,10 +128,10 @@ class TestXiOptimizer:
         assert cost(xi) <= np.min(cost(grid)) + 1e-12
 
     def test_fully_degenerate_returns_unit(self):
-        assert optimize_xi(0.0, 0.0, 0.0, 0.0, 1e6) == 1.0
+        assert optimize_xi(0.0, 0.0, 0.0, 0.0) == 1.0
 
     def test_saturation_keeps_sign(self):
-        assert optimize_xi(0.0, 1.0, 1e-12, -1.0, 1e6) == -1e6
+        assert optimize_xi(0.0, 1.0, 1e-12, -1.0) == -core.C_MAX
 
 
 class TestDamping:
@@ -420,47 +420,41 @@ class TestMemoryLEStep:
                 assert abs(np.trace(H)) / N < 1e-10
 
 
-    def test_in_place_step_equals_its_expressions_and_reuses_the_adjoint(self):
-        """On a dense operator, the step's A^H r_hat stands in for the next
-        Gram product's adjoint; the in-place arithmetic keeps the bits of the
-        written-out update."""
-        op = build_iid_gaussian_operator(24, 48, rng_seed=3)
+    @pytest.mark.parametrize("kind", ["dense", "structured"])
+    def test_in_place_step_equals_its_expressions(self, kind):
+        """From the carried B r_hat, B = ld I - A A^H, the in-place step keeps
+        the bits of the written-out r_hat_t, output r and B r_hat_t, and hands
+        B r_hat_t back in the buffer it was given."""
+        if kind == "dense":
+            op = build_iid_gaussian_operator(24, 48, rng_seed=3)
+        else:
+            d = make_geometric_singular_values(24, 6.0, 48.0)
+            op = build_structured_operator(24, 48, d, rng_seed=3)
         rng = np.random.default_rng(4)
         cn = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        r_hat, z_bar, X, p = cn(24), cn(24), np.stack([cn(48), cn(48)]), cn(2).real
+        b_r_hat, z_bar, X, p = cn(24), cn(24), np.stack([cn(48), cn(48)]), cn(2).real
         xi, theta, eps, ld = 0.7, 0.4, 1.3, 2.1
-        new_hat = xi * z_bar + theta * (ld * r_hat - op.apply(op.apply_adjoint(r_hat)))
+        new_hat = xi * z_bar + theta * b_r_hat
+        b_ref = ld * new_hat - op.apply_gram(new_hat)
         r_ref = (op.apply_adjoint(new_hat) - p.astype(complex) @ X) / eps
         bits = lambda a: a.view(np.uint64)
-        for adjoint in (None, op.apply_adjoint(r_hat)):
-            acc = r_hat.copy()
-            out_hat, r, u = memory_le_step(acc, z_bar, X, p, xi, theta, eps, op, ld, adjoint)
-            assert out_hat is acc
-            assert np.array_equal(bits(out_hat), bits(new_hat))
-            assert np.array_equal(bits(r), bits(r_ref))
-            assert np.array_equal(bits(u), bits(op.apply_adjoint(new_hat)))
-
-    def test_structured_step_keeps_no_adjoint(self):
-        inst, _, tab, _ = small_problem()
-        op = inst.operator
-        X = np.zeros((1, op.N), dtype=complex)
-        *_, u = memory_le_step(
-            np.zeros(op.M, dtype=complex), inst.y, X, np.array([-tab.w0]), 1.0, 0.5,
-            tab.w0, op, tab.lambda_dagger,
-        )
-        assert u is None
+        acc = b_r_hat.copy()
+        out_b, r = memory_le_step(acc, z_bar, X, p, xi, theta, eps, op, ld)
+        assert out_b is acc
+        assert np.array_equal(bits(out_b), bits(b_ref))
+        assert np.array_equal(bits(r), bits(r_ref))
 
     @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
     def test_degenerate_normalizer_raises_before_any_update(self, eps):
         inst, _, tab, _ = small_problem()
         op = inst.operator
-        r_hat = np.zeros(op.M, dtype=complex)
+        b_r_hat = np.zeros(op.M, dtype=complex)
         X = np.zeros((1, op.N), dtype=complex)
         with pytest.raises(DegenerateNormalizationError):
             memory_le_step(
-                r_hat, inst.y, X, np.array([-tab.w0]), 1.0, 0.5, eps, op, tab.lambda_dagger
+                b_r_hat, inst.y, X, np.array([-tab.w0]), 1.0, 0.5, eps, op, tab.lambda_dagger
             )
-        assert not r_hat.any()
+        assert not b_r_hat.any()
 
 
 class TestGammaCovariance:

@@ -332,7 +332,8 @@ class TestFixedPoint:
         prof = exact_moments_from_singular_values(d, 512, 30, M=256)
         _, lam_up = bound_extremal_eigenvalues(float(prof.moments[60]), 60, 512)
         tab = tables_from_singular_values(d, 512, 30, M=256, lambda_extremes=(0.0, lam_up))
-        assert tab.rho_B / tab.lambda_dagger == 1.0
+        spec = tab.spectrum
+        assert 0.5 * (spec.lambda_max - spec.lambda_min) / tab.lambda_dagger == 1.0
         sigma2 = 1e-2
         for v in (1.0, 0.1, 0.01):
             v_series = series_gamma_se(v, tab, sigma2)
@@ -353,7 +354,7 @@ class TestFixedPoint:
     @pytest.mark.parametrize("mode", ["bounded", "exact"])
     def test_fixed_point_series_lengths_on_the_paper_config(self, monkeypatch, mode):
         # term counts, not times: with bounded moments a tail bound that
-        # decays at rho_B / ld = 1 asked for 2**18 terms
+        # decays at (lambda_max - lambda_min) / (2 ld) = 1 asked for 2**18 terms
         from dataclasses import replace
         from pathlib import Path
 

@@ -36,6 +36,11 @@ def _naive_w_scaled(d_sq, lambda_dagger, N, n_terms):
     return out
 
 
+def radius(tab):
+    """Spectral radius (lambda_max - lambda_min)/2 of the shifted matrix ld I - A A^H."""
+    return 0.5 * (tab.spectrum.lambda_max - tab.spectrum.lambda_min)
+
+
 class TestExactMoments:
     def test_two_eigenvalue_hand_case(self):
         d = np.sqrt(np.array([1.6, 0.4]))
@@ -168,7 +173,7 @@ class TestMomentTables:
         d = make_geometric_singular_values(10, 6.0, 20.0)
         tab = tables_from_singular_values(d, 20, 6, M=10)
         for t in range(0, 12):
-            assert abs(tab.w_at(t)) <= tab.spectrum.lambda_max * tab.rho_B**t + 1e-12
+            assert abs(tab.w_at(t)) <= tab.spectrum.lambda_max * radius(tab)**t + 1e-12
 
     def test_binomial_matches_direct_up_to_threshold(self):
         N, M = 2048, 1024
@@ -287,7 +292,7 @@ class TestWeightDecay:
         )
         q = tab.weight_decay
         # the eigenvalues lie inside the extremes, up to the rounding of ld
-        assert 0.0 <= q <= tab.rho_B / tab.lambda_dagger + 1e-15
+        assert 0.0 <= q <= radius(tab) / tab.lambda_dagger + 1e-15
         w = tab.w_scaled_extended(n)
         # a chain of s products carries s roundings; the absolute slack covers
         # sums that reach the subnormal range
@@ -295,11 +300,11 @@ class TestWeightDecay:
         assert np.all(np.abs(w) <= bound * (1 + 1e-12) + 1e-300)
 
     def test_bounded_extremes_decay_faster_than_their_radius(self):
-        # with lambda_min = 0 assumed, rho_B / ld is exactly 1, while the
+        # with lambda_min = 0 assumed, the radius over ld is exactly 1, while the
         # spectrum itself sits strictly inside (0, 2 ld)
         d = make_geometric_singular_values(256, 10.0, 512.0)
         tab = tables_from_singular_values(d, 512, 5, M=256, lambda_extremes=(0.0, 120.0))
-        assert tab.rho_B / tab.lambda_dagger == 1.0
+        assert radius(tab) / tab.lambda_dagger == 1.0
         ld = tab.lambda_dagger
         want = max(ld - d.min() ** 2, d.max() ** 2 - ld) / ld
         assert tab.weight_decay == pytest.approx(want, rel=1e-15)
@@ -307,7 +312,7 @@ class TestWeightDecay:
     def test_exact_extremes_give_the_spectral_radius(self):
         d = make_geometric_singular_values(64, 10.0, 128.0)
         tab = tables_from_singular_values(d, 128, 5, M=64)
-        assert tab.weight_decay == pytest.approx(tab.rho_B / tab.lambda_dagger, rel=1e-15)
+        assert tab.weight_decay == pytest.approx(radius(tab) / tab.lambda_dagger, rel=1e-15)
 
     def test_zero_when_the_only_eigenvalue_sits_at_lambda_dagger(self):
         assert tables_from_singular_values(np.ones(8), 8, 4, M=8).weight_decay == 0.0
