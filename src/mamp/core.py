@@ -166,7 +166,10 @@ def memory_le_step(
     gram = operator.apply_gram(r_hat, adjoint=u)
     b_r_hat = np.multiply(lambda_dagger, r_hat, out=r_hat)
     b_r_hat -= gram
-    r = np.subtract(u, p.astype(complex) @ X, out=u)
+    # r takes the step's last allocation, so the temporaries are freed below
+    # it and glibc does not trim the heap top and fault it in again each step
+    correction = p.astype(complex) @ X
+    r = np.subtract(u, correction, out=correction)
     return b_r_hat, divide_in_place(r, eps_gamma)
 
 
