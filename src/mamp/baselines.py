@@ -14,6 +14,7 @@ import numpy as np
 from .core import (
     AlgorithmResult,
     IterationRecord,
+    chunked_vdot,
     divide_in_place,
     invalid_input,
     mean_squared_error,
@@ -166,7 +167,7 @@ def run_amp(instance: SystemInstance, prior: PriorParams, T: int) -> AlgorithmRe
     for t in range(1, T + 1):
         z = residual(instance.y, op, x)
         z += onsager
-        v = float(np.vdot(z, z).real) / M
+        v = chunked_vdot(z, z).real / M
         if v_first is None:
             v_first = v
         if v > 10.0 * v_first or not np.isfinite(v):

@@ -27,6 +27,9 @@ EPS_FLOOR = 1e-12  # noise floor of the new estimate's error variance, relative
 # smallest elimination pivot of a solvable damping block, relative to its
 # largest entry; a candidate repeating a retained estimate falls below it
 DAMPING_RANK_TOL = 1e-13
+# OpenBLAS keeps a complex dot product of at most 10000 entries on one thread,
+# so a reduction over chunks this long has the same bits at any thread count
+DOT_CHUNK = 1 << 13
 
 
 class DegenerateNormalizationError(RuntimeError):
@@ -155,7 +158,8 @@ def memory_le_step(
     b_r_hat is B r_hat_{t-1} (zeros at t = 1); it is overwritten with
     B r_hat_t, which the next step takes.  The output is
     (A^H r_hat_t - sum_i p_i x_i) / eps_gamma over the full estimate history X,
-    and the Gram product reuses that A^H r_hat_t.  Returns (B r_hat_t, r).
+    the sum formed by `damp_into`, and the Gram product reuses that
+    A^H r_hat_t.  Returns (B r_hat_t, r).
     """
     if eps_gamma == 0.0 or not np.isfinite(eps_gamma):
         raise DegenerateNormalizationError(f"normalizer eps_gamma={eps_gamma}")
@@ -168,7 +172,8 @@ def memory_le_step(
     b_r_hat -= gram
     # r takes the step's last allocation, so the temporaries are freed below
     # it and glibc does not trim the heap top and fault it in again each step
-    correction = p.astype(complex) @ X
+    correction = np.empty_like(u)
+    damp_into(correction, p, X)
     r = np.subtract(u, correction, out=correction)
     return b_r_hat, divide_in_place(r, eps_gamma)
 
@@ -187,8 +192,8 @@ def estimate_phi_covariance(
     z_new^H z_bar_{t'} / N - delta sigma^2, all divided by w0; diag from
     ||z_new||^2.  Clamping of a non-positive diag is left to the caller.
     """
-    # conjugating z_new, not Z_damped, avoids copying the t x N history
-    row = (z_new.conj() @ Z_damped.T) / N - delta * sigma2
+    row = np.array([chunked_vdot(z_new, z_bar) for z_bar in Z_damped])
+    row = row / N - delta * sigma2
     return row / w0, residual_error_estimate(z_new, N, sigma2, delta, w0)
 
 
@@ -300,6 +305,18 @@ def damp_into(out: np.ndarray, zeta: np.ndarray, sources: list) -> None:
             block += np.multiply(zk, src[sl], out=prod)
 
 
+def chunked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b) as the in-order sum of its DOT_CHUNK-entry chunks' vdots.
+
+    Each chunk is one single-threaded BLAS call, so the result does not depend
+    on the BLAS thread count.
+    """
+    total = 0j
+    for start in range(0, a.size, DOT_CHUNK):
+        total += np.vdot(a[start : start + DOT_CHUNK], b[start : start + DOT_CHUNK])
+    return total
+
+
 def divide_in_place(z: np.ndarray, c: float) -> np.ndarray:
     """z / c in place for a contiguous complex z and a real c.
 
@@ -325,7 +342,7 @@ def residual_error_estimate(
     scale is the trace normalizer of the linear step: w0 for the long-memory
     solver, lambda_1 for the baselines.
     """
-    return (float(np.vdot(z, z).real) / N - delta * sigma2) / scale
+    return (chunked_vdot(z, z).real / N - delta * sigma2) / scale
 
 
 def mean_squared_error(estimate: np.ndarray, truth: np.ndarray | None) -> float:

@@ -27,9 +27,11 @@ from mamp import (
 )
 from mamp import core
 from mamp.core import (
+    DOT_CHUNK,
     EPS_FLOOR,
     IterationRecord,
     Ledger,
+    chunked_vdot,
     damp_into,
     damping_window,
     divide_in_place,
@@ -332,6 +334,19 @@ class TestChunkedKernels:
         quotient = a / 1.7
         assert np.array_equal(divide_in_place(a, 1.7).view(np.uint64), quotient.view(np.uint64))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 3 * DOT_CHUNK + 7), seed=st.integers(0, 2**32 - 1))
+    def test_squared_norm_sums_single_thread_chunks_in_order(self, n, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm = chunked_vdot(z, z).real
+        parts = [z[i : i + DOT_CHUNK] for i in range(0, n, DOT_CHUNK)]
+        assert norm == sum(np.vdot(c, c) for c in parts).real
+        # any order of summing n nonnegative squares is within about n eps / 2
+        # of the exact sum, relative, so two orders are within about n eps
+        ref = np.vdot(z, z).real
+        assert abs(norm - ref) <= (n + 2) * np.finfo(float).eps * ref
+
 
 class TestCovarianceEstimate:
     def test_perfect_estimate_hits_noise_floor(self):
@@ -424,7 +439,8 @@ class TestMemoryLEStep:
     def test_in_place_step_equals_its_expressions(self, kind):
         """From the carried B r_hat, B = ld I - A A^H, the in-place step keeps
         the bits of the written-out r_hat_t, output r and B r_hat_t, and hands
-        B r_hat_t back in the buffer it was given."""
+        B r_hat_t back in the buffer it was given.  The correction sum_i p_i x_i
+        is added in order from zero."""
         if kind == "dense":
             op = build_iid_gaussian_operator(24, 48, rng_seed=3)
         else:
@@ -436,7 +452,7 @@ class TestMemoryLEStep:
         xi, theta, eps, ld = 0.7, 0.4, 1.3, 2.1
         new_hat = xi * z_bar + theta * b_r_hat
         b_ref = ld * new_hat - op.apply_gram(new_hat)
-        r_ref = (op.apply_adjoint(new_hat) - p.astype(complex) @ X) / eps
+        r_ref = (op.apply_adjoint(new_hat) - (0 + p[0] * X[0] + p[1] * X[1])) / eps
         bits = lambda a: a.view(np.uint64)
         acc = b_r_hat.copy()
         out_b, r = memory_le_step(acc, z_bar, X, p, xi, theta, eps, op, ld)

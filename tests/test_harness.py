@@ -18,7 +18,16 @@ import numpy as np
 import pytest
 
 import mamp
-from mamp import cli, harness
+from mamp import (
+    PriorParams,
+    cli,
+    harness,
+    run_amp,
+    run_bo_mamp,
+    run_bo_oamp,
+    run_mf_oamp,
+    sample_instance,
+)
 from mamp.cli import main
 from mamp.denoisers import complex_normal
 from mamp.harness import (
@@ -62,7 +71,18 @@ IID_WIDE = dict(
 )
 IID_WIDE_MATRIX_BYTES = 128 * 4096 * 16
 
+SIMULATIONS = ("bo_mamp", "bo_oamp", "mf_oamp", "amp")
+
 REPO = Path(__file__).resolve().parents[1]
+
+
+def record_bits(result):
+    """A result's status and every record field, floats as their bytes."""
+    return result.status, [
+        (rec.t, np.array([rec.v_gamma, rec.v_phi_bar, rec.v_hat, rec.mse, rec.theta,
+                          rec.xi]).tobytes(), rec.zeta.tobytes())
+        for rec in result.records
+    ]
 
 
 def write_config(path, **overrides):
@@ -176,6 +196,53 @@ class TestRunExperiment:
             dense.dense(),
             complex_normal(np.random.default_rng(entropy), (cfg.M, cfg.N), 1.0 / cfg.M),
         )
+
+    def test_structured_seed_runs_each_simulation_as_it_runs_alone(self, monkeypatch):
+        """_run_seed runs bo_mamp on a helper thread beside the others; every
+        record keeps the bits of the simulation run alone, in sequence."""
+        cfg = ExperimentConfig(**{**SMALL, "algorithms": SIMULATIONS})
+        op = harness._build_operator(cfg, 0)
+        tables, prior = harness._spectral_inputs(cfg, op), PriorParams(mu=cfg.mu)
+        on_main = {}
+        for algo in SIMULATIONS:
+            def recording(*args, _run=getattr(harness, f"run_{algo}"), _algo=algo):
+                on_main[_algo] = threading.current_thread() is threading.main_thread()
+                return _run(*args)
+
+            monkeypatch.setattr(harness, f"run_{algo}", recording)
+        got = harness._run_seed(cfg, 1, op, tables, prior)
+        inst = sample_instance(op, prior, cfg.snr_db, [cfg.base_seed + 1, 0x1A57])
+        alone = {
+            "bo_mamp": run_bo_mamp(inst, prior, tables, cfg.T, cfg.L),
+            "bo_oamp": run_bo_oamp(inst, prior, cfg.T),
+            "mf_oamp": run_mf_oamp(inst, prior, cfg.T, tables.spectrum),
+            "amp": run_amp(inst, prior, cfg.T),
+        }
+        assert on_main == {"bo_mamp": False, "bo_oamp": True, "mf_oamp": True, "amp": True}
+        for algo in SIMULATIONS:
+            assert record_bits(got[algo]) == record_bits(alone[algo]), algo
+
+    @pytest.mark.parametrize("algo", ["bo_mamp", "mf_oamp"], ids=["helper", "caller"])
+    def test_a_simulation_exception_reaches_the_caller(self, monkeypatch, algo):
+        class Stop(BaseException):
+            pass
+
+        def stop(*args):
+            raise Stop
+
+        monkeypatch.setattr(harness, f"run_{algo}", stop)
+        before = set(threading.enumerate())
+        with pytest.raises(Stop):
+            run_experiment(ExperimentConfig(**{**SMALL, "algorithms": SIMULATIONS}))
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_helper_thread_outlives_the_run(self, threads):
+        before = set(threading.enumerate())
+        run_experiment(
+            ExperimentConfig(**{**SMALL, "algorithms": SIMULATIONS, "threads": threads})
+        )
+        assert set(threading.enumerate()) == before
 
     def test_gram_eigenvalues_computed_once_with_se_oamp(self, monkeypatch):
         calls = []
@@ -502,6 +569,28 @@ class TestCli:
             "print(rc, 'scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
         )
         assert out.strip().splitlines()[-1] == "0 True False"
+
+    def test_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # M = 12288 residual entries: past the 10000 at which OpenBLAS splits
+        # a dot product across threads, as it does the t x N products
+        cfg = write_config(
+            tmp_path / "exp.ini", algorithms=("bo_mamp", "bo_oamp", "mf_oamp"),
+            N=1 << 14, delta=0.75, kappa=10.0, mu=0.1, snr_db=30.0, T=12,
+            label="blas",
+        )
+        src = str(Path(mamp.__file__).resolve().parents[1])
+        csvs = []
+        for n in ("1", "2", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": n, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+            )}
+            out = tmp_path / f"threads{n}"
+            subprocess.run(
+                [sys.executable, "-m", "mamp.cli", "run", cfg, "--out-dir", str(out)],
+                env=env, capture_output=True, check=True, cwd=REPO,
+            )
+            csvs.append((out / "blas.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_run_subcommand(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", label="clismoke", n_seeds=1)
