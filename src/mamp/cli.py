@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to an INI experiment config")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
         p.add_argument("--out-dir", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=int, default=None, help="seeds simulated at a time")
         p.add_argument(
             "--moment-mode",
             choices=("exact", "estimated", "bounded"),

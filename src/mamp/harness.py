@@ -1,9 +1,13 @@
 """Experiment orchestration: config files, seeded multi-run sweeps, CSV/JSON/plots.
 
 A config fully determines the experiment; runs are reproducible bit-for-bit
-from (config, base_seed) on one platform at one BLAS thread count (a threaded
-BLAS splits long reductions, such as the residual energy's vdot, differently).
-All algorithms within a seed consume the same operator and instance.
+from (config, base_seed) on one platform.  The simulation columns do not
+depend on the BLAS thread count: their long reductions run as short
+single-threaded calls in a fixed order.  The Monte-Carlo evolution's
+cross-covariance and, on IID operators, the dense Gram `zherk` and `eigh`
+still do.  `threads` counts the seeds in flight; a structured seed also runs
+its simulations two at a time.  All algorithms within a seed consume the same
+operator and instance.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -232,15 +237,27 @@ def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
     algos = config.algorithms
     if config.matrix_model != "structured" or len(algos) < 2:
         return {algo: simulate(algo) for algo in algos}
-    # concurrent.futures loads here: only a structured sweep needs it.  The
-    # helper's exception, a BaseException too, re-raises from result(), and
-    # the with block joins the helper before an exception here leaves it.
-    from concurrent.futures import ThreadPoolExecutor
+    # the helper hands back its result or its exception, a BaseException
+    # too, and is joined before an exception here leaves.  A bare thread,
+    # since NumPy has loaded threading and concurrent.futures would add its
+    # import (~4 ms) to the set-up of every structured run
+    outcome = {}
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        first = helper.submit(simulate, algos[0])
+    def run_first():
+        try:
+            outcome["result"] = simulate(algos[0])
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=run_first)
+    helper.start()
+    try:
         results = {algo: simulate(algo) for algo in algos[1:]}
-        results[algos[0]] = first.result()
+    finally:
+        helper.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    results[algos[0]] = outcome["result"]
     return results
 
 
@@ -378,8 +395,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             return _run_seed(sim_cfg, k, op, tables, prior)
 
         if config.threads > 1:
-            # concurrent.futures loads here: only a threaded or structured
-            # sweep needs it
+            # concurrent.futures loads here: only a threaded sweep needs it
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
