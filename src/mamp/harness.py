@@ -213,10 +213,11 @@ def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
 
     On the structured operator two simulations run at a time: a helper thread
     runs the first configured one (bo_mamp, the longest, in every shipped
-    config) while this thread runs the others in order.  Their transforms and reductions are single-threaded, so
-    one alone leaves a second core idle.  On a dense operator they run one
-    after another, since its matrix-vector products are threaded BLAS calls
-    already.  Either way each simulation has the bits it has alone.
+    config) while this thread runs the others in order.  Their transforms and
+    reductions are single-threaded, so one alone leaves a second core idle.
+    On a dense operator they run one after another, since its matrix-vector
+    products are threaded BLAS calls already.  Either way each simulation has
+    the bits it has alone.
     """
     inst_seed = [config.base_seed + seed_index, 0x1A57]
     inst = sample_instance(op, prior, config.snr_db, inst_seed)

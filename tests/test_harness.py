@@ -447,10 +447,13 @@ class TestEmission:
             emit_plot_script(report, str(tmp_path / "p.py"))
 
 
-def run_python(code: str) -> str:
-    """stdout of a fresh interpreter running code with this package importable."""
+def run_python(code: str, **env_vars) -> str:
+    """stdout of a fresh interpreter running code with this package importable.
+
+    env_vars are set in its environment.
+    """
     src = str(Path(mamp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     out = subprocess.run(
@@ -571,25 +574,18 @@ class TestCli:
         assert out.strip().splitlines()[-1] == "0 True False"
 
     def test_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # M = 12288 residual entries: past the 10000 at which OpenBLAS splits
-        # a dot product across threads, as it does the t x N products
+        # M = 12288: the residual energy and the covariance row sum more than
+        # the 10000 entries past which OpenBLAS splits a dot product
         cfg = write_config(
             tmp_path / "exp.ini", algorithms=("bo_mamp", "bo_oamp", "mf_oamp"),
             N=1 << 14, delta=0.75, kappa=10.0, mu=0.1, snr_db=30.0, T=12,
             label="blas",
         )
-        src = str(Path(mamp.__file__).resolve().parents[1])
         csvs = []
         for n in ("1", "2", "4"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": n, "PYTHONPATH": os.pathsep.join(
-                [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-            )}
-            out = tmp_path / f"threads{n}"
-            subprocess.run(
-                [sys.executable, "-m", "mamp.cli", "run", cfg, "--out-dir", str(out)],
-                env=env, capture_output=True, check=True, cwd=REPO,
-            )
-            csvs.append((out / "blas.csv").read_bytes())
+            argv = ["run", cfg, "--out-dir", str(tmp_path / n)]
+            run_python(f"from mamp.cli import main; main({argv!r})", OPENBLAS_NUM_THREADS=n)
+            csvs.append((tmp_path / n / "blas.csv").read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
 
     def test_run_subcommand(self, tmp_path):
