@@ -6,7 +6,8 @@ depend on the BLAS thread count: their long reductions run as short
 single-threaded calls in a fixed order.  The Monte-Carlo evolution's
 cross-covariance and, on IID operators, the dense Gram `zherk` and `eigh`
 still do.  `threads` counts the seeds in flight; a structured seed also runs
-its simulations two at a time.  All algorithms within a seed consume the same
+its simulations two at a time, both on a `ThreadPoolExecutor` imported
+where it is used.  All algorithms within a seed consume the same
 operator and instance.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -211,13 +211,14 @@ def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
 def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
     """Simulate every configured algorithm on one seed's instance of op.
 
-    On the structured operator two simulations run at a time: a helper thread
-    runs the first configured one (bo_mamp, the longest, in every shipped
+    On the structured operator two simulations run at a time: a one-thread
+    pool runs the first configured one (bo_mamp, the longest, in every shipped
     config) while this thread runs the others in order.  Their transforms and
     reductions are single-threaded, so one alone leaves a second core idle.
-    On a dense operator they run one after another, since its matrix-vector
-    products are threaded BLAS calls already.  Either way each simulation has
-    the bits it has alone.
+    The caller stays the second worker: with both on pool threads the peak
+    RSS rose by ~8 MB.  On a dense operator the simulations run one after
+    another, since its matrix-vector products are threaded BLAS calls already.
+    Either way each simulation has the bits it has alone.
     """
     inst_seed = [config.base_seed + seed_index, 0x1A57]
     inst = sample_instance(op, prior, config.snr_db, inst_seed)
@@ -238,27 +239,15 @@ def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
     algos = config.algorithms
     if config.matrix_model != "structured" or len(algos) < 2:
         return {algo: simulate(algo) for algo in algos}
-    # the helper hands back its result or its exception, a BaseException
-    # too, and is joined before an exception here leaves.  A bare thread,
-    # since NumPy has loaded threading and concurrent.futures would add its
-    # import (~4 ms) to the set-up of every structured run
-    outcome = {}
+    # loaded on use: a run with no structured seed never needs it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run_first():
-        try:
-            outcome["result"] = simulate(algos[0])
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    helper = threading.Thread(target=run_first)
-    helper.start()
-    try:
+    # leaving the block joins the pool thread, also when an exception leaves;
+    # result() re-raises the first simulation's, a BaseException too
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first = pool.submit(simulate, algos[0])
         results = {algo: simulate(algo) for algo in algos[1:]}
-    finally:
-        helper.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    results[algos[0]] = outcome["result"]
+    results[algos[0]] = first.result()
     return results
 
 
@@ -339,8 +328,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     Every algorithm yields AlgorithmResults: a simulation one per seed, an
     evolution one in all (they are size-free), and one loop reads them alike.
     mse_db_mean is 10 log10 of the mean MSE over the results; mse_db_std is
-    the standard deviation over the results of their dB values (zeros for
-    one).  theta, xi and zeta come from the first result and statuses from
+    the standard deviation over the results of their dB values.  One result
+    reduces as many do: both are NaN past the iteration where every result
+    stopped.  theta, xi and zeta come from the first result and statuses from
     all.  The se_mse_db column is an evolution's own curve, and a
     simulation's is that of its evolution twin when configured.  The
     Monte-Carlo evolution runs after the seed sweep, once no operator is alive.
@@ -396,7 +386,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             return _run_seed(sim_cfg, k, op, tables, prior)
 
         if config.threads > 1:
-            # concurrent.futures loads here: only a threaded sweep needs it
+            # concurrent.futures loads on use, as in _run_seed
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -428,11 +418,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             continue
         runs = results[algo]
         stack = np.stack([res.mse for res in runs])
-        if len(runs) > 1:
-            mse_db_mean[algo] = _to_db(_nan_columns(np.nanmean, stack))
-            mse_db_std[algo] = _nan_columns(np.nanstd, _to_db(stack))
-        else:
-            mse_db_mean[algo], mse_db_std[algo] = _to_db(stack[0]), np.zeros(config.T)
+        mse_db_mean[algo] = _to_db(_nan_columns(np.nanmean, stack))
+        mse_db_std[algo] = _nan_columns(np.nanstd, _to_db(stack))
         first = runs[0]
         theta[algo] = first.trajectory("theta")
         xi[algo] = first.trajectory("xi")

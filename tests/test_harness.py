@@ -365,6 +365,19 @@ class TestRunExperiment:
         assert np.isfinite(mean[0]) and np.isfinite(std[0])
         assert np.isnan(mean[-1]) and np.isnan(std[-1])
 
+    def test_one_run_reduces_as_a_sweep_does(self):
+        # the same diverging amp on one seed: past its stop the spread is
+        # NaN like the mean, as over a sweep, not a zero
+        cfg = ExperimentConfig(algorithms=("amp",), N=1024, kappa=30.0, T=60, n_seeds=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_experiment(cfg)
+        assert report.statuses["amp"] == ["diverged"]
+        mean, std = report.mse_db_mean["amp"], report.mse_db_std["amp"]
+        assert np.isfinite(mean[0]) and std[0] == 0.0
+        assert np.isnan(mean[-1]) and np.isnan(std[-1])
+        np.testing.assert_array_equal(np.isnan(std), np.isnan(mean))
+
     def test_long_horizon_exact_run_forms_no_overflowing_moment(self):
         # T = 200 at lambda_max ~ 21: the raw moment lambda_400 overflows, and
         # exact-mode runs read none past lambda_2
@@ -513,6 +526,26 @@ class TestCli:
             out = run_python(f"import sys; from mamp.cli import main; "
                              f"rc = main({argv!r}); {loaded}")
             assert out.strip().splitlines()[-1] == expected, command
+
+    def test_runs_without_structured_seeds_never_load_the_thread_pool(self, tmp_path):
+        # only a structured seed's side-by-side simulations and a threaded
+        # sweep use concurrent.futures; the last run shows that it is seen.
+        # SciPy's linalg loads it too (through numpy.testing), so the IID run
+        # estimates its moments instead of taking the dense Gram spectrum
+        structured = write_config(tmp_path / "structured.ini", n_seeds=1, T=3,
+                                  se_nle_mode="deterministic")
+        dense = write_config(tmp_path / "dense.ini", algorithms=("bo_mamp", "amp"),
+                             matrix_model="iid", N=512, delta=0.125, n_seeds=1, T=3,
+                             moment_mode="estimated")
+        out_dir = ["--out-dir", str(tmp_path)]
+        runs = "; ".join(
+            f"rc = main({argv!r}); print(rc, 'concurrent.futures' in sys.modules)"
+            for argv in (["fixed-point", structured], ["se", structured, *out_dir],
+                         ["run", dense, *out_dir], ["run", structured, *out_dir])
+        )
+        out = run_python(f"import sys; from mamp.cli import main; {runs}")
+        checks = [ln for ln in out.splitlines() if ln.endswith(("True", "False"))]
+        assert checks == ["0 False"] * 3 + ["0 True"]
 
     def test_estimated_moments_never_load_mpmath(self, tmp_path):
         # every subcommand on a structured and an IID config, in one
