@@ -30,6 +30,8 @@ DAMPING_RANK_TOL = 1e-13
 # OpenBLAS keeps a complex dot product of at most 10000 entries on one thread,
 # so a reduction over chunks this long has the same bits at any thread count
 DOT_CHUNK = 1 << 13
+# ... and a complex matrix-vector product of fewer than this many entries
+GEMV_ENTRIES = 1 << 12
 
 
 class DegenerateNormalizationError(RuntimeError):
@@ -315,6 +317,31 @@ def chunked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
     for start in range(0, a.size, DOT_CHUNK):
         total += np.vdot(a[start : start + DOT_CHUNK], b[start : start + DOT_CHUNK])
     return total
+
+
+def blocked_matvec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """a @ b for a (k, n) matrix and a vector, as single-threaded BLAS calls.
+
+    The matrix is cut into column blocks of fewer than GEMV_ENTRIES entries
+    (of 8 columns past k = 511), their width a multiple of 8, and NumPy runs
+    one matrix-vector product per block in C, so the result does not depend
+    on the BLAS thread count.  vector @ matrix is written into out, block by
+    block; it has the bits of the one-call product at one thread, except
+    perhaps in a last block of one column.  matrix @ vector is returned, the
+    blocks' partial products summed in one fixed order.
+    """
+    matrix = a if a.ndim == 2 else b
+    k, n = matrix.shape
+    width = max(8, (GEMV_ENTRIES - 1) // k // 8 * 8)
+    q = n // width
+    end = q * width
+    blocks = matrix[:, :end].reshape(k, q, width).swapaxes(0, 1)
+    if a.ndim == 2:
+        parts = np.matmul(blocks, b[:end].reshape(q, width, 1))[:, :, 0]
+        return parts.sum(axis=0) + a[:, end:] @ b[end:]
+    np.matmul(a, blocks, out=out[:end].reshape(q, width))
+    np.matmul(a, b[:, end:], out=out[end:])
+    return out
 
 
 def divide_in_place(z: np.ndarray, c: float) -> np.ndarray:

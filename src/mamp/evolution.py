@@ -27,6 +27,7 @@ from .core import (
     AlgorithmResult,
     IterationRecord,
     Ledger,
+    blocked_matvec,
     gamma_covariance_row,
     memory_weights,
     optimize_theta,
@@ -35,7 +36,6 @@ from .denoisers import (
     NonImprovingNLEError,
     PriorParams,
     bg_mmse,
-    complex_normal,
     extrinsic_variance,
     sample_prior,
     scalar_mmse,
@@ -64,20 +64,36 @@ class CorrelatedNoiseSampler:
 
     Layout: `rows` is the number of draws.  Coordinate t < rows is stored as
     row t - 1 of a row-major (rows - 1, n_mc) complex buffer, so a draw
-    writes one contiguous row in place (conditional mean, then the
-    innovation added chunk by chunk) and the conditional mean reads the
-    earlier rows in place.  Coordinate `rows`, which no later draw reads, is
-    written to `last`, a contiguous complex n_mc-vector.
+    writes one contiguous row in place (conditional mean, then the scaled
+    innovation added) and the conditional mean reads the earlier rows in
+    place.  Coordinate `rows`, which no later draw reads, is written to
+    `last`, a contiguous complex n_mc-vector.
+
+    Draws run one coordinate ahead: a one-thread pool fills a buffer of
+    2 n_mc standard normals from rng, real parts first, then imaginary parts,
+    as `complex_normal` draws them, while the caller works.  So the draws
+    have `complex_normal`'s bits, and nothing else may draw from rng while
+    the sampler is open.  `close` waits for the draw in flight and ends the
+    pool's thread.
     """
 
     def __init__(self, n_mc: int, rng, rows: int, last: np.ndarray):
-        self.n = n_mc
+        # loaded on use: a run with no Monte-Carlo evolution never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
         self.rng = rng
         self._rows = np.empty((rows - 1, n_mc), dtype=complex)
         self._last = last
         self._t = 0
         self.variances: list[float] = []
         self.clamped = 0
+        self._normals = np.empty(2 * n_mc)
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._draw = self._pool.submit(rng.standard_normal, out=self._normals)
+
+    def close(self) -> None:
+        """Wait for the draw in flight, if any, and end the pool's thread."""
+        self._pool.shutdown()
 
     def sample(self, V_gamma: np.ndarray, t: int) -> np.ndarray:
         """Batch for coordinate t (1-based) given rows 1..t of V_gamma.
@@ -106,14 +122,22 @@ class CorrelatedNoiseSampler:
             v_g = 0.0
             self.clamped += 1
         eta = self._last if self._t == len(self._rows) else self._rows[self._t]
-        if alpha is None:
-            complex_normal(self.rng, self.n, v_g, out=eta)
-        else:
+        if alpha is not None:
             # conditional mean uses the conjugate weights; identical to the
             # plain transpose form whenever the covariance is real
-            np.matmul(np.conj(alpha), self._rows[: self._t], out=eta)
-            complex_normal(self.rng, self.n, v_g, out=eta, add=True)
+            blocked_matvec(np.conj(alpha), self._rows[: self._t], out=eta)
+        self._draw.result()
+        # complex_normal's operations: the innovation alone, or added in
+        scale = np.sqrt(v_g / 2.0)
+        for part, normals in zip((eta.real, eta.imag), np.split(self._normals, 2)):
+            if alpha is None:
+                np.multiply(normals, scale, out=part)
+            else:
+                normals *= scale
+                part += normals
         self._t += 1
+        if self._t <= len(self._rows):
+            self._draw = self._pool.submit(self.rng.standard_normal, out=self._normals)
         self.variances.append(v_g)
         eta = eta.view()
         eta.flags.writeable = False
@@ -150,9 +174,14 @@ def run_bo_mamp_se(
     the number of conditional variances the sampler clamped to zero.
 
     The Monte-Carlo path holds, at its peak, the 2T - 1 history rows a later
-    step reads (T - 1 stored noise draws, T damped errors) and three work
-    vectors: the pseudo-observation and the denoiser's posterior mean and
-    per-entry variance, each n_mc long.
+    step reads (T - 1 stored noise draws, T damped errors), three work
+    vectors (the pseudo-observation and the denoiser's posterior mean and
+    per-entry variance), each n_mc long, and the sampler's buffer of 2 n_mc
+    standard normals.  Its long products are single-threaded BLAS calls
+    (`core.blocked_matvec`), so its bits do not depend on the BLAS thread
+    count, and the sampler's one pool thread draws the next coordinate's
+    normals while an iteration runs; that thread has ended by the time this
+    returns or raises.
     """
     if nle_mode not in ("mc", "deterministic"):
         raise ValueError(f"unknown nle_mode {nle_mode!r}")
@@ -184,55 +213,61 @@ def run_bo_mamp_se(
     records: list[IterationRecord] = []
     status = "ok"
 
-    for t in range(1, T + 1):
-        theta, xi, scaled, _, eps, vg_diag = memory_weights(
-            V_phi, scaled, t, tables, sigma2
-        )
-        if not np.isfinite(vg_diag) or vg_diag <= 0:
-            status = "degenerate"
-            break
-        weights_history.append(scaled.copy())
-        eps_history.append(eps)
-        if mc:
-            # the correlated-noise sampler needs the full covariance row;
-            # the deterministic path only consumes the diagonal
-            row_gamma = gamma_covariance_row(
-                weights_history, eps_history, V_phi[:t, :t], tables, sigma2
+    try:
+        for t in range(1, T + 1):
+            theta, xi, scaled, _, eps, vg_diag = memory_weights(
+                V_phi, scaled, t, tables, sigma2
             )
-            V_gamma[t - 1, :t] = row_gamma
-            V_gamma[: t - 1, t - 1] = np.conj(row_gamma[: t - 1])
-        V_gamma[t - 1, t - 1] = vg_diag
-        rec = IterationRecord(t, vg_diag, theta=theta, xi=xi)
-        records.append(rec)
+            if not np.isfinite(vg_diag) or vg_diag <= 0:
+                status = "degenerate"
+                break
+            weights_history.append(scaled.copy())
+            eps_history.append(eps)
+            if mc:
+                # the correlated-noise sampler needs the full covariance row;
+                # the deterministic path only consumes the diagonal
+                row_gamma = gamma_covariance_row(
+                    weights_history, eps_history, V_phi[:t, :t], tables, sigma2
+                )
+                V_gamma[t - 1, :t] = row_gamma
+                V_gamma[: t - 1, t - 1] = np.conj(row_gamma[: t - 1])
+            V_gamma[t - 1, t - 1] = vg_diag
+            rec = IterationRecord(t, vg_diag, theta=theta, xi=xi)
+            records.append(rec)
 
-        # denoiser side
+            # denoiser side
+            if mc:
+                try:
+                    eta = sampler.sample(V_gamma[:t, :t], t)
+                except NearSingularCovarianceError:
+                    status = "unstable_covariance"
+                    break
+                # x + eta and ext - x as eta - (-x) and ext + (-x): the same bits
+                r = np.subtract(eta, err_hist[0], out=r_buf)
+                out = bg_mmse(r, vg_diag, prior, work)
+                rec.v_hat = rec.mse = out.posterior_var
+                if out.extrinsic_mean is None:
+                    status = "early_stop_nle"
+                    break
+                e_new = np.add(out.extrinsic_mean, err_hist[0], out=r_buf)
+                e_conj = np.conjugate(e_new, out=work[0])
+                row = blocked_matvec(err_hist[:t], e_conj) / n_mc
+                sq = np.abs(e_new, out=work[1])
+                diag = float(np.mean(np.square(sq, out=sq)))
+            else:
+                m_hat = scalar_mmse(vg_diag, prior)
+                rec.v_hat = rec.mse = m_hat
+                m = extrinsic_variance(m_hat, vg_diag)
+                if m is None:
+                    status = "early_stop_nle"
+                    break
+                row = np.full(t, m, dtype=complex)
+                diag = m
+            histories = [(err_hist, e_new)] if mc and t < T else []
+            ledger.damp(t, row, diag, histories, rec)
+    finally:
         if mc:
-            try:
-                eta = sampler.sample(V_gamma[:t, :t], t)
-            except NearSingularCovarianceError:
-                status = "unstable_covariance"
-                break
-            # x + eta and ext - x as eta - (-x) and ext + (-x): the same bits
-            r = np.subtract(eta, err_hist[0], out=r_buf)
-            out = bg_mmse(r, vg_diag, prior, work)
-            rec.v_hat = rec.mse = out.posterior_var
-            if out.extrinsic_mean is None:
-                status = "early_stop_nle"
-                break
-            e_new = np.add(out.extrinsic_mean, err_hist[0], out=r_buf)
-            row = err_hist[:t] @ np.conjugate(e_new, out=work[0]) / n_mc
-            sq = np.abs(e_new, out=work[1])
-            diag = float(np.mean(np.square(sq, out=sq)))
-        else:
-            m_hat = scalar_mmse(vg_diag, prior)
-            rec.v_hat = rec.mse = m_hat
-            m = extrinsic_variance(m_hat, vg_diag)
-            if m is None:
-                status = "early_stop_nle"
-                break
-            row = np.full(t, m, dtype=complex)
-            diag = m
-        ledger.damp(t, row, diag, [(err_hist, e_new)] if mc and t < T else [], rec)
+            sampler.close()
 
     clamped = sampler.clamped if mc else 0
     debug = {"ledger": V_phi, "V_gamma": V_gamma, "clamped_variances": clamped}

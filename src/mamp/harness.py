@@ -1,14 +1,15 @@
 """Experiment orchestration: config files, seeded multi-run sweeps, CSV/JSON/plots.
 
 A config fully determines the experiment; runs are reproducible bit-for-bit
-from (config, base_seed) on one platform.  The simulation columns do not
-depend on the BLAS thread count: their long reductions run as short
-single-threaded calls in a fixed order.  The Monte-Carlo evolution's
-cross-covariance and, on IID operators, the dense Gram `zherk` and `eigh`
-still do.  `threads` counts the seeds in flight; a structured seed also runs
-its simulations two at a time, both on a `ThreadPoolExecutor` imported
-where it is used.  All algorithms within a seed consume the same
-operator and instance.
+from (config, base_seed) on one platform.  The simulation and Monte-Carlo
+evolution columns do not depend on the BLAS thread count: their long
+reductions run as short single-threaded calls in a fixed order.  On IID
+operators the dense Gram `zherk` and `eigh` still do.  `threads` counts the
+seeds in flight.  On a structured operator the second core is used one of
+two ways: the Monte-Carlo evolution runs beside the seed sweep, or, without
+one, each seed runs its simulations two at a time.  Both use a
+`ThreadPoolExecutor` imported where it is used.  All algorithms within a
+seed consume the same operator and instance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import configparser
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -208,17 +209,34 @@ def _spectral_inputs(config: ExperimentConfig, operator) -> MomentTables:
     return tables_from_singular_values(d, N, T, M=M, lambda_extremes=extremes)
 
 
-def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
-    """Simulate every configured algorithm on one seed's instance of op.
+def _evolution_beside_sweep(config: ExperimentConfig) -> bool:
+    """Whether the Monte-Carlo evolution runs on a pool thread beside the sweep.
 
-    On the structured operator two simulations run at a time: a one-thread
-    pool runs the first configured one (bo_mamp, the longest, in every shipped
-    config) while this thread runs the others in order.  Their transforms and
-    reductions are single-threaded, so one alone leaves a second core idle.
-    The caller stays the second worker: with both on pool threads the peak
-    RSS rose by ~8 MB.  On a dense operator the simulations run one after
-    another, since its matrix-vector products are threaded BLAS calls already.
-    Either way each simulation has the bits it has alone.
+    It does on a structured operator with seeds to simulate.  A dense
+    operator's matrix must never be resident beside the evolution's
+    histories, so there the evolution runs after the sweep.
+    """
+    return (
+        config.matrix_model == "structured"
+        and config.se_nle_mode == "mc"
+        and "se_mamp" in config.algorithms
+        and config.n_seeds > 0
+        and any(a in _SIMULATIONS for a in config.algorithms)
+    )
+
+
+def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
+    """Simulate every configured simulation on one seed's instance of op.
+
+    On the structured operator two simulations run at a time, unless the
+    Monte-Carlo evolution already takes the second core beside the sweep: a
+    one-thread pool runs the first configured one (bo_mamp, the longest, in
+    every shipped config) while this thread runs the others in order.  Their
+    transforms and reductions are single-threaded, so one alone leaves a
+    second core idle.  The caller stays the second worker: with both on pool
+    threads the peak RSS rose by ~8 MB.  On a dense operator the simulations
+    run one after another, since its matrix-vector products are threaded
+    BLAS calls already.  Either way each simulation has the bits it has alone.
     """
     inst_seed = [config.base_seed + seed_index, 0x1A57]
     inst = sample_instance(op, prior, config.snr_db, inst_seed)
@@ -236,8 +254,9 @@ def _run_seed(config: ExperimentConfig, seed_index: int, op, tables, prior):
         result.x_hat = None
         return result
 
-    algos = config.algorithms
-    if config.matrix_model != "structured" or len(algos) < 2:
+    algos = [a for a in config.algorithms if a in _SIMULATIONS]
+    if (config.matrix_model != "structured" or len(algos) < 2
+            or _evolution_beside_sweep(config)):
         return {algo: simulate(algo) for algo in algos}
     # loaded on use: a run with no structured seed never needs it
     from concurrent.futures import ThreadPoolExecutor
@@ -333,7 +352,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     stopped.  theta, xi and zeta come from the first result and statuses from
     all.  The se_mse_db column is an evolution's own curve, and a
     simulation's is that of its evolution twin when configured.  The
-    Monte-Carlo evolution runs after the seed sweep, once no operator is alive.
+    Monte-Carlo evolution runs beside the seed sweep on a structured operator
+    (see `_evolution_beside_sweep`), and otherwise after it, once no operator
+    is alive.
     """
     t_start = time.time()
     ref_op = _build_operator(config, 0)
@@ -342,10 +363,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     prior = PriorParams(mu=config.mu)
 
     results: dict[str, list[AlgorithmResult]] = {}
-    # Everything that reads the set-up operator runs before the sweep, and
-    # the Monte-Carlo evolution, which needs only the tables, after it: the
-    # operator is gone by then, so its memory and the evolution's histories
-    # are never resident together.
+    # Everything that reads the set-up operator runs before the sweep.  The
+    # Monte-Carlo evolution needs only the tables: on a dense operator it runs
+    # after the sweep, when the operator is gone, so their memories are never
+    # resident together.
     fixed_point = None
     if "fixed_point" in config.algorithms:
         try:
@@ -366,45 +387,57 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         se_mf = run_mf_oamp_se(spectrum, prior, config.sigma2, config.T)
         results["se_mf_oamp"] = [se_mf]
 
+    def evolution():
+        return run_bo_mamp_se(
+            tables, prior, config.sigma2, config.T, L=config.L,
+            nle_mode=config.se_nle_mode, n_mc=config.n_mc,
+            rng_seed=config.base_seed + 0x5E,
+        )
+
     # only seed 0's task takes the set-up operator, so it is released when
     # that task ends; one that no seed ran on is released by held.clear()
     # after the sweep
     held, ref_op = [ref_op], None
     sim_algos = [a for a in config.algorithms if a in _SIMULATIONS]
-    if sim_algos and config.n_seeds > 0:
-        sim_cfg = replace(config, algorithms=tuple(sim_algos))
 
-        def seed_task(k):
-            # seed 0 runs on the set-up operator and tables; any other seed
-            # builds its own operator and, since IID draws have per-realization
-            # spectra where structured operators share theirs, its own IID tables
-            if k == 0:
-                return _run_seed(sim_cfg, k, held.pop(), tables, prior)
-            op = _build_operator(config, k)
-            if config.matrix_model == "iid" and {"bo_mamp", "mf_oamp"} & set(sim_algos):
-                return _run_seed(sim_cfg, k, op, _spectral_inputs(config, op), prior)
-            return _run_seed(sim_cfg, k, op, tables, prior)
+    def seed_task(k):
+        # seed 0 runs on the set-up operator and tables; any other seed
+        # builds its own operator and, since IID draws have per-realization
+        # spectra where structured operators share theirs, its own IID tables
+        if k == 0:
+            return _run_seed(config, k, held.pop(), tables, prior)
+        op = _build_operator(config, k)
+        if config.matrix_model == "iid" and {"bo_mamp", "mf_oamp"} & set(sim_algos):
+            return _run_seed(config, k, op, _spectral_inputs(config, op), prior)
+        return _run_seed(config, k, op, tables, prior)
 
+    def sweep():
+        if not sim_algos:
+            return []
         if config.threads > 1:
             # concurrent.futures loads on use, as in _run_seed
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                per_seed = list(pool.map(seed_task, range(config.n_seeds)))
-        else:
-            per_seed = [seed_task(k) for k in range(config.n_seeds)]
+                return list(pool.map(seed_task, range(config.n_seeds)))
+        return [seed_task(k) for k in range(config.n_seeds)]
+
+    if _evolution_beside_sweep(config):
+        from concurrent.futures import ThreadPoolExecutor
+
+        # leaving the block joins the pool thread, also when the sweep raises
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            beside = pool.submit(evolution)
+            per_seed = sweep()
+        results["se_mamp"] = [beside.result()]
+    else:
+        per_seed = sweep()
+    if per_seed:
         for algo in sim_algos:
             results[algo] = [res[algo] for res in per_seed]
     held.clear()
-
-    if "se_mamp" in config.algorithms:
-        results["se_mamp"] = [
-            run_bo_mamp_se(
-                tables, prior, config.sigma2, config.T, L=config.L,
-                nle_mode=config.se_nle_mode, n_mc=config.n_mc,
-                rng_seed=config.base_seed + 0x5E,
-            )
-        ]
+    if "se_mamp" in config.algorithms and "se_mamp" not in results:
+        results["se_mamp"] = [evolution()]
 
     mse_db_mean: dict[str, np.ndarray] = {}
     mse_db_std: dict[str, np.ndarray] = {}

@@ -28,9 +28,11 @@ from mamp import (
 from mamp import core
 from mamp.core import (
     DOT_CHUNK,
+    GEMV_ENTRIES,
     EPS_FLOOR,
     IterationRecord,
     Ledger,
+    blocked_matvec,
     chunked_vdot,
     damp_into,
     damping_window,
@@ -346,6 +348,42 @@ class TestChunkedKernels:
         # of the exact sum, relative, so two orders are within about n eps
         ref = np.vdot(z, z).real
         assert abs(norm - ref) <= (n + 2) * np.finfo(float).eps * ref
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 15, 29])
+    def test_blocked_vector_matrix_product_equals_the_one_call_product(self, k):
+        # the sampler's conditional mean: each output column is one BLAS
+        # call's, and block widths are multiples of 8, so no column moves
+        rng = np.random.default_rng(k)
+        n = 40_000
+        M = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        a = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        out = np.empty(n, dtype=complex)
+        assert blocked_matvec(a, M, out=out) is out
+        assert np.array_equal(out.view(np.uint64), (a @ M).view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 5, 29])
+    @pytest.mark.parametrize("n", [7, 40_000, 40_003])
+    def test_blocked_matrix_vector_product_sums_small_blocks(self, monkeypatch, k, n):
+        rng = np.random.default_rng(n + k)
+        M = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sizes = []
+        matmul = np.matmul
+
+        def recording_matmul(x, y, **kwargs):
+            sizes.append(x.shape[-2] * x.shape[-1])
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(core.np, "matmul", recording_matmul)
+        got = blocked_matvec(M, v)
+        monkeypatch.undo()
+        # the blocks' products run in one call, each block below OpenBLAS's
+        # threading threshold; the tail is narrower than a block
+        assert len(sizes) == 1 and sizes[0] < GEMV_ENTRIES
+        # any two orders of summing n products are within about 2 n eps of
+        # each other, relative to the sum of the products' moduli
+        bound = 2 * (n + 2) * np.finfo(float).eps * (np.abs(M) @ np.abs(v))
+        assert np.all(np.abs(got - M @ v) <= bound)
 
 
 class TestCovarianceEstimate:

@@ -1,5 +1,6 @@
 """Covariance evolution, correlated-noise sampling and fixed-point consistency."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from mamp import (
     tables_from_singular_values,
 )
 from mamp import evolution, spectral
-from mamp.denoisers import DenoiserOutput
+from mamp.denoisers import CHUNK, DenoiserOutput, complex_normal
 from mamp.evolution import series_gamma_se
 
 
@@ -93,6 +94,28 @@ class TestCorrelatedNoiseSampler:
         # complement of V[:t-1, :t-1], i.e. |L[t-1, t-1]|^2 of V = L L^H
         schur = np.abs(np.diag(np.linalg.cholesky(V))) ** 2
         np.testing.assert_allclose(sampler.variances, schur, rtol=1e-12)
+
+    def test_prefetched_draws_equal_complex_normal_draws_from_the_same_generator(self):
+        # the sampler draws each coordinate's normals one coordinate ahead, on
+        # its pool thread; the rows are the conditional mean plus a
+        # complex_normal draw, as if drawn in place on the caller
+        n, T = 3 * CHUNK + 8, 6
+        idx = np.arange(T)
+        V = (0.6 ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
+        sampler = _sampler(n, np.random.default_rng(8), rows=T)
+        try:
+            draws = [sampler.sample(V, t).copy() for t in range(1, T + 1)]
+        finally:
+            sampler.close()
+        rng = np.random.default_rng(8)
+        for t, (eta, v_g) in enumerate(zip(draws, sampler.variances), start=1):
+            if t == 1:
+                want = complex_normal(rng, n, v_g)
+            else:
+                alpha = np.linalg.solve(V[: t - 1, : t - 1], V[: t - 1, t - 1])
+                want = np.conj(alpha) @ np.stack(draws[: t - 1])
+                complex_normal(rng, n, v_g, out=want, add=True)
+            assert np.array_equal(eta.view(np.uint64), want.view(np.uint64)), t
 
     def test_near_singular_raises(self):
         rng = np.random.default_rng(3)
@@ -257,6 +280,36 @@ class TestEvolutionRuns:
         se = run_bo_mamp_se(self.tab, self.prior, self.sigma2, 4, L=3,
                             nle_mode="mc", n_mc=2_000, rng_seed=0)
         assert se.debug["clamped_variances"] == 1
+
+    @pytest.mark.parametrize("end", ["ok", "early_stop_nle", "raises"])
+    def test_no_thread_outlives_the_monte_carlo_evolution(self, monkeypatch, end):
+        class Stop(Exception):
+            pass
+
+        denoise = evolution.bg_mmse
+        before = set(threading.enumerate())
+        during = []
+
+        def ending_denoiser(r, v, prior, out):
+            # the sampler's pool thread is alive, drawing the next coordinate
+            during.append(set(threading.enumerate()) - before)
+            res = denoise(r, v, prior, out)
+            if len(during) == 2 and end == "raises":
+                raise Stop
+            if len(during) == 2 and end == "early_stop_nle":
+                return DenoiserOutput(res.posterior_mean, res.posterior_var, None)
+            return res
+
+        monkeypatch.setattr(evolution, "bg_mmse", ending_denoiser)
+        run = lambda: run_bo_mamp_se(self.tab, self.prior, self.sigma2, 4, L=3,
+                                     nle_mode="mc", n_mc=2_000, rng_seed=0)
+        if end == "raises":
+            with pytest.raises(Stop):
+                run()
+        else:
+            assert run().status == end
+        assert all(len(new) == 1 for new in during[:2])
+        assert set(threading.enumerate()) == before
 
     def test_monte_carlo_path_holds_only_what_a_later_step_reads(self):
         # 2T - 1 history rows and 2.5 rows of work vectors at the peak; the

@@ -71,6 +71,9 @@ IID_WIDE = dict(
 )
 IID_WIDE_MATRIX_BYTES = 128 * 4096 * 16
 
+# SMALL on a dense operator, whose Monte-Carlo evolution runs after the sweep
+DENSE_SE = dict(matrix_model="iid", algorithms=("bo_mamp", "amp", "se_mamp"))
+
 SIMULATIONS = ("bo_mamp", "bo_oamp", "mf_oamp", "amp")
 
 REPO = Path(__file__).resolve().parents[1]
@@ -294,10 +297,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"threads": 2}, {"n_seeds": 0}],
+        [DENSE_SE, {**DENSE_SE, "threads": 2}, {"n_seeds": 0}],
         ids=["sequential", "threaded", "no_seeds"],
     )
     def test_no_operator_alive_when_the_evolution_starts(self, monkeypatch, overrides):
+        # a dense operator's matrix and the evolution's histories are never
+        # resident together; with no seeds the evolution runs inline
         built, alive = [], []
         build, run_se = harness._build_operator, harness.run_bo_mamp_se
 
@@ -315,6 +320,63 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(**{**SMALL, **overrides}))
         assert built and alive == [0]
         assert report.statuses["se_mamp"] == "ok"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_structured_evolution_starts_before_the_sweep_beside_it(
+        self, monkeypatch, threads
+    ):
+        """On a structured operator the Monte-Carlo evolution starts on a pool
+        thread before the sweep's first simulation, and the seeds simulate in
+        order without a side-by-side pair; every column keeps the bits of the
+        evolution run alone and of the simulations run without it."""
+        started, calls = threading.Event(), []
+        run_se = harness.run_bo_mamp_se
+
+        def starting_se(*args, **kwargs):
+            calls.append(("se_mamp", threading.current_thread() is threading.main_thread()))
+            started.set()
+            return run_se(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_bo_mamp_se", starting_se)
+        for algo in ("bo_mamp", "bo_oamp"):
+            def waiting(*args, _run=getattr(harness, f"run_{algo}"), _algo=algo):
+                # the evolution has started before any simulation: in the old
+                # order it started after the sweep, and this wait timed out
+                calls.append((_algo, started.wait(timeout=30)))
+                return _run(*args)
+
+            monkeypatch.setattr(harness, f"run_{algo}", waiting)
+        cfg = {**SMALL, "threads": threads}
+        report = run_experiment(ExperimentConfig(**cfg))
+        monkeypatch.undo()
+        assert calls[0] == ("se_mamp", False)
+        assert all(ok for _, ok in calls[1:]) and len(calls) == 1 + 2 * SMALL["n_seeds"]
+        alone = run_experiment(ExperimentConfig(**{**cfg, "n_seeds": 0}))
+        sims = run_experiment(
+            ExperimentConfig(**{**cfg, "algorithms": ("bo_mamp", "bo_oamp")})
+        )
+        columns = ("mse_db_mean", "mse_db_std", "se_mse_db", "theta", "xi")
+        for algo, want in (("se_mamp", alone), ("bo_mamp", sims), ("bo_oamp", sims)):
+            for col in columns:
+                got_col, want_col = getattr(report, col)[algo], getattr(want, col)[algo]
+                if algo == "bo_mamp" and col == "se_mse_db":
+                    want_col = alone.mse_db_mean["se_mamp"]
+                assert np.array_equal(got_col, want_col, equal_nan=True), (algo, col)
+        assert report.statuses == {**alone.statuses, **sims.statuses}
+
+    @pytest.mark.parametrize("algo", ["bo_mamp", "bo_mamp_se"], ids=["caller", "beside"])
+    def test_an_exception_beside_the_evolution_reaches_the_caller(self, monkeypatch, algo):
+        class Stop(BaseException):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(harness, f"run_{algo}", stop)
+        before = set(threading.enumerate())
+        with pytest.raises(Stop):
+            run_experiment(ExperimentConfig(**SMALL))
+        assert set(threading.enumerate()) == before
 
     def test_each_evolution_reports_its_own_status(self, monkeypatch):
         run_se = harness.run_bo_oamp_se
@@ -518,10 +580,13 @@ class TestCli:
             assert out.strip().splitlines()[-1] == expected, command
 
     def test_runs_without_structured_seeds_never_load_the_thread_pool(self, tmp_path):
-        # only a structured seed's side-by-side simulations and a threaded
-        # sweep use concurrent.futures; the last run shows that it is seen.
-        # SciPy's linalg loads it too (through numpy.testing), so the IID run
-        # estimates its moments instead of taking the dense Gram spectrum
+        # only a structured seed's side-by-side simulations, a threaded sweep
+        # and the Monte-Carlo evolution (its draws, and its place beside a
+        # structured sweep) use concurrent.futures; these configs use the
+        # deterministic evolution, and the last run shows that the side-by-side
+        # pair is seen.  SciPy's linalg loads it too (through numpy.testing), so
+        # the IID run estimates its moments instead of taking the dense Gram
+        # spectrum
         structured = write_config(tmp_path / "structured.ini", n_seeds=1, T=3,
                                   se_nle_mode="deterministic")
         dense = write_config(tmp_path / "dense.ini", algorithms=("bo_mamp", "amp"),
@@ -597,19 +662,29 @@ class TestCli:
         assert out.strip().splitlines()[-1] == "0 True False"
 
     def test_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # M = 12288: the residual energy and the covariance row sum more than
-        # the 10000 entries past which OpenBLAS splits a dot product
-        cfg = write_config(
-            tmp_path / "exp.ini", algorithms=("bo_mamp", "bo_oamp", "mf_oamp"),
-            N=1 << 14, delta=0.75, kappa=10.0, mu=0.1, snr_db=30.0, T=12,
-            label="blas",
-        )
-        csvs = []
-        for n in ("1", "2", "4"):
-            argv = ["run", cfg, "--out-dir", str(tmp_path / n)]
-            run_python(f"from mamp.cli import main; main({argv!r})", OPENBLAS_NUM_THREADS=n)
-            csvs.append((tmp_path / n / "blas.csv").read_bytes())
-        assert csvs[0] == csvs[1] == csvs[2]
+        configs = {
+            # M = 12288: the residual energy and the covariance row sum more
+            # than the 10000 entries past which OpenBLAS splits a dot product
+            "simulations": dict(algorithms=("bo_mamp", "bo_oamp", "mf_oamp"),
+                                N=1 << 14, delta=0.75, kappa=10.0, mu=0.1,
+                                snr_db=30.0, T=12),
+            # underloaded.ini's seed 0 at one seed: the Monte-Carlo evolution's
+            # conditional mean and covariance row are products of up to
+            # 29 x 100000 entries, past the 4096 at which OpenBLAS splits a
+            # matrix-vector product; threaded, they moved its theta column
+            "evolution": dict(algorithms=("bo_mamp", "se_mamp"), delta=4.0,
+                              kappa=10.0, mu=0.3, snr_db=15.0, T=30, n_seeds=1,
+                              base_seed=0, n_mc=100_000),
+        }
+        for label, overrides in configs.items():
+            cfg = write_config(tmp_path / f"{label}.ini", label=label, **overrides)
+            csvs = []
+            for n in ("1", "2", "4"):
+                argv = ["run", cfg, "--out-dir", str(tmp_path / n)]
+                run_python(f"from mamp.cli import main; main({argv!r})",
+                           OPENBLAS_NUM_THREADS=n)
+                csvs.append((tmp_path / n / f"{label}.csv").read_bytes())
+            assert csvs[0] == csvs[1] == csvs[2], label
 
     def test_run_subcommand(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", label="clismoke", n_seeds=1)
