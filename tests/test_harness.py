@@ -326,31 +326,34 @@ class TestRunExperiment:
         self, monkeypatch, threads
     ):
         """On a structured operator the Monte-Carlo evolution starts on a pool
-        thread before the sweep's first simulation, and the seeds simulate in
-        order without a side-by-side pair; every column keeps the bits of the
-        evolution run alone and of the simulations run without it."""
+        thread before the sweep's first simulation, and each seed runs its
+        simulations in order on its sweep thread, without a side-by-side pair;
+        every column keeps the bits of the evolution run alone and of the
+        simulations run without it."""
         started, calls = threading.Event(), []
+        on_main = lambda: threading.current_thread() is threading.main_thread()
         run_se = harness.run_bo_mamp_se
 
         def starting_se(*args, **kwargs):
-            calls.append(("se_mamp", threading.current_thread() is threading.main_thread()))
+            calls.append(("se_mamp", True, on_main()))
             started.set()
             return run_se(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run_bo_mamp_se", starting_se)
         for algo in ("bo_mamp", "bo_oamp"):
             def waiting(*args, _run=getattr(harness, f"run_{algo}"), _algo=algo):
-                # the evolution has started before any simulation: in the old
-                # order it started after the sweep, and this wait timed out
-                calls.append((_algo, started.wait(timeout=30)))
+                # False when the evolution has not started within the wait,
+                # as when it runs after the sweep
+                calls.append((_algo, started.wait(timeout=30), on_main()))
                 return _run(*args)
 
             monkeypatch.setattr(harness, f"run_{algo}", waiting)
         cfg = {**SMALL, "threads": threads}
         report = run_experiment(ExperimentConfig(**cfg))
         monkeypatch.undo()
-        assert calls[0] == ("se_mamp", False)
-        assert all(ok for _, ok in calls[1:]) and len(calls) == 1 + 2 * SMALL["n_seeds"]
+        assert calls[0] == ("se_mamp", True, False)
+        sims_seen = [(True, threads == 1)] * (2 * SMALL["n_seeds"])
+        assert [call[1:] for call in calls[1:]] == sims_seen
         alone = run_experiment(ExperimentConfig(**{**cfg, "n_seeds": 0}))
         sims = run_experiment(
             ExperimentConfig(**{**cfg, "algorithms": ("bo_mamp", "bo_oamp")})
@@ -671,7 +674,8 @@ class TestCli:
             # underloaded.ini's seed 0 at one seed: the Monte-Carlo evolution's
             # conditional mean and covariance row are products of up to
             # 29 x 100000 entries, past the 4096 at which OpenBLAS splits a
-            # matrix-vector product; threaded, they moved its theta column
+            # matrix-vector product, and as threaded calls they move the theta
+            # column of this config
             "evolution": dict(algorithms=("bo_mamp", "se_mamp"), delta=4.0,
                               kappa=10.0, mu=0.3, snr_db=15.0, T=30, n_seeds=1,
                               base_seed=0, n_mc=100_000),
